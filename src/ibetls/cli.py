@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import base64
 import json
+import os
 import socket
 import sys
-import threading
+import tempfile
 from pathlib import Path
 
 from .handshake import ClientSession, ServerSession
@@ -69,12 +70,22 @@ class CliConfig:
         return self.home / "domains" / name
 
     def token_secret(self) -> bytes:
+        """The home's token key. Commands that start together agree on it: the
+        file appears whole, by a hard link that fails if another won the race."""
         path = self.home / "token.secret"
         if not path.exists():
-            import os
-
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(os.urandom(32).hex().encode())
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".token.secret.")
+            try:
+                with os.fdopen(fd, "wb") as out:
+                    out.write(os.urandom(32).hex().encode())
+                    out.flush()
+                    os.fsync(out.fileno())
+                os.link(tmp, path)
+            except FileExistsError:
+                pass  # another command created it first; its secret stands
+            finally:
+                os.unlink(tmp)
         return bytes.fromhex(path.read_text())
 
     def params(self) -> KemParams:
@@ -278,26 +289,37 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
     served = 0
     seed_stream = HashStream(config.token_secret(), b"serve-sessions")
 
-    def handle(conn: socket.socket) -> None:
-        stream = RecordStream(conn)
+    def handle(stream: RecordStream) -> None:
         session = ServerSession(service.mpk, endpoint_identity, endpoint_key,
                                 seed_stream.read(32))
         if not server_handshake_over_stream(session, stream):
-            stream.close()
             return
         raw = stream_recv_message(session, stream)
-        if raw is not None:
-            response = api.handle(json.loads(raw.decode()))
-            stream_send_message(session, stream, json.dumps(response, sort_keys=True).encode())
+        if raw is None:
+            return
+        try:
+            request = json.loads(raw.decode())
+        except ValueError:  # also UnicodeDecodeError
+            request = None
+        if isinstance(request, dict):
+            response = api.handle(request)
             save_state(directory, service)
-        stream.close()
+        else:
+            response = {"status": 400, "error": {"reason": "BadRequest",
+                                                 "message": "body is not a JSON object"}}
+        stream_send_message(session, stream, json.dumps(response, sort_keys=True).encode())
 
     try:
         while True:
-            conn, _ = listener.accept()
-            worker = threading.Thread(target=handle, args=(conn,), daemon=True)
-            worker.start()
-            worker.join()  # serialized handling keeps state writes ordered
+            conn, peer = listener.accept()
+            # One connection at a time keeps state writes ordered.
+            stream = RecordStream(conn)
+            try:
+                handle(stream)
+            except Exception as exc:  # noqa: BLE001 - one bad connection must not stop serving
+                print(f"connection from {peer[0]}:{peer[1]} failed: {exc!r}", file=sys.stderr)
+            finally:
+                stream.close()
             served += 1
             if args.max_requests and served >= args.max_requests:
                 break

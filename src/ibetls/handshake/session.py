@@ -10,7 +10,6 @@ Finished mismatch and an ibe_auth_failure alert.
 from __future__ import annotations
 
 import hashlib
-import time
 from enum import Enum, auto
 
 from ..kem import (
@@ -104,6 +103,9 @@ def message_name(msg_type: int, sender_role: str) -> str:
 
 class _SessionBase:
     role = "base"
+    # Waiting state -> (content type the record must carry, handshake type ->
+    # handler). A state with no entry accepts no record.
+    _EXPECTED: dict[State, tuple[ContentType, dict[HandshakeType, str]]] = {}
 
     def __init__(self, mpk: MasterPublicKey, rng_seed: bytes) -> None:
         self.mpk = mpk
@@ -118,8 +120,6 @@ class _SessionBase:
         self.ops = {"encaps": 0, "decaps": 0, "sign": 0, "verify": 0, "pubkey_derive": 0}
         self.message_log: list[tuple[str, str, int]] = []  # (direction, name, wire length)
         self.auth_bytes = 0
-        self.wall_time: dict[str, float] = {}
-        self._t0 = time.perf_counter()
         self._hs_send: DirectionKeys | None = None
         self._hs_recv: DirectionKeys | None = None
         self._app_send: DirectionKeys | None = None
@@ -142,22 +142,29 @@ class _SessionBase:
     def _abort(self, code: int) -> list[bytes]:
         self.state = State.ABORTED
         self.alert_sent = int(code)
-        self.wall_time.setdefault("total", time.perf_counter() - self._t0)
         return [alert_record(code)]
+
+    def _directions(self, client_secret: bytes,
+                    server_secret: bytes) -> tuple[DirectionKeys, DirectionKeys]:
+        """This side's (send, receive) keys from a (client, server) secret pair."""
+        client_keys, server_keys = DirectionKeys(client_secret), DirectionKeys(server_secret)
+        if self.role == "client":
+            return client_keys, server_keys
+        return server_keys, client_keys
+
+    def _install_handshake_keys(self) -> None:
+        """Derive the handshake traffic keys over the transcript through ServerHello."""
+        s = self.schedule
+        s.derive_early()
+        s.derive_handshake(self.secrets["eph"], self.secrets["ss_s"], self.secrets["ss_c"])
+        s.derive_handshake_traffic(self.transcript_hash())
+        self._hs_send, self._hs_recv = self._directions(s.client_hs_traffic_secret,
+                                                        s.server_hs_traffic_secret)
 
     def _complete(self) -> None:
         self.state = State.COMPLETE
-        self._app_send = DirectionKeys(self._own_app_secret())
-        self._app_recv = DirectionKeys(self._peer_app_secret())
-        self.wall_time["total"] = time.perf_counter() - self._t0
-
-    def _own_app_secret(self) -> bytes:
-        s = self.schedule
-        return s.client_app_traffic_secret_0 if self.role == "client" else s.server_app_traffic_secret_0
-
-    def _peer_app_secret(self) -> bytes:
-        s = self.schedule
-        return s.server_app_traffic_secret_0 if self.role == "client" else s.client_app_traffic_secret_0
+        self._app_send, self._app_recv = self._directions(
+            self.schedule.client_app_traffic_secret_0, self.schedule.server_app_traffic_secret_0)
 
     @property
     def application_traffic_secrets(self) -> tuple[bytes, bytes]:
@@ -166,6 +173,42 @@ class _SessionBase:
             raise InvalidState("handshake not complete")
         return (self.schedule.client_app_traffic_secret_0,
                 self.schedule.server_app_traffic_secret_0)
+
+    # -- handshake records --------------------------------------------------
+
+    def receive_record(self, rec: bytes) -> list[bytes]:
+        if self.state in (State.COMPLETE, State.ABORTED):
+            raise InvalidState("session is finished")
+        try:
+            return self._dispatch(rec)
+        except RecordAuthError:
+            # Wrong traffic keys mean the peer derived different secrets: an
+            # authentication failure, not a parsing problem.
+            return self._abort(AlertCode.IBE_AUTH_FAILURE)
+        except (DecodeError, MalformedIdentity, InvalidParams):
+            return self._abort(AlertCode.DECODE_ERROR)
+        except UnsupportedScheme:
+            return self._abort(AlertCode.UNSUPPORTED_SCHEME)
+
+    def _dispatch(self, rec: bytes) -> list[bytes]:
+        content_type, payload = split_record(rec)
+        if content_type == ContentType.ALERT:
+            self.alert_received = payload[0] if payload else None
+            self.state = State.ABORTED
+            return []
+        if self.state not in self._EXPECTED:
+            raise InvalidState(f"no record expected in state {self.state}")
+        protection, handlers = self._EXPECTED[self.state]
+        if content_type != protection:
+            raise DecodeError(f"record content type {content_type} in state {self.state.name}")
+        if content_type == ContentType.APPLICATION_DATA:
+            payload, inner_type = self._hs_recv.open(rec)
+            if inner_type != ContentType.HANDSHAKE:
+                raise DecodeError("unexpected inner content type during handshake")
+        msg_type, body = unframe(payload)
+        if msg_type not in handlers:
+            raise DecodeError(f"handshake type {msg_type} in state {self.state.name}")
+        return getattr(self, handlers[msg_type])(payload, body)
 
     # -- application data ---------------------------------------------------
 
@@ -215,6 +258,18 @@ class _SessionBase:
 
 class ClientSession(_SessionBase):
     role = "client"
+    _EXPECTED = {
+        State.WAIT_SERVER_HELLO: (ContentType.HANDSHAKE, {
+            HandshakeType.HELLO_RETRY_REQUEST: "_handle_hrr",
+            HandshakeType.SERVER_HELLO: "_handle_server_hello",
+        }),
+        State.WAIT_EE: (ContentType.APPLICATION_DATA, {
+            HandshakeType.ENCRYPTED_EXTENSIONS: "_handle_encrypted_extensions",
+        }),
+        State.WAIT_SERVER_FINISHED: (ContentType.APPLICATION_DATA, {
+            HandshakeType.FINISHED: "_handle_server_finished",
+        }),
+    }
 
     def __init__(
         self,
@@ -266,57 +321,6 @@ class ClientSession(_SessionBase):
         self.state = State.WAIT_SERVER_HELLO
         return [record(ContentType.HANDSHAKE, framed)]
 
-    def receive_record(self, rec: bytes) -> list[bytes]:
-        if self.state in (State.COMPLETE, State.ABORTED):
-            raise InvalidState("session is finished")
-        try:
-            return self._dispatch(rec)
-        except RecordAuthError:
-            # Wrong traffic keys mean the peer derived different secrets: an
-            # authentication failure, not a parsing problem.
-            return self._abort(AlertCode.IBE_AUTH_FAILURE)
-        except (DecodeError, MalformedIdentity, InvalidParams):
-            return self._abort(AlertCode.DECODE_ERROR)
-        except UnsupportedScheme:
-            return self._abort(AlertCode.UNSUPPORTED_SCHEME)
-
-    def _dispatch(self, rec: bytes) -> list[bytes]:
-        content_type, payload = split_record(rec)
-        if content_type == ContentType.ALERT:
-            self.alert_received = payload[0] if payload else None
-            self.state = State.ABORTED
-            return []
-
-        if self.state is State.WAIT_SERVER_HELLO:
-            if content_type != ContentType.HANDSHAKE:
-                raise DecodeError("expected a plaintext handshake record")
-            msg_type, body = unframe(payload)
-            if msg_type == HandshakeType.HELLO_RETRY_REQUEST:
-                return self._handle_hrr(payload, body)
-            if msg_type != HandshakeType.SERVER_HELLO:
-                raise DecodeError("expected ServerHello")
-            return self._handle_server_hello(payload, body)
-
-        if self.state in (State.WAIT_EE, State.WAIT_SERVER_FINISHED):
-            if content_type != ContentType.APPLICATION_DATA:
-                raise DecodeError("expected an encrypted handshake record")
-            inner, inner_type = self._hs_recv.open(rec)
-            if inner_type != ContentType.HANDSHAKE:
-                raise DecodeError("unexpected inner content type during handshake")
-            msg_type, body = unframe(inner)
-            if self.state is State.WAIT_EE:
-                if msg_type != HandshakeType.ENCRYPTED_EXTENSIONS:
-                    raise DecodeError("expected EncryptedExtensions")
-                decode_encrypted_extensions(body)
-                self._absorb(inner, "recv")
-                self.state = State.WAIT_SERVER_FINISHED
-                return []
-            if msg_type != HandshakeType.FINISHED:
-                raise DecodeError("expected ServerFinished")
-            return self._handle_server_finished(inner, body)
-
-        raise InvalidState(f"no record expected in state {self.state}")
-
     def _handle_hrr(self, framed: bytes, body: bytes) -> list[bytes]:
         if self._got_hrr:
             raise DecodeError("second HelloRetryRequest")
@@ -359,14 +363,14 @@ class ClientSession(_SessionBase):
             self.ops["decaps"] += 1
 
         self._absorb(framed, "recv")
-        th1 = self.transcript_hash()
-        self.schedule.derive_early()
-        self.schedule.derive_handshake(eph, self.secrets["ss_s"], self.secrets["ss_c"])
-        self.schedule.derive_handshake_traffic(th1)
-        self._hs_send = DirectionKeys(self.schedule.client_hs_traffic_secret)
-        self._hs_recv = DirectionKeys(self.schedule.server_hs_traffic_secret)
-        self.wall_time["hello"] = time.perf_counter() - self._t0
+        self._install_handshake_keys()
         self.state = State.WAIT_EE
+        return []
+
+    def _handle_encrypted_extensions(self, framed: bytes, body: bytes) -> list[bytes]:
+        decode_encrypted_extensions(body)
+        self._absorb(framed, "recv")
+        self.state = State.WAIT_SERVER_FINISHED
         return []
 
     def _handle_server_finished(self, framed: bytes, body: bytes) -> list[bytes]:
@@ -389,6 +393,14 @@ class ClientSession(_SessionBase):
 
 class ServerSession(_SessionBase):
     role = "server"
+    _EXPECTED = {
+        State.WAIT_CLIENT_HELLO: (ContentType.HANDSHAKE, {
+            HandshakeType.CLIENT_HELLO: "_handle_client_hello",
+        }),
+        State.WAIT_CLIENT_FINISHED: (ContentType.APPLICATION_DATA, {
+            HandshakeType.FINISHED: "_handle_client_finished",
+        }),
+    }
 
     def __init__(
         self,
@@ -409,51 +421,13 @@ class ServerSession(_SessionBase):
         self._th2: bytes | None = None
         self.state = State.WAIT_CLIENT_HELLO
 
-    def receive_record(self, rec: bytes) -> list[bytes]:
-        if self.state in (State.COMPLETE, State.ABORTED):
-            raise InvalidState("session is finished")
-        try:
-            return self._dispatch(rec)
-        except RecordAuthError:
-            # Wrong traffic keys mean the peer derived different secrets: an
-            # authentication failure, not a parsing problem.
-            return self._abort(AlertCode.IBE_AUTH_FAILURE)
-        except (DecodeError, MalformedIdentity, InvalidParams):
-            return self._abort(AlertCode.DECODE_ERROR)
-        except UnsupportedScheme:
-            return self._abort(AlertCode.UNSUPPORTED_SCHEME)
-
-    def _dispatch(self, rec: bytes) -> list[bytes]:
-        content_type, payload = split_record(rec)
-        if content_type == ContentType.ALERT:
-            self.alert_received = payload[0] if payload else None
-            self.state = State.ABORTED
-            return []
-
-        if self.state is State.WAIT_CLIENT_HELLO:
-            if content_type != ContentType.HANDSHAKE:
-                raise DecodeError("expected a plaintext handshake record")
-            msg_type, body = unframe(payload)
-            if msg_type != HandshakeType.CLIENT_HELLO:
-                raise DecodeError("expected ClientHello")
-            return self._handle_client_hello(payload, body)
-
-        if self.state is State.WAIT_CLIENT_FINISHED:
-            if content_type != ContentType.APPLICATION_DATA:
-                raise DecodeError("expected an encrypted handshake record")
-            inner, inner_type = self._hs_recv.open(rec)
-            if inner_type != ContentType.HANDSHAKE:
-                raise DecodeError("unexpected inner content type during handshake")
-            msg_type, body = unframe(inner)
-            if msg_type != HandshakeType.FINISHED:
-                raise DecodeError("expected ClientFinished")
-            return self._handle_client_finished(inner, body)
-
-        raise InvalidState(f"no record expected in state {self.state}")
-
     def _handle_client_hello(self, framed: bytes, body: bytes) -> list[bytes]:
         hello = decode_client_hello(body)
         ct_s = self._parse_identity_auth(hello.extensions, required=True)
+        eph_public = decode_eph_public(hello.eph_share)
+        if eph_public.params != self.params:
+            # the peer picks the share's dimensions; never expand a matrix it sized
+            raise DecodeError("ephemeral share uses parameters other than the domain's")
 
         identity_ext = find_extension(hello.extensions, EXT_IBE_IDENTITY)
         if self.mutual and identity_ext is None:
@@ -477,7 +451,6 @@ class ServerSession(_SessionBase):
         self.ops["decaps"] += 1
         self.secrets["ss_s"] = ss_s
 
-        eph_public = decode_eph_public(hello.eph_share)
         eph_ct, eph = eph_encaps(eph_public, self._rng.read(32))
         self.ops["encaps"] += 1
         self.secrets["eph"] = eph
@@ -498,13 +471,7 @@ class ServerSession(_SessionBase):
         )
         framed_sh = encode_server_hello(server_hello)
         self._absorb(framed_sh, "send")
-        th1 = self.transcript_hash()
-        self.schedule.derive_early()
-        self.schedule.derive_handshake(eph, ss_s, self.secrets["ss_c"])
-        self.schedule.derive_handshake_traffic(th1)
-        self._hs_send = DirectionKeys(self.schedule.server_hs_traffic_secret)
-        self._hs_recv = DirectionKeys(self.schedule.client_hs_traffic_secret)
-        self.wall_time["hello"] = time.perf_counter() - self._t0
+        self._install_handshake_keys()
 
         framed_ee = encode_encrypted_extensions(EncryptedExtensions())
         self._absorb(framed_ee, "send")

@@ -8,7 +8,6 @@ short secret, one column per secret bit. Ciphertexts have exactly the same
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -21,11 +20,8 @@ from .sampling import HashStream, matmul_mod
 from .scheme import IdKemCiphertext
 
 
-@functools.lru_cache(maxsize=32)
 def _expand_matrix(seed_a: bytes, n: int, m: int, q: int) -> np.ndarray:
-    A = HashStream(seed_a, b"eph-matrix").uniform_mod(n * m, q).reshape(n, m)
-    A.setflags(write=False)
-    return A
+    return HashStream(seed_a, b"eph-matrix").uniform_mod(n * m, q).reshape(n, m)
 
 
 @dataclass(frozen=True)

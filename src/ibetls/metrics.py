@@ -47,7 +47,6 @@ class HandshakeMetrics:
     auth_bytes: int                 # sum over ibe_identity_auth extensions
     auth_extension_count: int
     ops: dict[str, int]
-    wall_time: dict[str, float]
     state: str                      # "complete" | "aborted"
     mutual: bool
     ciphertext_bytes: int           # serialized |ct| at these parameters
@@ -79,15 +78,12 @@ def instrument(conn: Connection) -> HandshakeMetrics:
             if direction == "send":
                 bytes_per_message[name] = bytes_per_message.get(name, 0) + length
     ops = {key: client.ops[key] + server.ops[key] for key in client.ops}
-    wall_time = {f"client.{k}": v for k, v in client.wall_time.items()}
-    wall_time.update({f"server.{k}": v for k, v in server.wall_time.items()})
     auth_extensions = (1 if client.auth_bytes else 0) + (1 if server.auth_bytes else 0)
     return HandshakeMetrics(
         bytes_per_message=bytes_per_message,
         auth_bytes=client.auth_bytes + server.auth_bytes,
         auth_extension_count=auth_extensions,
         ops=ops,
-        wall_time=wall_time,
         state="complete" if conn.ok else "aborted",
         mutual=bool(getattr(client, "mutual", False)),
         ciphertext_bytes=ciphertext_size(client.params),

@@ -6,7 +6,6 @@ from .core import (
     SimNode,
     TrustDomainSim,
     run_mutual_handshake,
-    run_server_auth_handshake,
 )
 from .fiveg import (
     DEFAULT_SERVICES,
@@ -63,7 +62,6 @@ __all__ = [
     "app_send",
     "app_recv_chunk",
     "run_mutual_handshake",
-    "run_server_auth_handshake",
     "client_handshake_over_stream",
     "server_handshake_over_stream",
     "stream_send_message",

@@ -165,18 +165,6 @@ def run_mutual_handshake(
     return establish(client, server, WireCapture())
 
 
-def run_server_auth_handshake(
-    mpk: MasterPublicKey,
-    server_identity: IdentityString,
-    server_key: IdentityPrivateKey,
-    client_seed: bytes,
-    server_seed: bytes,
-) -> Connection:
-    client = ClientSession(mpk, server_identity, client_seed)
-    server = ServerSession(mpk, server_identity, server_key, server_seed)
-    return establish(client, server, WireCapture())
-
-
 def connection_report(conn: Connection, initiator: str, responder: str,
                       domain: str) -> ConnectReport:
     if conn.ok:

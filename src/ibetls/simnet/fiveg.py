@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from ..handshake import ClientSession, ServerSession
-from ..kem import IdentityString, KemParams, decode_private_key
+from ..kem import IdentityPrivateKey, IdentityString, KemParams, decode_private_key
 from ..kem.sampling import HashStream
 from ..tpkg import IssuerPolicy
 from .core import (
@@ -237,21 +237,18 @@ class FiveGSim:
 
     # -- discovery and sessions ---------------------------------------------------
 
-    def draw_connect_seeds(self) -> tuple[bytes, bytes, bytes, bytes]:
-        return (self._seed(), self._seed(), self._seed(), self._seed())
-
-    def discover(self, requester: str, service: str, instance: str | None = None,
-                 seeds: tuple[bytes, bytes] | None = None) -> dict:
+    def discover(self, requester: str, service: str, instance: str | None = None) -> dict:
         """Mutually authenticated discovery query against the NRF."""
-        node = self.nodes[requester]
-        own_key = node.serving_key("5gc")
+        own_key = self.nodes[requester].serving_key("5gc")
         if own_key is None:
             return {"status": 403, "error": {"reason": "NoCredential"}}
-        seeds = seeds or (self._seed(), self._seed())
+        return self._discover(own_key, service, instance, self._seed(), self._seed())
+
+    def _discover(self, own_key: IdentityPrivateKey, service: str, instance: str | None,
+                  client_seed: bytes, nrf_seed: bytes) -> dict:
         nrf_key = self._nrf_key()
         conn = run_mutual_handshake(self.domain.mpk, nrf_key.identity, nrf_key,
-                                    own_key.identity, own_key,
-                                    seeds[0], seeds[1])
+                                    own_key.identity, own_key, client_seed, nrf_seed)
         if not conn.ok:
             return {"status": 495, "error": {"reason": "HandshakeAborted"}}
         query = {
@@ -264,8 +261,7 @@ class FiveGSim:
         return json.loads(conn.request(json.dumps(query).encode(),
                                        self._nrf_handler()).decode())
 
-    def connect(self, initiator: str, service: str, instance: str | None = None,
-                seeds: tuple[bytes, bytes, bytes, bytes] | None = None
+    def connect(self, initiator: str, service: str, instance: str | None = None
                 ) -> ConnectReport:
         """Discover a producer and open a mutual IBE-TLS session to it.
 
@@ -273,8 +269,11 @@ class FiveGSim:
         from the discovered profile, so a peer that failed rotation (for
         example after revocation) cannot complete the handshake.
         """
-        seeds = seeds or self.draw_connect_seeds()
-        discovery = self.discover(initiator, service, instance, seeds=seeds[:2])
+        seeds = [self._seed() for _ in range(4)]  # drawn up front, whatever discovery finds
+        client_key = self.nodes[initiator].serving_key("5gc")
+        if client_key is None:
+            return ConnectReport(initiator, service, "5gc", outcome="refused:NoCredential")
+        discovery = self._discover(client_key, service, instance, seeds[0], seeds[1])
         if discovery["status"] != 200:
             return ConnectReport(initiator, service, "5gc",
                                  outcome=f"refused:{discovery['error']['reason']}")
@@ -285,9 +284,8 @@ class FiveGSim:
 
         responder_instance = expected.segments[2]
         responder = self.nodes.get(responder_instance)
-        client_key = self.nodes[initiator].serving_key("5gc")
         server_key = responder.serving_key("5gc") if responder else None
-        if server_key is None or client_key is None:
+        if server_key is None:
             return ConnectReport(initiator, responder_instance, "5gc",
                                  outcome="refused:missing-credential")
 

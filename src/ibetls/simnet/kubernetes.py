@@ -255,14 +255,10 @@ class KubernetesSim:
                     f"kubelet:{responder[len('kubelet-'):]}", CONTROL_PLANE)
         raise KeyError(f"no link defined between {initiator} and {responder}")
 
-    def draw_connect_seeds(self) -> tuple[bytes, bytes]:
-        return (self._seed(), self._seed())
-
-    def connect(self, initiator: str, responder: str,
-                seeds: tuple[bytes, bytes] | None = None) -> ConnectReport:
+    def connect(self, initiator: str, responder: str) -> ConnectReport:
         """Mutually authenticated IBE-TLS between two named components."""
         client_base, server_base, domain_name = self._resolve_link(initiator, responder)
-        seeds = seeds or self.draw_connect_seeds()
+        client_seed, server_seed = self._seed(), self._seed()
         domain = self.domains[domain_name]
         client_node = self.nodes[initiator]
         server_node = self.nodes[responder]
@@ -284,7 +280,7 @@ class KubernetesSim:
 
         conn = run_mutual_handshake(
             domain.mpk, server_key.identity, server_key,
-            client_key.identity, client_key, seeds[0], seeds[1],
+            client_key.identity, client_key, client_seed, server_seed,
         )
         return connection_report(conn, initiator, responder, domain_name)
 

@@ -29,11 +29,6 @@ class SimPrincipal:
     groups: frozenset[str]
     token: bytes
 
-    @property
-    def only_identity_requests(self) -> bool:
-        # RBAC: bootstrappers may only create IdentityRequests.
-        return "system:bootstrappers" in self.groups
-
 
 class TokenAuthority:
     def __init__(self, secret: bytes) -> None:
@@ -61,7 +56,3 @@ class TokenAuthority:
                              kind=doc["kind"])
         except (ValueError, KeyError):
             return None
-
-    def parse_unverified_kind(self, token: bytes) -> str | None:
-        principal = self.validate(token)
-        return principal.kind if principal else None

@@ -8,7 +8,6 @@ are deterministic in the seed: logs serialize to byte-identical JSON lines.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,7 +95,7 @@ DEMO_5G_SCRIPT = {
 }
 
 
-def _k8s_step(sim: KubernetesSim, step: dict, seeds=None) -> tuple[str, dict]:
+def _k8s_step(sim: KubernetesSim, step: dict) -> tuple[str, dict]:
     op = step["op"]
     if op == "bootstrap":
         report = sim.bootstrap_kubelet(step["node"],
@@ -106,7 +105,7 @@ def _k8s_step(sim: KubernetesSim, step: dict, seeds=None) -> tuple[str, dict]:
         detail = {"identity": report["identity"], "tokenSent": report["token_sent"]}
         return outcome, detail
     if op == "connect":
-        report = sim.connect(step["initiator"], step["responder"], seeds=seeds)
+        report = sim.connect(step["initiator"], step["responder"])
         outcome = ("ok" if report.ok
                    else "refused" if report.outcome.startswith("refused") else "aborted")
         return outcome, report.log_fields()
@@ -123,7 +122,7 @@ def _k8s_step(sim: KubernetesSim, step: dict, seeds=None) -> tuple[str, dict]:
     raise ValueError(f"unknown k8s op {op!r}")
 
 
-def _fiveg_step(sim: FiveGSim, step: dict, seeds=None) -> tuple[str, dict]:
+def _fiveg_step(sim: FiveGSim, step: dict) -> tuple[str, dict]:
     op = step["op"]
     if op == "register":
         report = sim.register_nf(step["nfType"], step["instance"])
@@ -139,8 +138,7 @@ def _fiveg_step(sim: FiveGSim, step: dict, seeds=None) -> tuple[str, dict]:
             return "ok", {"profile": response["body"]}
         return "denied", {"reason": response["error"]["reason"]}
     if op == "connect":
-        report = sim.connect(step["initiator"], step["service"], step.get("instance"),
-                             seeds=seeds)
+        report = sim.connect(step["initiator"], step["service"], step.get("instance"))
         outcome = ("ok" if report.ok
                    else "refused" if report.outcome.startswith("refused") else "aborted")
         return outcome, report.log_fields()
@@ -156,14 +154,8 @@ def _fiveg_step(sim: FiveGSim, step: dict, seeds=None) -> tuple[str, dict]:
     raise ValueError(f"unknown 5g op {op!r}")
 
 
-def run_scenario(script: dict | str | Path, seed: int | bytes = 0,
-                 concurrent: bool = False) -> TranscriptLog:
-    """Execute a scenario; deterministic in the seed.
-
-    With concurrent=True, runs of adjacent independent connect steps execute
-    on a thread pool. Their session seeds are pre-drawn in step order, so the
-    log (ordered by step id) is byte-identical to a sequential run.
-    """
+def run_scenario(script: dict | str | Path, seed: int | bytes = 0) -> TranscriptLog:
+    """Execute a scenario; deterministic in the seed."""
     if not isinstance(script, dict):
         script = json.loads(Path(script).read_text(encoding="utf-8"))
     kind = script.get("kind")
@@ -178,30 +170,10 @@ def run_scenario(script: dict | str | Path, seed: int | bytes = 0,
         raise ValueError(f"unknown scenario kind {kind!r}")
 
     log = TranscriptLog()
-    steps = list(script.get("steps", []))
-
-    def record(index: int, step: dict, outcome: str, detail: dict) -> None:
+    for index, step in enumerate(script.get("steps", [])):
+        sim.clock.advance()
+        outcome, detail = runner(sim, step)
         expected = step.get("expect", "ok")
         log.add(step=index, op=step["op"], outcome=outcome, expect=expected,
                 **{"pass": outcome == expected}, detail=detail)
-
-    index = 0
-    while index < len(steps):
-        step = steps[index]
-        if concurrent and step["op"] == "connect":
-            batch = []
-            while index < len(steps) and steps[index]["op"] == "connect":
-                sim.clock.advance()
-                batch.append((index, steps[index], sim.draw_connect_seeds()))
-                index += 1
-            with ThreadPoolExecutor(max_workers=min(8, len(batch))) as pool:
-                results = list(pool.map(
-                    lambda item: runner(sim, item[1], seeds=item[2]), batch))
-            for (step_index, batch_step, _), (outcome, detail) in zip(batch, results):
-                record(step_index, batch_step, outcome, detail)
-            continue
-        sim.clock.advance()
-        outcome, detail = runner(sim, step)
-        record(index, step, outcome, detail)
-        index += 1
     return log

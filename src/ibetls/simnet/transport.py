@@ -49,17 +49,8 @@ class WireCapture:
             types.append(payload[0])
         return types
 
-    def contains_bytes(self, needle: bytes) -> bool:
-        return any(needle in rec.data for rec in self.records)
-
     def total_bytes(self) -> int:
         return sum(len(rec.data) for rec in self.records)
-
-    def index_of_first(self, predicate) -> int | None:
-        for i, rec in enumerate(self.records):
-            if predicate(rec):
-                return i
-        return None
 
 
 def _finished(session) -> bool:
@@ -213,16 +204,15 @@ class RecordStream:
 def client_handshake_over_stream(session: ClientSession, stream: RecordStream) -> bool:
     for rec in session.client_start():
         stream.send(rec)
-    while not _finished(session):
-        rec = stream.recv()
-        if rec is None:
-            return False
-        for out in session.receive_record(rec):
-            stream.send(out)
-    return session.state is State.COMPLETE
+    return server_handshake_over_stream(session, stream)
 
 
-def server_handshake_over_stream(session: ServerSession, stream: RecordStream) -> bool:
+def server_handshake_over_stream(session: ServerSession | ClientSession,
+                                 stream: RecordStream) -> bool:
+    """Answer the peer's records until the session completes or aborts.
+
+    The client side runs this same loop once its first flight is sent.
+    """
     while not _finished(session):
         rec = stream.recv()
         if rec is None:

@@ -303,10 +303,6 @@ class TpkgService:
         finally:
             msk.zeroize()
 
-    def quorum_reconstruct(self, shares: list[Share]):
-        """Spec-surface alias; see reconstructed_master for the scoped form."""
-        return self.reconstructed_master(shares)
-
     # -- request workflow -------------------------------------------------------
 
     def _authenticate(self, token: bytes) -> Principal:

@@ -14,7 +14,6 @@ POST /identityrequests/<name>/key       -> key delivery document
 from __future__ import annotations
 
 import base64
-import json
 
 from ..kem.errors import MalformedIdentity
 from .service import (
@@ -123,11 +122,3 @@ class ApiServer:
             return {"status": 200, "body": self.service.get_request(parts[-1]).to_dict()}
 
         return {"status": 404, "error": {"reason": "NoRoute", "message": path}}
-
-
-def encode_message(message: dict) -> bytes:
-    return json.dumps(message, sort_keys=True).encode("utf-8")
-
-
-def decode_message(data: bytes) -> dict:
-    return json.loads(data.decode("utf-8"))

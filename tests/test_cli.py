@@ -1,10 +1,13 @@
+import argparse
 import json
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
-from ibetls.cli import main
+from ibetls.cli import CliConfig, main
 
 
 def run_cli(args, capsys):
@@ -184,8 +187,6 @@ def test_serve_and_remote_request(home, capsys):
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
-    import time
-
     deadline = time.time() + 30
     code = None
     while time.time() < deadline:
@@ -206,4 +207,97 @@ def test_serve_and_remote_request(home, capsys):
     response = json.loads(out)
     assert response["status"] == 201
     assert response["body"]["status"] == "Approved"
+    assert server_result.get("code") == 0
+
+
+def test_token_secret_first_use_agrees_across_threads(tmp_path):
+    # Commands that start together on a fresh home each create token.secret;
+    # they must all end up with one secret, never an empty or second one.
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            config = CliConfig(argparse.Namespace(home=str(tmp_path / f"home{round_}")))
+            barrier = threading.Barrier(8)
+            secrets = []
+
+            def first_use():
+                barrier.wait(timeout=10)
+                secrets.append(config.token_secret())
+
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(secrets) == 8
+            assert len(set(secrets)) == 1 and len(secrets[0]) == 32
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def test_serve_answers_malformed_body_with_400_and_keeps_serving(home, capsys):
+    from ibetls.handshake import ClientSession
+    from ibetls.simnet import (
+        RecordStream,
+        client_handshake_over_stream,
+        component_identity,
+        stream_recv_message,
+        stream_send_message,
+    )
+    from ibetls.tpkg import load_domain
+
+    directory = setup_domain(home, capsys)
+    service = load_domain(directory)
+    endpoint = component_identity("tpkg-register", service.policy.current_epoch)
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    listener.close()
+
+    server_result = {}
+
+    def serve():
+        server_result["code"] = main([
+            "--home", str(home), "tpkg-serve", "--domain", "control-plane",
+            "--listen", f"127.0.0.1:{port}", "--max-requests", "3",
+        ])
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+
+    def raw_request(body: bytes, seed: int) -> dict:
+        deadline = time.time() + 30
+        while True:
+            try:
+                sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+                break
+            except ConnectionRefusedError:
+                assert time.time() < deadline, "tpkg-serve did not start"
+                time.sleep(0.3)
+        stream = RecordStream(sock)
+        try:
+            session = ClientSession(service.mpk, endpoint, seed.to_bytes(32, "big"))
+            assert client_handshake_over_stream(session, stream)
+            stream_send_message(session, stream, body)
+            return json.loads(stream_recv_message(session, stream).decode())
+        finally:
+            stream.close()
+
+    for seed, body in enumerate([b"{not json", b"[1, 2]"]):
+        response = raw_request(body, seed)
+        assert response["status"] == 400
+        assert response["error"]["reason"] == "BadRequest"
+
+    code = main([
+        "--home", str(home), "id-request", "--domain", "control-plane",
+        "--identity", "kubelet:node-06.20250101", "--subject", "node-06",
+        "--groups", "system:bootstrappers",
+        "--remote", f"127.0.0.1:{port}", "--format", "json",
+    ])
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["status"] == 201
     assert server_result.get("code") == 0

@@ -7,14 +7,28 @@ from ibetls.handshake import (
     AlertCode,
     ClientSession,
     ContentType,
+    DirectionKeys,
+    EncryptedExtensions,
+    Finished,
     InvalidState,
     RecordAuthError,
     ServerSession,
     State,
+    alert_record,
     open_record,
+    record,
     seal_record,
+    split_record,
 )
-from ibetls.kem import EphemeralKeyReuse, IdentityString, eph_generate, extract, setup
+from ibetls.handshake.wire import encode_encrypted_extensions, encode_finished
+from ibetls.kem import (
+    EphemeralKeyReuse,
+    IdentityString,
+    KemParams,
+    eph_generate,
+    extract,
+    setup,
+)
 from ibetls.simnet.transport import establish
 
 
@@ -278,6 +292,21 @@ def test_eph_keypair_reuse_rejected_by_session_layer(desk, mpk, server_identity,
         client2.client_start()
 
 
+def test_foreign_ephemeral_parameters_rejected(desk, mpk, server_identity, server_key):
+    # The share's header names its own dimensions; a server that honoured them
+    # would expand a matrix of the peer's choosing.
+    foreign = KemParams.create(n=8, q=desk.q, ell=desk.ell, beta=desk.beta, eta=desk.eta,
+                               domain_sep=desk.domain_sep)
+    client = ClientSession(mpk, server_identity, seed_of(455),
+                           eph_keypair=eph_generate(foreign, seed_of(456)))
+    server = ServerSession(mpk, server_identity, server_key, seed_of(457))
+    (client_hello,) = client.client_start()
+    out = server.receive_record(client_hello)
+    assert server.state is State.ABORTED
+    assert server.alert_sent == AlertCode.DECODE_ERROR
+    assert out == [alert_record(AlertCode.DECODE_ERROR)]
+
+
 def test_eph_secret_erased_after_completion(mpk, server_identity, server_key):
     client, server = make_pair(mpk, server_identity, server_key, seed=460)
     conn = establish(client, server)
@@ -390,3 +419,79 @@ def test_hrr_without_client_credential_aborts(mpk, server_identity, server_key):
     assert not conn.ok
     assert client.state is State.ABORTED
     assert client.alert_sent == AlertCode.IBE_AUTH_FAILURE
+
+
+# Every state in which a session waits for the peer, with the protection its
+# record must carry there.
+WAITING_STATES = [
+    ("client", State.WAIT_SERVER_HELLO, False),
+    ("client", State.WAIT_EE, True),
+    ("client", State.WAIT_SERVER_FINISHED, True),
+    ("server", State.WAIT_CLIENT_HELLO, False),
+    ("server", State.WAIT_CLIENT_FINISHED, True),
+]
+# A message of a type the waiting state does not accept.
+WRONG_MESSAGE = {
+    State.WAIT_SERVER_HELLO: encode_finished(Finished(bytes(32))),
+    State.WAIT_EE: encode_finished(Finished(bytes(32))),
+    State.WAIT_SERVER_FINISHED: encode_encrypted_extensions(EncryptedExtensions()),
+    State.WAIT_CLIENT_HELLO: encode_finished(Finished(bytes(32))),
+    State.WAIT_CLIENT_FINISHED: encode_encrypted_extensions(EncryptedExtensions()),
+}
+
+
+def session_waiting_in(role, state, mpk, server_identity, server_key):
+    """Drive an honest handshake until the `role` side waits in `state`.
+
+    Returns that side and a framed message of a type it accepts there.
+    """
+    client, server = make_pair(mpk, server_identity, server_key, seed=600)
+    (client_hello,) = client.client_start()
+    if state is State.WAIT_CLIENT_HELLO:
+        return server, split_record(client_hello)[1]
+    flight = server.receive_record(client_hello)
+    if state is State.WAIT_SERVER_HELLO:
+        return client, split_record(flight[0])[1]
+    if role == "server":
+        return server, encode_finished(Finished(bytes(32)))
+    client.receive_record(flight[0])
+    if state is State.WAIT_EE:
+        return client, encode_encrypted_extensions(EncryptedExtensions())
+    client.receive_record(flight[1])
+    return client, encode_finished(Finished(bytes(32)))
+
+
+def peer_sealed(session, framed):
+    """`framed` sealed as the peer's next handshake record to `session`."""
+    schedule = session.schedule
+    secret = (schedule.server_hs_traffic_secret if session.role == "client"
+              else schedule.client_hs_traffic_secret)
+    keys = DirectionKeys(secret)
+    keys._seq = session._hs_recv._seq
+    return keys.seal(framed, ContentType.HANDSHAKE)
+
+
+@pytest.mark.parametrize("case", ["wrong_protection", "wrong_type", "alert"])
+@pytest.mark.parametrize("role,state,encrypted", WAITING_STATES,
+                         ids=[f"{role}-{state.name}" for role, state, _ in WAITING_STATES])
+def test_dispatch_per_waiting_state(case, role, state, encrypted,
+                                    mpk, server_identity, server_key):
+    session, accepted = session_waiting_in(role, state, mpk, server_identity, server_key)
+    assert session.state is state
+    if case == "wrong_protection":
+        rec = (record(ContentType.HANDSHAKE, accepted) if encrypted
+               else record(ContentType.APPLICATION_DATA, accepted))
+    elif case == "wrong_type":
+        wrong = WRONG_MESSAGE[state]
+        rec = peer_sealed(session, wrong) if encrypted else record(ContentType.HANDSHAKE, wrong)
+    else:
+        rec = alert_record(AlertCode.IBE_AUTH_FAILURE)
+    out = session.receive_record(rec)
+    assert session.state is State.ABORTED
+    if case == "alert":
+        assert out == []
+        assert session.alert_received == AlertCode.IBE_AUTH_FAILURE
+        assert session.alert_sent is None
+    else:
+        assert out == [alert_record(AlertCode.DECODE_ERROR)]
+        assert session.alert_sent == AlertCode.DECODE_ERROR

@@ -309,13 +309,6 @@ def test_scenarios_deterministic_per_seed():
         assert first != third
 
 
-def test_concurrent_mode_matches_sequential_log():
-    sequential = run_scenario(DEMO_K8S_SCRIPT, seed=33)
-    concurrent = run_scenario(DEMO_K8S_SCRIPT, seed=33, concurrent=True)
-    assert concurrent.all_ok
-    assert sequential.to_jsonl() == concurrent.to_jsonl()
-
-
 def test_mutual_handshake_over_tcp_sockets(mpk, server_identity, server_key,
                                            client_identity, client_key):
     import socket
