@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .handshake import ClientSession, ServerSession
 from .kem import IdentityString, KemParams, NOT_SECURE_BANNER
-from .kem.sampling import HashStream
 from .metrics import CertCostModel, compare_report, instrument, render_table
 from .simnet import (
     DEMO_5G_SCRIPT,
@@ -54,6 +53,8 @@ EXIT_HANDSHAKE = 4
 EXIT_REGISTRY = 5
 
 DEFAULT_HOME = Path("ibetls-home")
+# Idle seconds per read or write, so a silent client cannot stall tpkg-serve's serial loop.
+SERVE_CONNECTION_TIMEOUT = 10.0
 
 
 class CliConfig:
@@ -176,8 +177,7 @@ def _id_request_remote(args, config: CliConfig, service, principal) -> int:
                                            service.policy.current_epoch)
     sock = socket.create_connection((host or "127.0.0.1", int(port)), timeout=10)
     stream = RecordStream(sock)
-    session = ClientSession(service.mpk, endpoint_identity,
-                            HashStream(principal.token, b"cli-remote").read(32))
+    session = ClientSession(service.mpk, endpoint_identity, os.urandom(32))
     if not client_handshake_over_stream(session, stream):
         print("handshake with remote endpoint failed", file=sys.stderr)
         return EXIT_HANDSHAKE
@@ -287,11 +287,9 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
           f"as {endpoint_identity.canonical}", file=sys.stderr, flush=True)
 
     served = 0
-    seed_stream = HashStream(config.token_secret(), b"serve-sessions")
 
     def handle(stream: RecordStream) -> None:
-        session = ServerSession(service.mpk, endpoint_identity, endpoint_key,
-                                seed_stream.read(32))
+        session = ServerSession(service.mpk, endpoint_identity, endpoint_key, os.urandom(32))
         if not server_handshake_over_stream(session, stream):
             return
         raw = stream_recv_message(session, stream)
@@ -312,6 +310,7 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
     try:
         while True:
             conn, peer = listener.accept()
+            conn.settimeout(SERVE_CONNECTION_TIMEOUT)
             # One connection at a time keeps state writes ordered.
             stream = RecordStream(conn)
             try:

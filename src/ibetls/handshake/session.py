@@ -193,7 +193,9 @@ class _SessionBase:
     def _dispatch(self, rec: bytes) -> list[bytes]:
         content_type, payload = split_record(rec)
         if content_type == ContentType.ALERT:
-            self.alert_received = payload[0] if payload else None
+            if len(payload) != 1:
+                raise DecodeError("alert record must carry exactly one byte")
+            self.alert_received = payload[0]
             self.state = State.ABORTED
             return []
         if self.state not in self._EXPECTED:

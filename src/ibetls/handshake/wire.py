@@ -119,10 +119,6 @@ class Extension:
     def encode(self) -> bytes:
         return u16(self.extension_type) + opaque16(self.extension_data)
 
-    @property
-    def wire_length(self) -> int:
-        return 4 + len(self.extension_data)
-
 
 def encode_extensions(extensions: list[Extension]) -> bytes:
     body = b"".join(ext.encode() for ext in extensions)

@@ -129,6 +129,8 @@ def decode_private_key(data: bytes) -> IdentityPrivateKey:
     flat = unpack_vec(body[2 + id_len:], params.m * params.ell, params.q, "preimage matrix")
     X = flat.reshape(params.m, params.ell)
     X = np.where(X > params.q // 2, X - params.q, X)  # recover signed entries
+    if int(np.abs(X).max(initial=0)) > params.beta:
+        raise DecodeError("identity private key: preimage exceeds beta")
     return IdentityPrivateKey(identity=identity, X=X, params_hash=params_hash, params=params)
 
 

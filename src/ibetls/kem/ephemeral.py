@@ -1,6 +1,6 @@
 """One-shot unauthenticated KEM carrying the forward-secrecy share.
 
-Identity-free dual-Regev over the same lattice machinery: keygen samples a
+Identity-free dual-Regev through the identity KEM's core: keygen samples a
 fresh public matrix (as a 32-byte seed) and publishes the syndromes of a
 short secret, one column per secret bit. Ciphertexts have exactly the same
 (c0, c1) shape as identity-KEM ciphertexts.
@@ -8,20 +8,22 @@ short secret, one column per secret bit. Ciphertexts have exactly the same
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..hkdf import hkdf_expand, hkdf_extract
-from .errors import DecodeError, EphemeralKeyReuse
+from .errors import EphemeralKeyReuse
 from .params import KemParams
 from .sampling import HashStream, matmul_mod
-from .scheme import IdKemCiphertext
+from .scheme import IdKemCiphertext, _decrypt_bits, _encrypt_bits, _kem_kdf
 
 
-def _expand_matrix(seed_a: bytes, n: int, m: int, q: int) -> np.ndarray:
-    return HashStream(seed_a, b"eph-matrix").uniform_mod(n * m, q).reshape(n, m)
+def _expand_matrix(seed_a: bytes, p: KemParams) -> np.ndarray:
+    A = HashStream(seed_a, b"eph-matrix").uniform_mod(p.n * p.m, p.q).reshape(p.n, p.m)
+    A.setflags(write=False)
+    return A
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,12 @@ class EphemeralPublicKey:
 
     def __post_init__(self) -> None:
         self.U.setflags(write=False)
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        """The public matrix, expanded from seed_a on first use and kept with the key
+        (lazily, so a server checks a peer's share parameters before paying for it)."""
+        return _expand_matrix(self.seed_a, self.params)
 
     def binding_hash(self) -> bytes:
         h = hashlib.sha256(self.params.header_bytes())
@@ -63,37 +71,20 @@ def eph_generate(params: KemParams, rng_seed: bytes) -> EphemeralKeyPair:
         raise ValueError("rng_seed must be exactly 32 bytes")
     stream = HashStream(rng_seed, b"eph-gen")
     seed_a = stream.read(32)
-    A = _expand_matrix(seed_a, params.n, params.m, params.q)
+    A = _expand_matrix(seed_a, params)
     x = stream.signed_uniform(params.m * params.ell, 1).reshape(params.m, params.ell)
     U = matmul_mod(A, x, params.q)
     return EphemeralKeyPair(public=EphemeralPublicKey(params=params, seed_a=seed_a, U=U), _x=x)
 
 
-def _eph_kdf(k_bits: np.ndarray, binding: bytes) -> bytes:
-    ikm = np.packbits(k_bits.astype(np.uint8), bitorder="little").tobytes() + binding
-    return hkdf_expand(hkdf_extract(b"", ikm), b"ibetls eph ss", 32)
-
-
 def eph_encaps(public: EphemeralPublicKey, rng_seed: bytes) -> tuple[IdKemCiphertext, bytes]:
     if len(rng_seed) != 32:
         raise ValueError("rng_seed must be exactly 32 bytes")
-    p = public.params
-    A = _expand_matrix(public.seed_a, p.n, p.m, p.q)
-    stream = HashStream(rng_seed, b"eph-encaps")
-    s = stream.uniform_mod(p.n, p.q)
-    e0 = stream.signed_uniform(p.m, p.eta)
-    e1 = stream.signed_uniform(p.ell, p.eta)
-    k_bits = stream.bits(p.ell)
-    c0 = (matmul_mod(A.T, s.reshape(-1, 1), p.q).ravel() + e0) % p.q
-    c1 = (matmul_mod(public.U.T, s.reshape(-1, 1), p.q).ravel() + e1
-          + (p.q // 2) * k_bits) % p.q
-    return IdKemCiphertext(c0=c0, c1=c1), _eph_kdf(k_bits, public.binding_hash())
+    ct, k_bits = _encrypt_bits(public.params, public.A, public.U,
+                               HashStream(rng_seed, b"eph-encaps"))
+    return ct, _kem_kdf(k_bits, public.binding_hash(), b"ibetls eph ss")
 
 
 def eph_decaps(keypair: EphemeralKeyPair, ct: IdKemCiphertext) -> bytes:
-    p = keypair.public.params
-    if ct.c0.shape != (p.m,) or ct.c1.shape != (p.ell,):
-        raise DecodeError("ephemeral ciphertext dimensions do not match parameters")
-    mask = (ct.c1 - matmul_mod(keypair._x.T, ct.c0.reshape(-1, 1), p.q).ravel()) % p.q
-    k_bits = ((2 * mask + p.q // 2) // p.q) % 2
-    return _eph_kdf(k_bits, keypair.public.binding_hash())
+    k_bits = _decrypt_bits(keypair.public.params, keypair._x, ct)
+    return _kem_kdf(k_bits, keypair.public.binding_hash(), b"ibetls eph ss")

@@ -56,7 +56,8 @@ class KemParams:
     k        gadget length, ceil(log2(q))
     m_bar    columns of the random left block, n*k
     m        total columns, m_bar + n*k
-    q        prime modulus, fits in 32 bits
+    q        prime modulus with m*q*q in float64's exact-integer range, so
+             matmul_mod is exact on entries in (-q, q)
     ell      shared-secret bit length
     beta     infinity-norm bound on extracted preimages
     eta      infinity-norm bound on encryption noise
@@ -84,6 +85,8 @@ class KemParams:
             raise InvalidParams("k must be ceil(log2(q))")
         if self.m_bar != self.n * self.k or self.m != self.m_bar + self.n * self.k:
             raise InvalidParams("need m_bar = n*k and m = m_bar + n*k")
+        if self.m * self.q * self.q >= 2**53:
+            raise InvalidParams("m*q*q exceeds float64's exact-integer range")
         if self.beta < 1 or self.eta < 1:
             raise InvalidParams("beta and eta must be positive")
         if self.m * self.beta * self.eta + self.eta >= self.q // 4:

@@ -88,19 +88,10 @@ class HashStream:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Exact (a @ b) mod q for integer matrices.
+    """Exact (a @ b) mod q for integer matrices with entries in (-q, q).
 
-    Routes through float64 BLAS when every product-sum provably stays below
-    2**53; falls back to int64 otherwise. Inputs are never modified.
+    One float64 BLAS product, exact because the inner dimension is at most m
+    and KemParams keeps m*q*q within float64's exact-integer range.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    inner = a.shape[-1]
-    amax = int(np.abs(a).max(initial=0))
-    bmax = int(np.abs(b).max(initial=0))
-    if amax * bmax * inner < 2**53:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return np.asarray(prod, dtype=np.int64) % q
-    if amax * bmax * inner < 2**63:
-        return (a @ b) % q
-    raise OverflowError("matrix product exceeds exact integer range")
+    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    return prod.astype(np.int64) % q

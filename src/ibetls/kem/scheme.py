@@ -119,10 +119,9 @@ def setup(params: KemParams, seed: bytes) -> tuple[MasterPublicKey, MasterSecret
         signs = stream.signs(params.m_bar * weight).reshape(params.m_bar, weight)
         np.put_along_axis(R, support, signs, axis=1)
 
-    right = (gadget_matrix(params) - matmul_mod(a_bar, R, q)) % q
-    A = np.concatenate([a_bar, right], axis=1)
-    mpk = MasterPublicKey(params=params, A=A, params_hash=params_hash_of(params, A))
-    return mpk, MasterSecretKey(R=R, a_bar=a_bar)
+    msk = MasterSecretKey(R=R, a_bar=a_bar)
+    A = msk.reconstruct_public(params)
+    return MasterPublicKey(params=params, A=A, params_hash=params_hash_of(params, A)), msk
 
 
 @functools.lru_cache(maxsize=512)
@@ -165,14 +164,39 @@ def extract(
     return IdentityPrivateKey(identity=identity, X=X, params_hash=mpk.params_hash, params=p)
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
+def _kem_kdf(k_bits: np.ndarray, context: bytes, label: bytes) -> bytes:
+    """32-byte secret from the recovered bits, bound to `context` under `label`."""
+    ikm = np.packbits(k_bits.astype(np.uint8), bitorder="little").tobytes() + context
+    return hkdf_expand(hkdf_extract(b"", ikm), label, 32)
 
 
 def shared_secret_kdf(k_bits: np.ndarray, identity: IdentityString, params_hash: bytes) -> bytes:
     """32-byte secret bound to (identity, params_hash) for domain separation."""
-    ikm = _pack_bits(k_bits) + identity.canonical.encode("utf-8") + params_hash
-    return hkdf_expand(hkdf_extract(b"", ikm), b"ibetls id-kem ss", 32)
+    return _kem_kdf(k_bits, identity.canonical.encode("utf-8") + params_hash,
+                    b"ibetls id-kem ss")
+
+
+def _encrypt_bits(p: KemParams, A: np.ndarray, U: np.ndarray,
+                  stream: HashStream) -> tuple[IdKemCiphertext, np.ndarray]:
+    """Dual-Regev encryption of ell fresh bits to syndromes U under A (both KEMs)."""
+    s = stream.uniform_mod(p.n, p.q)
+    e0 = stream.signed_uniform(p.m, p.eta)
+    e1 = stream.signed_uniform(p.ell, p.eta)
+    k_bits = stream.bits(p.ell)
+    c0 = (matmul_mod(A.T, s.reshape(-1, 1), p.q).ravel() + e0) % p.q
+    c1 = (matmul_mod(U.T, s.reshape(-1, 1), p.q).ravel() + e1 + (p.q // 2) * k_bits) % p.q
+    return IdKemCiphertext(c0=c0, c1=c1), k_bits
+
+
+def _decrypt_bits(p: KemParams, X: np.ndarray, ct: IdKemCiphertext) -> np.ndarray:
+    """Recover the bits with the short preimage X; rejects malformed ciphertexts."""
+    if ct.c0.shape != (p.m,) or ct.c1.shape != (p.ell,):
+        raise DecodeError("ciphertext dimensions do not match parameters")
+    if int(ct.c0.min(initial=0)) < 0 or int(ct.c0.max(initial=0)) >= p.q \
+            or int(ct.c1.min(initial=0)) < 0 or int(ct.c1.max(initial=0)) >= p.q:
+        raise DecodeError("ciphertext coefficient out of range")
+    mask = (ct.c1 - matmul_mod(X.T, ct.c0.reshape(-1, 1), p.q).ravel()) % p.q
+    return ((2 * mask + p.q // 2) // p.q) % 2
 
 
 def encaps(
@@ -181,18 +205,8 @@ def encaps(
     """Encapsulate a fresh 32-byte secret to an identity."""
     if len(rng_seed) != 32:
         raise ValueError("encaps rng_seed must be exactly 32 bytes")
-    p = mpk.params
     U = derive_public(mpk, identity).U
-
-    stream = HashStream(rng_seed, b"id-encaps")
-    s = stream.uniform_mod(p.n, p.q)
-    e0 = stream.signed_uniform(p.m, p.eta)
-    e1 = stream.signed_uniform(p.ell, p.eta)
-    k_bits = stream.bits(p.ell)
-
-    c0 = (matmul_mod(mpk.A.T, s.reshape(-1, 1), p.q).ravel() + e0) % p.q
-    c1 = (matmul_mod(U.T, s.reshape(-1, 1), p.q).ravel() + e1 + (p.q // 2) * k_bits) % p.q
-    ct = IdKemCiphertext(c0=c0, c1=c1)
+    ct, k_bits = _encrypt_bits(mpk.params, mpk.A, U, HashStream(rng_seed, b"id-encaps"))
     return ct, shared_secret_kdf(k_bits, identity, mpk.params_hash)
 
 
@@ -202,12 +216,4 @@ def decaps(sk: IdentityPrivateKey, ct: IdKemCiphertext) -> bytes:
     A wrong key or tampered ciphertext yields a different 32-byte value, and
     the mismatch surfaces later at Finished verification.
     """
-    p = sk.params
-    if ct.c0.shape != (p.m,) or ct.c1.shape != (p.ell,):
-        raise DecodeError("ciphertext dimensions do not match parameters")
-    if int(ct.c0.min(initial=0)) < 0 or int(ct.c0.max(initial=0)) >= p.q \
-            or int(ct.c1.min(initial=0)) < 0 or int(ct.c1.max(initial=0)) >= p.q:
-        raise DecodeError("ciphertext coefficient out of range")
-    mask = (ct.c1 - matmul_mod(sk.X.T, ct.c0.reshape(-1, 1), p.q).ravel()) % p.q
-    k_bits = ((2 * mask + p.q // 2) // p.q) % 2
-    return shared_secret_kdf(k_bits, sk.identity, sk.params_hash)
+    return shared_secret_kdf(_decrypt_bits(sk.params, sk.X, ct), sk.identity, sk.params_hash)

@@ -35,9 +35,6 @@ class WireCapture:
     def add(self, sender: str, data: bytes) -> None:
         self.records.append(CapturedRecord(sender, data))
 
-    def content_types(self) -> list[int]:
-        return [rec.content_type for rec in self.records]
-
     def handshake_records(self) -> list[CapturedRecord]:
         return [rec for rec in self.records if rec.content_type == ContentType.HANDSHAKE]
 

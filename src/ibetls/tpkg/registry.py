@@ -114,18 +114,10 @@ class Registry:
                 return record
         return None
 
-    def has_identity(self, identity: str) -> bool:
-        return any(record.identity == identity for record in self.records)
-
     @classmethod
     def load(cls, issuer: str, path: Path) -> "Registry":
-        registry = cls(issuer, path=None)
-        with open(path, encoding="utf-8") as source:
-            for line in source:
-                line = line.strip()
-                if line:
-                    registry.records.append(RegistryRecord.from_dict(json.loads(line)))
-        registry.path = Path(path)
+        registry = cls(issuer, path=path)
+        registry.records = load_chain(path)
         return registry
 
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import ibetls.cli
 from ibetls.cli import CliConfig, main
 
 
@@ -171,36 +172,61 @@ def test_serve_refuses_without_share_quorum(home, capsys):
     assert code == 2 and "refusing to serve" in err
 
 
-def test_serve_and_remote_request(home, capsys):
-    setup_domain(home, capsys)
+def free_port():
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
     listener.close()
+    return port
 
-    server_result = {}
+
+def serve_in_thread(home, port, max_requests):
+    """Start tpkg-serve; the returned dict gets its exit code."""
+    result = {}
 
     def serve():
-        server_result["code"] = main([
+        result["code"] = main([
             "--home", str(home), "tpkg-serve", "--domain", "control-plane",
-            "--listen", f"127.0.0.1:{port}", "--max-requests", "1",
+            "--listen", f"127.0.0.1:{port}", "--max-requests", str(max_requests),
         ])
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
+    return thread, result
+
+
+def connect(port):
+    """A raw connection to tpkg-serve, retrying until it listens."""
     deadline = time.time() + 30
-    code = None
-    while time.time() < deadline:
+    while True:
         try:
-            code = main([
+            return socket.create_connection(("127.0.0.1", port), timeout=10)
+        except ConnectionRefusedError:
+            assert time.time() < deadline, "tpkg-serve did not start"
+            time.sleep(0.3)
+
+
+def remote_request(home, port, capsys, subject="node-05"):
+    """Run id-request --remote, retrying until the server listens."""
+    deadline = time.time() + 30
+    while True:
+        try:
+            return main([
                 "--home", str(home), "id-request", "--domain", "control-plane",
-                "--identity", "kubelet:node-05.20250101", "--subject", "node-05",
+                "--identity", f"kubelet:{subject}.20250101", "--subject", subject,
                 "--groups", "system:bootstrappers",
                 "--remote", f"127.0.0.1:{port}", "--format", "json",
             ])
-            break
         except ConnectionRefusedError:
+            assert time.time() < deadline, "tpkg-serve did not start"
             capsys.readouterr()  # drop partial output from the failed attempt
             time.sleep(0.3)
+
+
+def test_serve_and_remote_request(home, capsys):
+    setup_domain(home, capsys)
+    port = free_port()
+    thread, server_result = serve_in_thread(home, port, 1)
+    code = remote_request(home, port, capsys)
     thread.join(timeout=30)
     out = capsys.readouterr().out
     assert code == 0
@@ -208,6 +234,48 @@ def test_serve_and_remote_request(home, capsys):
     assert response["status"] == 201
     assert response["body"]["status"] == "Approved"
     assert server_result.get("code") == 0
+
+
+def test_live_sessions_draw_fresh_seeds(home, capsys, monkeypatch):
+    seeds = []
+
+    def recording(session_class):
+        def make(*args, **kwargs):
+            seeds.append(args[-1])
+            return session_class(*args, **kwargs)
+        return make
+
+    monkeypatch.setattr(ibetls.cli, "ServerSession", recording(ibetls.cli.ServerSession))
+    monkeypatch.setattr(ibetls.cli, "ClientSession", recording(ibetls.cli.ClientSession))
+    setup_domain(home, capsys)
+    # Two restarts of the server on one home, the same principal each time.
+    for _ in range(2):
+        port = free_port()
+        thread, server_result = serve_in_thread(home, port, 1)
+        remote_request(home, port, capsys)
+        thread.join(timeout=30)
+        assert not thread.is_alive() and server_result.get("code") == 0
+    assert len(seeds) == 4
+    assert len(set(seeds)) == 4
+
+
+def test_serve_drops_silent_connection_and_keeps_serving(home, capsys, monkeypatch):
+    monkeypatch.setattr(ibetls.cli, "SERVE_CONNECTION_TIMEOUT", 0.5)
+    setup_domain(home, capsys)
+    port = free_port()
+    thread, server_result = serve_in_thread(home, port, 2)
+    silent = connect(port)
+    try:
+        code = remote_request(home, port, capsys)
+    finally:
+        silent.close()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["status"] == 201
+    assert server_result.get("code") == 0
+    assert "failed" in captured.err
 
 
 def test_token_secret_first_use_agrees_across_threads(tmp_path):
@@ -251,31 +319,11 @@ def test_serve_answers_malformed_body_with_400_and_keeps_serving(home, capsys):
     directory = setup_domain(home, capsys)
     service = load_domain(directory)
     endpoint = component_identity("tpkg-register", service.policy.current_epoch)
-    listener = socket.create_server(("127.0.0.1", 0))
-    port = listener.getsockname()[1]
-    listener.close()
-
-    server_result = {}
-
-    def serve():
-        server_result["code"] = main([
-            "--home", str(home), "tpkg-serve", "--domain", "control-plane",
-            "--listen", f"127.0.0.1:{port}", "--max-requests", "3",
-        ])
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
+    port = free_port()
+    thread, server_result = serve_in_thread(home, port, 3)
 
     def raw_request(body: bytes, seed: int) -> dict:
-        deadline = time.time() + 30
-        while True:
-            try:
-                sock = socket.create_connection(("127.0.0.1", port), timeout=10)
-                break
-            except ConnectionRefusedError:
-                assert time.time() < deadline, "tpkg-serve did not start"
-                time.sleep(0.3)
-        stream = RecordStream(sock)
+        stream = RecordStream(connect(port))
         try:
             session = ClientSession(service.mpk, endpoint, seed.to_bytes(32, "big"))
             assert client_handshake_over_stream(session, stream)
@@ -289,12 +337,7 @@ def test_serve_answers_malformed_body_with_400_and_keeps_serving(home, capsys):
         assert response["status"] == 400
         assert response["error"]["reason"] == "BadRequest"
 
-    code = main([
-        "--home", str(home), "id-request", "--domain", "control-plane",
-        "--identity", "kubelet:node-06.20250101", "--subject", "node-06",
-        "--groups", "system:bootstrappers",
-        "--remote", f"127.0.0.1:{port}", "--format", "json",
-    ])
+    code = remote_request(home, port, capsys, subject="node-06")
     thread.join(timeout=30)
     assert not thread.is_alive()
     out = capsys.readouterr().out

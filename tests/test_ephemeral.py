@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ibetls.kem import (
+    DecodeError,
     EphemeralKeyReuse,
+    IdKemCiphertext,
     decode_eph_public,
     encode_eph_public,
     eph_decaps,
@@ -61,3 +63,24 @@ def test_wrong_keypair_mismatches(desk):
     b = eph_generate(desk, seed_of(8))
     ct, ss = eph_encaps(a.public, seed_of(9))
     assert eph_decaps(b, ct) != ss
+
+
+def test_eph_decaps_rejects_out_of_range(desk):
+    keypair = eph_generate(desk, seed_of(11))
+    ct, _ = eph_encaps(keypair.public, seed_of(12))
+    bad = ct.c1.copy()
+    bad[0] = desk.q
+    with pytest.raises(DecodeError):
+        eph_decaps(keypair, IdKemCiphertext(c0=ct.c0, c1=bad))
+
+
+def test_public_matrix_expanded_lazily_once_per_key(desk):
+    keypair = eph_generate(desk, seed_of(13))
+    public = decode_eph_public(encode_eph_public(keypair.public))
+    # Decoding a peer's share must not expand the matrix it names.
+    assert "A" not in vars(public)
+    eph_encaps(public, seed_of(14))
+    matrix = vars(public)["A"]
+    eph_encaps(public, seed_of(15))
+    assert public.A is matrix
+    assert np.array_equal((matrix @ keypair._x) % desk.q, public.U)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hkdf_oracle as oracle
 from ibetls.handshake import (
@@ -471,7 +473,7 @@ def peer_sealed(session, framed):
     return keys.seal(framed, ContentType.HANDSHAKE)
 
 
-@pytest.mark.parametrize("case", ["wrong_protection", "wrong_type", "alert"])
+@pytest.mark.parametrize("case", ["wrong_protection", "wrong_type", "alert", "malformed_alert"])
 @pytest.mark.parametrize("role,state,encrypted", WAITING_STATES,
                          ids=[f"{role}-{state.name}" for role, state, _ in WAITING_STATES])
 def test_dispatch_per_waiting_state(case, role, state, encrypted,
@@ -484,8 +486,10 @@ def test_dispatch_per_waiting_state(case, role, state, encrypted,
     elif case == "wrong_type":
         wrong = WRONG_MESSAGE[state]
         rec = peer_sealed(session, wrong) if encrypted else record(ContentType.HANDSHAKE, wrong)
-    else:
+    elif case == "alert":
         rec = alert_record(AlertCode.IBE_AUTH_FAILURE)
+    else:
+        rec = record(ContentType.ALERT, b"")  # 15 00 00: an alert must carry one byte
     out = session.receive_record(rec)
     assert session.state is State.ABORTED
     if case == "alert":
@@ -495,3 +499,55 @@ def test_dispatch_per_waiting_state(case, role, state, encrypted,
     else:
         assert out == [alert_record(AlertCode.DECODE_ERROR)]
         assert session.alert_sent == AlertCode.DECODE_ERROR
+
+
+# Where a waiting state may go on one record, besides ABORTED: a hello state
+# stays put after a HelloRetryRequest.
+NEXT_STATES = {
+    State.WAIT_SERVER_HELLO: {State.WAIT_SERVER_HELLO, State.WAIT_EE},
+    State.WAIT_EE: {State.WAIT_SERVER_FINISHED},
+    State.WAIT_SERVER_FINISHED: {State.COMPLETE},
+    State.WAIT_CLIENT_HELLO: {State.WAIT_CLIENT_HELLO, State.WAIT_CLIENT_FINISHED},
+    State.WAIT_CLIENT_FINISHED: {State.COMPLETE},
+}
+
+RECORD_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("random"), st.binary(max_size=80)),
+    st.tuples(st.just("framed"), st.sampled_from(list(ContentType)) | st.integers(0, 255),
+              st.binary(max_size=80)),
+    st.tuples(st.just("message"), st.binary(max_size=80)),
+)
+
+
+def edited_record(session, accepted, encrypted, edit):
+    """Apply `edit` to the record carrying `accepted`, as the peer would send it."""
+    def as_peer(framed):
+        return peer_sealed(session, framed) if encrypted else record(ContentType.HANDSHAKE, framed)
+
+    honest = as_peer(accepted)
+    kind, *args = edit
+    if kind == "truncate":
+        return honest[: args[0] % len(honest)]
+    if kind == "flip":
+        i = args[0] % len(honest)
+        return honest[:i] + bytes([honest[i] ^ args[1]]) + honest[i + 1:]
+    if kind == "random":
+        return args[0]
+    if kind == "framed":
+        return record(args[0], args[1])
+    return as_peer(args[0])  # random bytes as the handshake message itself
+
+
+@pytest.mark.parametrize("role,state,encrypted", WAITING_STATES,
+                         ids=[f"{role}-{state.name}" for role, state, _ in WAITING_STATES])
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(edit=RECORD_EDITS)
+def test_mangled_record_never_escapes(role, state, encrypted, edit,
+                                      mpk, server_identity, server_key):
+    session, accepted = session_waiting_in(role, state, mpk, server_identity, server_key)
+    session.receive_record(edited_record(session, accepted, encrypted, edit))
+    assert session.state in NEXT_STATES[state] | {State.ABORTED}
+    if session.state is State.ABORTED:
+        assert session.alert_sent is not None or session.alert_received is not None

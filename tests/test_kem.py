@@ -1,7 +1,10 @@
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ibetls.kem import (
     DecodeError,
@@ -25,7 +28,8 @@ from ibetls.kem import (
     require_reference_scheme,
     setup,
 )
-from ibetls.kem.scheme import IdKemCiphertext, shared_secret_kdf
+from ibetls.kem.sampling import matmul_mod
+from ibetls.kem.scheme import IdentityPrivateKey, IdKemCiphertext, shared_secret_kdf
 
 from conftest import SETUP_SEED
 
@@ -63,6 +67,20 @@ def test_margin_violation_rejected():
     # m*beta*eta + eta >= q/4 for these numbers
     with pytest.raises(InvalidParams):
         KemParams.create(n=32, q=1048573, ell=256, beta=5000, eta=1, domain_sep=b"x")
+
+
+def test_float64_bound_rejected():
+    # These pass the correctness margin; only m*q*q >= 2**53 rejects them.
+    n, q, beta, eta = 32, 2**31 - 1, 65, 1
+    m = 2 * n * (q - 1).bit_length()
+    assert m * beta * eta + eta < q // 4 and m * q * q >= 2**53
+    with pytest.raises(InvalidParams):
+        KemParams.create(n=n, q=q, ell=256, beta=beta, eta=eta, domain_sep=b"x")
+    # A peer's header naming these parameters fails the same way at decode.
+    k = (q - 1).bit_length()
+    header = b"IBEK1" + struct.pack("<8IH", n, k, n * k, m, q, 256, beta, eta, 1) + b"x"
+    with pytest.raises(InvalidParams):
+        KemParams.from_header(header)
 
 
 def test_params_emit_non_security_banner():
@@ -280,6 +298,15 @@ def test_private_key_codec_round_trip(server_key):
     assert np.array_equal(back.X, server_key.X)
 
 
+def test_private_key_decode_rejects_preimage_above_beta(desk, server_key):
+    X = server_key.X.copy()
+    X[3, 5] = -(desk.beta + 1)
+    oversized = IdentityPrivateKey(identity=server_key.identity, X=X,
+                                   params_hash=server_key.params_hash, params=desk)
+    with pytest.raises(DecodeError):
+        decode_private_key(encode_private_key(oversized))
+
+
 def test_reserved_scheme_id_accepted_by_codec_not_instantiable(desk, mpk, server_identity):
     ct, _ = encaps(mpk, server_identity, seed_of(12))
     blob = encode_ciphertext(ct, mpk.params_hash, scheme_id=0x0001)
@@ -295,3 +322,33 @@ def test_fixtures_share_one_master(mpk):
     # conftest master is derived from the frozen seed; sanity anchor.
     mpk2, _ = setup(mpk.params, SETUP_SEED)
     assert encode_master_public(mpk2) == encode_master_public(mpk)
+
+
+# ---------------------------------------------------------------------------
+# exact modular products
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(rows=st.integers(1, 3), inner=st.integers(1, 1280), cols=st.integers(1, 3),
+       fill=st.sampled_from(["random", "max", "min", "signs"]), seed=st.integers(0, 2**32))
+@example(rows=1, inner=1280, cols=1, fill="max", seed=0)
+@example(rows=2, inner=1280, cols=2, fill="min", seed=0)
+def test_matmul_mod_matches_integer_reference(desk, rows, inner, cols, fill, seed):
+    # Operands in (-q, q) with inner dimension up to m, as the KEM uses them;
+    # the all-(q-1) product at inner = m is the largest sum KemParams admits.
+    q = desk.q
+    assert inner <= desk.m
+    rng = np.random.default_rng(seed)
+
+    def operand(shape):
+        if fill == "random":
+            return rng.integers(-(q - 1), q, size=shape)
+        if fill == "signs":
+            return rng.choice([-(q - 1), q - 1], size=shape)
+        return np.full(shape, q - 1 if fill == "max" else -(q - 1), dtype=np.int64)
+
+    a, b = operand((rows, inner)), operand((inner, cols))
+    expected = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(inner)) % q
+                 for j in range(cols)] for i in range(rows)]
+    assert matmul_mod(a, b, q).tolist() == expected
