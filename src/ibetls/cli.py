@@ -13,6 +13,7 @@ import os
 import socket
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from .handshake import ClientSession, ServerSession
@@ -53,7 +54,8 @@ EXIT_HANDSHAKE = 4
 EXIT_REGISTRY = 5
 
 DEFAULT_HOME = Path("ibetls-home")
-# Idle seconds per read or write, so a silent client cannot stall tpkg-serve's serial loop.
+# Seconds one connection may take in all, so a silent or dripping client cannot
+# stall tpkg-serve's serial loop.
 SERVE_CONNECTION_TIMEOUT = 10.0
 
 
@@ -310,9 +312,9 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
     try:
         while True:
             conn, peer = listener.accept()
-            conn.settimeout(SERVE_CONNECTION_TIMEOUT)
-            # One connection at a time keeps state writes ordered.
-            stream = RecordStream(conn)
+            # One connection at a time keeps state writes ordered, so each
+            # connection gets one deadline for all of its reads and writes.
+            stream = RecordStream(conn, deadline=time.monotonic() + SERVE_CONNECTION_TIMEOUT)
             try:
                 handle(stream)
             except Exception as exc:  # noqa: BLE001 - one bad connection must not stop serving

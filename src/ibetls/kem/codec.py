@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .ephemeral import EphemeralPublicKey
-from .errors import DecodeError, UnsupportedScheme
+from .errors import DecodeError, MalformedIdentity, UnsupportedScheme
 from .identity import IdentityString
 from .params import KemParams
 from .scheme import (
@@ -125,7 +125,10 @@ def decode_private_key(data: bytes) -> IdentityPrivateKey:
     (id_len,) = struct.unpack("!H", body[:2])
     if len(body) < 2 + id_len:
         raise DecodeError("identity private key: truncated identity")
-    identity = IdentityString.parse(body[2 : 2 + id_len].decode("utf-8"))
+    try:
+        identity = IdentityString.parse(body[2 : 2 + id_len].decode("utf-8"))
+    except (UnicodeDecodeError, MalformedIdentity) as exc:
+        raise DecodeError(f"identity private key: bad identity: {exc}") from exc
     flat = unpack_vec(body[2 + id_len:], params.m * params.ell, params.q, "preimage matrix")
     X = flat.reshape(params.m, params.ell)
     X = np.where(X > params.q // 2, X - params.q, X)  # recover signed entries

@@ -1,8 +1,8 @@
-"""Deterministic sampling from SHA-256 counter-mode streams.
+"""Deterministic sampling from ChaCha20 keystreams.
 
 Every random choice in the KEM (and in the simulation harness) is drawn from
-a :class:`HashStream` so that a 32-byte seed reproduces bit-identical output
-on any platform and numpy version.
+a :class:`HashStream` so that a seed reproduces bit-identical output on any
+platform and numpy version.
 """
 
 from __future__ import annotations
@@ -10,36 +10,26 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-_BLOCK = 32  # SHA-256 output size
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 
 class HashStream:
-    """Byte stream generated as SHA-256(key || counter).
+    """ChaCha20 (RFC 8439) keystream under a key hashed from seed and label.
 
-    The key binds the caller-supplied seed and a domain-separation label, so
-    two streams with different labels over the same seed are independent.
+    The key is SHA-256 over a versioned label, the seed length, the seed and
+    a domain-separation label, so two streams with different labels over the
+    same seed are independent. The nonce is zero; each key is used for one
+    stream only. Reads are contiguous: read(a) + read(b) == read(a + b).
     """
 
     def __init__(self, seed: bytes, label: bytes = b"") -> None:
-        self._key = hashlib.sha256(
-            b"ibetls.stream\x00" + len(seed).to_bytes(4, "big") + seed + label
+        key = hashlib.sha256(
+            b"ibetls.stream.v2\x00" + len(seed).to_bytes(4, "big") + seed + label
         ).digest()
-        self._counter = 0
-        self._buffer = b""
+        self._keystream = Cipher(algorithms.ChaCha20(key, bytes(16)), mode=None).encryptor()
 
     def read(self, n: int) -> bytes:
-        while len(self._buffer) < n:
-            blocks = []
-            needed = n - len(self._buffer)
-            for _ in range((needed + _BLOCK - 1) // _BLOCK):
-                blocks.append(
-                    hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
-                )
-                self._counter += 1
-            self._buffer += b"".join(blocks)
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
-        return out
+        return self._keystream.update(bytes(n))
 
     def u32(self, count: int) -> np.ndarray:
         return np.frombuffer(self.read(4 * count), dtype="<u4").astype(np.int64)

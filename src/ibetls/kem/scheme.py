@@ -9,7 +9,6 @@ z = bit-decompose(U), so A*X = G*z = U holds with equality and
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -35,6 +34,12 @@ def gadget_decompose(params: KemParams, values: np.ndarray) -> np.ndarray:
     return bits.reshape(params.n * params.k, values.shape[1])
 
 
+def _trapdoor_public(params: KemParams, a_bar: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """A = [a_bar | G - a_bar*R] mod q."""
+    right = (gadget_matrix(params) - matmul_mod(a_bar, R, params.q)) % params.q
+    return np.concatenate([a_bar, right], axis=1)
+
+
 @dataclass(frozen=True)
 class MasterPublicKey:
     params: KemParams
@@ -49,14 +54,14 @@ class MasterPublicKey:
 class MasterSecretKey:
     R: np.ndarray      # (m_bar, n*k), entries in {-1, 0, 1}
     a_bar: np.ndarray  # (n, m_bar) over Z_q
+    params_hash: bytes = field(repr=False)  # of the public key setup derived with it
 
     def __post_init__(self) -> None:
         self.R.setflags(write=False)
         self.a_bar.setflags(write=False)
 
     def reconstruct_public(self, params: KemParams) -> np.ndarray:
-        right = (gadget_matrix(params) - matmul_mod(self.a_bar, self.R, params.q)) % params.q
-        return np.concatenate([self.a_bar, right], axis=1)
+        return _trapdoor_public(params, self.a_bar, self.R)
 
     def zeroize(self) -> None:
         for arr in (self.R, self.a_bar):
@@ -110,38 +115,30 @@ def setup(params: KemParams, seed: bytes) -> tuple[MasterPublicKey, MasterSecret
     a_bar = stream.uniform_mod(n * params.m_bar, q).reshape(n, params.m_bar)
 
     # Trapdoor rows have a fixed support of beta-1 signed entries: the support
-    # is the head of a random permutation (argsort of fresh 64-bit keys).
+    # is the columns holding the row's beta-1 smallest fresh 64-bit keys, put
+    # in column order so the result does not depend on argpartition's order.
     weight = params.trapdoor_row_weight
     R = np.zeros((params.m_bar, w), dtype=np.int64)
     if weight:
         keys = stream.u64(params.m_bar * w).reshape(params.m_bar, w)
-        support = np.argsort(keys, axis=1)[:, :weight]
+        support = np.sort(np.argpartition(keys, weight - 1, axis=1)[:, :weight], axis=1)
         signs = stream.signs(params.m_bar * weight).reshape(params.m_bar, weight)
         np.put_along_axis(R, support, signs, axis=1)
 
-    msk = MasterSecretKey(R=R, a_bar=a_bar)
-    A = msk.reconstruct_public(params)
-    return MasterPublicKey(params=params, A=A, params_hash=params_hash_of(params, A)), msk
+    A = _trapdoor_public(params, a_bar, R)
+    params_hash = params_hash_of(params, A)
+    return (MasterPublicKey(params=params, A=A, params_hash=params_hash),
+            MasterSecretKey(R=R, a_bar=a_bar, params_hash=params_hash))
 
 
-@functools.lru_cache(maxsize=512)
-def _syndrome_matrix(domain_sep: bytes, canonical: str, n: int, ell: int, q: int) -> np.ndarray:
-    cols = []
-    identity_bytes = canonical.encode("utf-8")
-    for i in range(ell):
-        stream = HashStream(domain_sep + identity_bytes + i.to_bytes(4, "big"), b"syndrome")
-        cols.append(stream.uniform_mod(n, q))
-    U = np.column_stack(cols)
-    U.setflags(write=False)
-    return U
+def _syndrome_matrix(p: KemParams, canonical: str) -> np.ndarray:
+    stream = HashStream(p.domain_sep, b"syndrome" + canonical.encode("utf-8"))
+    return stream.uniform_mod(p.n * p.ell, p.q).reshape(p.n, p.ell)
 
 
 def derive_public(mpk: MasterPublicKey, identity: IdentityString) -> IdentityPublicKey:
     """Anyone can derive U from the identity alone; no secret input involved."""
-    p = mpk.params
-    return IdentityPublicKey(
-        U=_syndrome_matrix(p.domain_sep, identity.canonical, p.n, p.ell, p.q)
-    )
+    return IdentityPublicKey(U=_syndrome_matrix(mpk.params, identity.canonical))
 
 
 def extract(
@@ -149,8 +146,8 @@ def extract(
 ) -> IdentityPrivateKey:
     """Compute the exact short preimage X with A @ X == U (mod q)."""
     p = mpk.params
-    if not np.array_equal(msk.reconstruct_public(p), mpk.A):
-        raise MasterKeyMismatch("master secret does not reconstruct this public key")
+    if msk.params_hash != mpk.params_hash:
+        raise MasterKeyMismatch("master secret was not set up with this public key")
 
     U = derive_public(mpk, identity).U
     Z = gadget_decompose(p, U)

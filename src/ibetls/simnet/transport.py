@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import time
 from dataclasses import dataclass, field
 
 from ..handshake.session import ClientSession, ServerSession, State
@@ -163,12 +164,30 @@ def app_recv_chunk(session, rec: bytes) -> bytes | None:
 
 
 class RecordStream:
-    """Reads and writes self-delimiting records on a socket."""
+    """Reads and writes self-delimiting records on a socket.
 
-    def __init__(self, sock: socket.socket) -> None:
+    With a ``deadline`` (a ``time.monotonic()`` value) every socket call gets
+    only the time that remains, so a peer that drips bytes cannot hold the
+    stream past it. Without one, the socket's own timeout applies per call.
+    """
+
+    def __init__(self, sock: socket.socket, deadline: float | None = None) -> None:
         self.sock = sock
+        self.deadline = deadline
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # A flight goes out one record per send; Nagle's algorithm would
+            # hold the second record until the peer's delayed ACK (~40 ms).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def _arm(self) -> None:
+        if self.deadline is not None:
+            remaining = self.deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("record stream deadline passed")
+            self.sock.settimeout(remaining)
 
     def send(self, rec: bytes) -> None:
+        self._arm()
         self.sock.sendall(rec)
 
     def recv(self) -> bytes | None:
@@ -184,6 +203,7 @@ class RecordStream:
     def _read_exact(self, n: int) -> bytes | None:
         buf = b""
         while len(buf) < n:
+            self._arm()
             chunk = self.sock.recv(n - len(buf))
             if not chunk:
                 return None

@@ -278,6 +278,43 @@ def test_serve_drops_silent_connection_and_keeps_serving(home, capsys, monkeypat
     assert "failed" in captured.err
 
 
+def test_serve_drops_dripping_connection_and_keeps_serving(home, capsys, monkeypatch):
+    # The timeout bounds the whole connection, not each read: a client that
+    # promises a 65,535-byte record and sends one byte every 0.3 s is dropped.
+    monkeypatch.setattr(ibetls.cli, "SERVE_CONNECTION_TIMEOUT", 0.5)
+    setup_domain(home, capsys)
+    port = free_port()
+    thread, server_result = serve_in_thread(home, port, 2)
+    dripper = connect(port)
+    dropped_after = {}
+
+    def drip():
+        start = time.monotonic()
+        try:
+            dripper.sendall(b"\x16\xff\xff")
+            for _ in range(40):
+                time.sleep(0.3)
+                dripper.sendall(b"\x00")
+        except OSError:
+            dropped_after["seconds"] = time.monotonic() - start
+
+    drip_thread = threading.Thread(target=drip, daemon=True)
+    drip_thread.start()
+    try:
+        code = remote_request(home, port, capsys)
+        drip_thread.join(timeout=20)
+    finally:
+        dripper.close()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and not drip_thread.is_alive()
+    captured = capsys.readouterr()
+    assert dropped_after.get("seconds", 99) < 5
+    assert code == 0
+    assert json.loads(captured.out)["status"] == 201
+    assert server_result.get("code") == 0
+    assert "failed" in captured.err
+
+
 def test_token_secret_first_use_agrees_across_threads(tmp_path):
     # Commands that start together on a fresh home each create token.secret;
     # they must all end up with one secret, never an empty or second one.

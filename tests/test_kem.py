@@ -28,8 +28,13 @@ from ibetls.kem import (
     require_reference_scheme,
     setup,
 )
-from ibetls.kem.sampling import matmul_mod
-from ibetls.kem.scheme import IdentityPrivateKey, IdKemCiphertext, shared_secret_kdf
+from ibetls.kem.sampling import HashStream, matmul_mod
+from ibetls.kem.scheme import (
+    IdentityPrivateKey,
+    IdKemCiphertext,
+    _syndrome_matrix,
+    shared_secret_kdf,
+)
 
 from conftest import SETUP_SEED
 
@@ -123,6 +128,19 @@ def test_trapdoor_row_weight_fixed(desk, msk):
     assert set(np.unique(msk.R).tolist()) <= {-1, 0, 1}
 
 
+def test_trapdoor_support_matches_full_sort_reference(desk, msk):
+    # setup picks each row's support with argpartition; the columns of the
+    # beta-1 smallest keys by a full argsort of the same keys must be the same.
+    stream = HashStream(SETUP_SEED, b"setup")
+    stream.uniform_mod(desk.n * desk.m_bar, desk.q)  # a_bar
+    w = desk.n * desk.k
+    keys = stream.u64(desk.m_bar * w).reshape(desk.m_bar, w)
+    expected = np.zeros(msk.R.shape, dtype=bool)
+    np.put_along_axis(expected, np.argsort(keys, axis=1)[:, :desk.beta - 1], True, axis=1)
+    assert np.array_equal(msk.R != 0, expected)
+    assert np.array_equal(np.abs(msk.R) == 1, expected)
+
+
 # ---------------------------------------------------------------------------
 # derive_public
 # ---------------------------------------------------------------------------
@@ -134,6 +152,16 @@ def test_derive_public_stable(mpk):
     u2 = derive_public(mpk, ident).U
     assert np.array_equal(u1, u2)
     assert u1.shape == (mpk.params.n, mpk.params.ell)
+
+
+def test_syndrome_matrix_deterministic_and_in_range(desk):
+    U = _syndrome_matrix(desk, "cluster.ns.svc.20250101")
+    assert U.shape == (desk.n, desk.ell)
+    assert int(U.min()) >= 0 and int(U.max()) < desk.q
+    assert np.array_equal(U, _syndrome_matrix(desk, "cluster.ns.svc.20250101"))
+    assert not np.array_equal(U, _syndrome_matrix(desk, "cluster.ns.svc.20250102"))
+    other_domain = KemParams.desk(domain_sep=b"ibetls-desk-other")
+    assert not np.array_equal(U, _syndrome_matrix(other_domain, "cluster.ns.svc.20250101"))
 
 
 def test_derive_public_independent_of_master_matrix(desk, mpk):
@@ -305,6 +333,17 @@ def test_private_key_decode_rejects_preimage_above_beta(desk, server_key):
                                    params_hash=server_key.params_hash, params=desk)
     with pytest.raises(DecodeError):
         decode_private_key(encode_private_key(oversized))
+
+
+@pytest.mark.parametrize("offset, byte", [(0, 0xFF), (-1, ord("x"))],
+                         ids=["not_utf8", "malformed_epoch"])
+def test_private_key_decode_rejects_bad_identity(server_key, offset, byte):
+    blob = bytearray(encode_private_key(server_key))
+    ident = server_key.identity.canonical.encode("utf-8")
+    start = blob.index(struct.pack("!H", len(ident)) + ident) + 2
+    blob[start + offset % len(ident)] = byte
+    with pytest.raises(DecodeError):
+        decode_private_key(bytes(blob))
 
 
 def test_reserved_scheme_id_accepted_by_codec_not_instantiable(desk, mpk, server_identity):

@@ -355,6 +355,23 @@ def test_mutual_handshake_over_tcp_sockets(mpk, server_identity, server_key,
     assert result["server_ok"]
 
 
+def test_record_stream_sets_nodelay_on_tcp_only():
+    import socket
+
+    from ibetls.simnet import RecordStream
+
+    # A flight is sent one record per send; Nagle would hold back the second.
+    with socket.create_server(("127.0.0.1", 0)) as listener, \
+            socket.create_connection(listener.getsockname(), timeout=10) as sock:
+        RecordStream(sock)
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    left, right = socket.socketpair()  # AF_UNIX: no TCP options to set
+    with left, right:
+        RecordStream(left).send(b"\x17\x00\x02hi")
+        assert RecordStream(right).recv() == b"\x17\x00\x02hi"
+
+
 def test_scenario_from_json_file(tmp_path):
     import json
 
