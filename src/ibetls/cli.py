@@ -35,16 +35,18 @@ from .simnet import (
 from .tpkg import (
     ApiServer,
     IssuerPolicy,
+    LegacyLayout,
     PolicyViolation,
+    RegistryCorrupt,
     TpkgError,
     TpkgService,
     load_chain,
     load_domain,
+    load_readable_shares,
     save_domain,
     save_state,
     verify_chain,
 )
-from .tpkg.storage import load_readable_shares
 from .tpkg.service import BlocklistedIdentity, EpochExpired, UnauthenticatedPrincipal
 
 EXIT_OK = 0
@@ -137,7 +139,6 @@ def cmd_tpkg_setup(args, config: CliConfig) -> int:
         policy=policy,
     )
     save_domain(directory, service, shares)
-    save_state(directory, service)
     print(f"domain {args.domain}: {args.nodes} nodes, threshold {args.threshold}, "
           f"epoch {policy.current_epoch}")
     print(f"state written to {directory}")
@@ -154,7 +155,7 @@ def _open_domain(args, config: CliConfig):
 
 
 def cmd_id_request(args, config: CliConfig) -> int:
-    directory, service, authority = _open_domain(args, config)
+    _, service, authority = _open_domain(args, config)
     principal = authority.mint(args.subject, set(args.groups.split(",")) if args.groups else set())
     if args.remote:
         return _id_request_remote(args, config, service, principal)
@@ -168,7 +169,6 @@ def cmd_id_request(args, config: CliConfig) -> int:
     except (PolicyViolation, EpochExpired, UnauthenticatedPrincipal) as exc:
         print(f"denied: {exc}", file=sys.stderr)
         return EXIT_POLICY
-    save_state(directory, service)
     _print(request.to_dict(), args.format)
     return EXIT_OK
 
@@ -206,13 +206,12 @@ def _id_request_remote(args, config: CliConfig, service, principal) -> int:
 
 
 def cmd_id_approve(args, config: CliConfig) -> int:
-    directory, service, _ = _open_domain(args, config)
+    _, service, _ = _open_domain(args, config)
     try:
         request = service.approve_request(args.request, args.approver)
     except TpkgError as exc:
         print(f"cannot approve: {exc}", file=sys.stderr)
         return EXIT_POLICY
-    save_state(directory, service)
     print(f"{request.name} {request.status.value}")
     return EXIT_OK
 
@@ -273,13 +272,9 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    quorum = readable[:threshold]
-    with service.reconstructed_master(quorum) as msk:
-        from .kem import extract
-
-        endpoint_identity = component_identity(args.endpoint_identity,
-                                               service.policy.current_epoch)
-        endpoint_key = extract(msk, service.mpk, endpoint_identity)
+    endpoint_identity = component_identity(args.endpoint_identity,
+                                           service.policy.current_epoch)
+    endpoint_key = service.issue_direct(endpoint_identity, readable[:threshold], "operator")
     api = ApiServer(service, shares_provider=lambda: load_readable_shares(directory)[:threshold])
 
     host, _, port = (args.listen or config.listen).rpartition(":")
@@ -302,8 +297,7 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
         except ValueError:  # also UnicodeDecodeError
             request = None
         if isinstance(request, dict):
-            response = api.handle(request)
-            save_state(directory, service)
+            response = api.handle(request)  # state changes are on disk before this returns
         else:
             response = {"status": 400, "error": {"reason": "BadRequest",
                                                  "message": "body is not a JSON object"}}
@@ -477,6 +471,12 @@ def main(argv: list[str] | None = None) -> int:
     except (BlocklistedIdentity, PolicyViolation) as exc:
         print(f"denied: {exc}", file=sys.stderr)
         return EXIT_POLICY
+    except LegacyLayout as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    except RegistryCorrupt as exc:
+        print(f"CORRUPT: {exc}", file=sys.stderr)
+        return EXIT_REGISTRY
     parser.error(f"unknown command {args.command}")
     return EXIT_USAGE
 

@@ -14,10 +14,8 @@ from ..kem import (
     MasterPublicKey,
     encode_master_public,
     encode_private_key,
-    extract,
 )
 from ..tpkg import ApiServer, IssuerPolicy, ShareSet, TpkgService
-from ..tpkg.registry import STATUS_ACTIVE
 from .transport import Connection, WireCapture, establish
 
 
@@ -103,20 +101,6 @@ class TrustDomainSim:
     @property
     def current_epoch(self) -> str:
         return self.service.policy.current_epoch
-
-    def direct_issue(self, identity: IdentityString, principal: str = "cluster-bootstrap"
-                     ) -> IdentityPrivateKey:
-        """Provision a key at domain setup time, bypassing the request flow.
-
-        Models the out-of-band issuance of the first control-plane keys; the
-        registry still records the issuance.
-        """
-        with self.service.reconstructed_master(self.quorum()) as msk:
-            key = extract(msk, self.mpk, identity)
-        self.service.registry.append(identity.canonical, principal,
-                                     self.service._now_iso(), identity.epoch,
-                                     STATUS_ACTIVE)
-        return key
 
 
 @dataclass

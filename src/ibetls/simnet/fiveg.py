@@ -115,7 +115,7 @@ class FiveGSim:
 
     def _provision_nrf(self) -> SimNode:
         identity = nf_identity(self.plmn, "NRF", "nrf-001", self.domain.current_epoch)
-        key = self.domain.direct_issue(identity, principal="operator")
+        key = self.domain.service.issue_direct(identity, self.domain.quorum(), "operator")
         node = SimNode(name="nrf-001", role="NRF")
         node.hold_key("5gc", key, self.domain.mpk)
         self.nodes["nrf-001"] = node
@@ -303,9 +303,8 @@ class FiveGSim:
         """Bump the epoch; honest NFs re-register for fresh-epoch keys."""
         new_epoch = self.domain.service.epoch_increment()
         nrf_identity = nf_identity(self.plmn, "NRF", "nrf-001", new_epoch)
-        self.nodes["nrf-001"].hold_key(
-            "5gc", self.domain.direct_issue(nrf_identity, principal="operator"),
-            self.domain.mpk)
+        key = self.domain.service.issue_direct(nrf_identity, self.domain.quorum(), "operator")
+        self.nodes["nrf-001"].hold_key("5gc", key, self.domain.mpk)
         for instance in reregister:
             node = self.nodes[instance]
             self.register_nf(node.role, instance)

@@ -114,7 +114,8 @@ class KubernetesSim:
     def _issue_to(self, node_name: str, domain: str, base: str, role: str | None = None) -> None:
         domain_sim = self.domains[domain]
         identity = component_identity(base, domain_sim.current_epoch)
-        key = domain_sim.direct_issue(identity)
+        key = domain_sim.service.issue_direct(identity, domain_sim.quorum(),
+                                              "cluster-bootstrap")
         self.node(node_name, role).hold_key(domain, key, domain_sim.mpk)
 
     def _provision_core_components(self) -> None:

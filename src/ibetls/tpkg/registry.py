@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +20,10 @@ GENESIS_PREV = "00" * 32
 STATUS_ACTIVE = "Active"
 STATUS_EXPIRED = "Expired"
 STATUS_REVOKED = "Revoked"
+
+
+class RegistryCorrupt(Exception):
+    """Issuer state on disk is torn, malformed, or breaks the hash chain."""
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,9 @@ class Registry:
             status=status,
             prev_hash=prev,
         ).seal()
-        self.records.append(record)
         if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as sink:
-                sink.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+            append_line(self.path, record.to_dict())
+        self.records.append(record)
         return record
 
     def verify(self) -> int | None:
@@ -116,16 +120,54 @@ class Registry:
 
     @classmethod
     def load(cls, issuer: str, path: Path) -> "Registry":
+        """The chain in path, which must verify: nothing is appended to a broken one."""
         registry = cls(issuer, path=path)
         registry.records = load_chain(path)
+        broken = registry.verify()
+        if broken is not None:
+            raise RegistryCorrupt(f"{path}: chain breaks at record {broken}")
         return registry
 
 
+def json_line(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def append_line(path: Path, doc: dict) -> None:
+    """Append one JSON document as one line, durable once this returns."""
+    with open(path, "a", encoding="utf-8") as sink:
+        sink.write(json_line(doc))
+        sink.flush()
+        os.fsync(sink.fileno())
+
+
+def read_lines(path: Path) -> tuple[list[dict], bytes]:
+    """The documents on the complete lines of a JSON-lines file, and its torn tail.
+
+    A line is complete once its newline is written; the bytes after the last
+    newline are returned as they are. A complete line that is not one JSON
+    object raises RegistryCorrupt.
+    """
+    body, _, tail = Path(path).read_bytes().rpartition(b"\n")
+    docs = []
+    for number, line in enumerate(body.split(b"\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            doc = None
+        if not isinstance(doc, dict):
+            raise RegistryCorrupt(f"{path}: line {number} is not a JSON record")
+        docs.append(doc)
+    return docs, tail
+
+
 def load_chain(path: Path) -> list[RegistryRecord]:
-    records = []
-    with open(path, encoding="utf-8") as source:
-        for line in source:
-            line = line.strip()
-            if line:
-                records.append(RegistryRecord.from_dict(json.loads(line)))
-    return records
+    docs, tail = read_lines(path)
+    if tail.strip():
+        raise RegistryCorrupt(f"{path}: last record is torn (no newline)")
+    try:
+        return [RegistryRecord.from_dict(doc) for doc in docs]
+    except KeyError as exc:
+        raise RegistryCorrupt(f"{path}: a record lacks field {exc}") from None

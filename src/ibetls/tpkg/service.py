@@ -14,7 +14,7 @@ import datetime
 import fnmatch
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -35,10 +35,13 @@ from .registry import (
     STATUS_EXPIRED,
     STATUS_REVOKED,
     Registry,
+    RegistryRecord,
+    append_line,
 )
 from .shamir import Share, ShareMismatch, ShareSet
 
 USAGES = frozenset({"client", "server", "peer"})
+TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"  # registry issuanceTime and delivery expiration
 
 
 class TpkgError(Exception):
@@ -215,12 +218,19 @@ class KeyDelivery:
             "identity": self.identity.canonical,
             "privateKey": base64.b64encode(encode_private_key(self.private_key)).decode(),
             "mpk": base64.b64encode(encode_master_public(self.mpk)).decode(),
-            "expiration": self.expiration.strftime("%Y-%m-%dT%H:%M:%SZ"),
+            "expiration": self.expiration.strftime(TIME_FORMAT),
         }
 
 
 def _utcnow() -> datetime.datetime:
     return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0)
+
+
+def _expiry(request: IdentityRequest, issued: RegistryRecord) -> datetime.datetime:
+    """When the key issued for request, recorded Active as issued, expires."""
+    start = datetime.datetime.strptime(issued.issuance_time, TIME_FORMAT)
+    return (start.replace(tzinfo=datetime.timezone.utc)
+            + datetime.timedelta(seconds=request.expiration_seconds))
 
 
 class TpkgService:
@@ -242,9 +252,10 @@ class TpkgService:
         self.authenticator = authenticator  # token bytes -> Principal | None
         self.clock = clock or _utcnow
         self.requests: dict[str, IdentityRequest] = {}
-        self._issued_expiry: dict[str, datetime.datetime] = {}
-        self._request_counter = 0
-        self._write_lock = threading.Lock()  # serializes appends and transitions
+        self.requests_path: Path | None = None  # journal; see storage.py
+        # Serializes appends and transitions; reentrant so that issuing a
+        # request can go through issue_direct.
+        self._write_lock = threading.RLock()
 
     # -- setup ---------------------------------------------------------------
 
@@ -287,7 +298,7 @@ class TpkgService:
         return service, share_set
 
     def _now_iso(self) -> str:
-        return self.clock().strftime("%Y-%m-%dT%H:%M:%SZ")
+        return self.clock().strftime(TIME_FORMAT)
 
     # -- quorum reconstruction -------------------------------------------------
 
@@ -344,21 +355,28 @@ class TpkgService:
         principal = self._authenticate(principal_token)
         self._check_policy(identity, tuple(usage), expiration_seconds)
         with self._write_lock:
-            self._request_counter += 1
             request = IdentityRequest(
-                name=f"req-{self._request_counter}",
+                name=f"req-{len(self.requests) + 1}",
                 issuer=self.policy.trust_domain,
                 identity=identity,
                 usage=tuple(usage),
                 expiration_seconds=expiration_seconds,
                 principal=principal.subject,
             )
+            status = RequestStatus.PENDING
             if self.policy.auto_approves(identity, principal):
-                request.status = RequestStatus.APPROVED
+                status = RequestStatus.APPROVED
                 self.registry.append(identity.canonical, principal.subject,
-                                     self._now_iso(), identity.epoch, "Approved")
-            self.requests[request.name] = request
+                                     self._now_iso(), identity.epoch, status.value)
+            self._record(request, status)
         return request
+
+    def _record(self, request: IdentityRequest, status: RequestStatus) -> None:
+        """Journal request at status, then make that its state in memory."""
+        if self.requests_path is not None:
+            append_line(self.requests_path, replace(request, status=status).to_dict())
+        request.status = status
+        self.requests[request.name] = request
 
     def get_request(self, name: str) -> IdentityRequest:
         try:
@@ -378,9 +396,9 @@ class TpkgService:
                 raise InvalidTransition(
                     f"{name} is {request.status.value}, not Pending"
                 )
-            request.status = target
             self.registry.append(request.identity.canonical, request.principal,
                                  self._now_iso(), request.identity.epoch, target.value)
+            self._record(request, target)
         return request
 
     def approve_request(self, name: str, approver: str) -> IdentityRequest:
@@ -402,16 +420,25 @@ class TpkgService:
             if identity.epoch not in self.policy.valid_epochs():
                 raise EpochExpired(f"epoch {identity.epoch} is no longer valid")
 
-            with self.reconstructed_master(shares) as msk:
-                private_key = extract(msk, self.mpk, identity)
-
-            expiration = self.clock() + datetime.timedelta(seconds=request.expiration_seconds)
-            request.status = RequestStatus.ISSUED
-            self.registry.append(identity.canonical, request.principal,
-                                 self._now_iso(), identity.epoch, STATUS_ACTIVE)
-            self._issued_expiry[identity.canonical] = expiration
+            private_key = self.issue_direct(identity, shares, request.principal)
+            self._record(request, RequestStatus.ISSUED)
+            expiration = _expiry(request, self.registry.records[-1])
         return KeyDelivery(identity=identity, private_key=private_key,
                            mpk=self.mpk, expiration=expiration)
+
+    def issue_direct(self, identity: IdentityString, shares: list[Share],
+                     principal: str) -> IdentityPrivateKey:
+        """Extract the key for identity under a quorum and record it Active.
+
+        Every issuance goes through here. Called alone, with no request, it
+        models the out-of-band provisioning of the first control-plane keys.
+        """
+        with self._write_lock:
+            with self.reconstructed_master(shares) as msk:
+                private_key = extract(msk, self.mpk, identity)
+            self.registry.append(identity.canonical, principal, self._now_iso(),
+                                 identity.epoch, STATUS_ACTIVE)
+        return private_key
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -449,7 +476,10 @@ class TpkgService:
             raise UnknownIdentity(identity.canonical)
         if identity.epoch not in self.policy.valid_epochs():
             return STATUS_EXPIRED
-        expiry = self._issued_expiry.get(identity.canonical)
-        if expiry is not None and now > expiry:
+        # An identity issued without a request (issue_direct) has no expiry.
+        request = next((r for r in reversed(self.requests.values())
+                        if r.identity.canonical == identity.canonical
+                        and r.status is RequestStatus.ISSUED), None)
+        if request is not None and now > _expiry(request, issued[-1]):
             return STATUS_EXPIRED
         return STATUS_ACTIVE

@@ -114,6 +114,39 @@ def test_epoch_bump_and_registry_verify(home, capsys):
     assert code == 5 and "CORRUPT" in err
 
 
+def test_torn_or_broken_registry_exits_5_everywhere(home, capsys):
+    directory = setup_domain(home, capsys)
+    path = directory / "registry.jsonl"
+    intact = path.read_bytes()
+    path.write_bytes(intact[:-20])
+    for command in ("registry-verify", "id-list"):
+        code, _, err = run_cli(["--home", str(home), command, "--domain", "control-plane"],
+                               capsys)
+        assert code == 5 and err.startswith("CORRUPT") and "Traceback" not in err, command
+
+    # an edit in the middle of an otherwise complete chain
+    path.write_bytes(intact)
+    for node in ("node-08", "node-09"):
+        run_cli(["--home", str(home), "id-revoke", "--domain", "control-plane",
+                 "--identity", f"kubelet:{node}.20250101"], capsys)
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 3
+    lines[1] = lines[1].replace("node-08", "node-07")
+    path.write_text("".join(lines))
+    code, _, err = run_cli(["--home", str(home), "id-list", "--domain", "control-plane"],
+                           capsys)
+    assert code == 5 and "chain breaks at record 1" in err
+
+
+def test_home_with_old_requests_file_refused(home, capsys):
+    directory = setup_domain(home, capsys)
+    (directory / "requests.json").write_text("[]\n")
+    code, out, err = run_cli(["--home", str(home), "id-list", "--domain", "control-plane"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "requests.json" in err and len(err.strip().splitlines()) == 1
+
+
 def test_revoke_then_request_denied(home, capsys):
     setup_domain(home, capsys)
     code, _, _ = run_cli([
@@ -223,7 +256,10 @@ def remote_request(home, port, capsys, subject="node-05"):
 
 
 def test_serve_and_remote_request(home, capsys):
-    setup_domain(home, capsys)
+    from ibetls.simnet import component_identity
+    from ibetls.tpkg import load_domain
+
+    directory = setup_domain(home, capsys)
     port = free_port()
     thread, server_result = serve_in_thread(home, port, 1)
     code = remote_request(home, port, capsys)
@@ -234,6 +270,11 @@ def test_serve_and_remote_request(home, capsys):
     assert response["status"] == 201
     assert response["body"]["status"] == "Approved"
     assert server_result.get("code") == 0
+    # What the server did is on disk: the request, and the endpoint's own key.
+    service = load_domain(directory)
+    assert service.get_request(response["body"]["name"]).status.value == "Approved"
+    endpoint = component_identity("tpkg-register", service.policy.current_epoch)
+    assert service.check_validity(endpoint) == "Active"
 
 
 def test_live_sessions_draw_fresh_seeds(home, capsys, monkeypatch):

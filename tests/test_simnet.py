@@ -199,7 +199,7 @@ def test_trust_domain_isolation_all_pairs(k8s):
         issuer = k8s.domains[issuing]
         verifier = k8s.domains[expecting]
         identity = component_identity("cross-domain-test", issuer.current_epoch)
-        wrong_key = issuer.direct_issue(identity)
+        wrong_key = issuer.service.issue_direct(identity, issuer.quorum(), "cluster-bootstrap")
         client = ClientSession(verifier.mpk, identity, seed_of(7000 + hash((issuing, expecting)) % 1000))
         server = ServerSession(verifier.mpk, identity, wrong_key, seed_of(7500))
         conn = establish(client, server, WireCapture())

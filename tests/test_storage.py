@@ -1,0 +1,234 @@
+"""Issuer state on disk: the request journal, atomic replaces and crash recovery."""
+
+import datetime
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ibetls.tpkg.service
+import ibetls.tpkg.storage
+from ibetls.kem import IdentityString
+from ibetls.tpkg import (
+    RegistryCorrupt,
+    RequestStatus,
+    TpkgService,
+    load_domain,
+    save_domain,
+    save_state,
+)
+
+from test_tpkg import authenticator, fixed_clock, make_policy
+
+NODE = "kubelet:node-01.20250101"
+
+
+def new_domain(desk, directory: Path) -> tuple[TpkgService, list]:
+    service, shares = TpkgService.setup_domain(
+        domain="ibe.kubernetes.io/apiserver", params=desk, n_nodes=3, threshold=2,
+        seed=b"\x10" * 32, policy=make_policy(), authenticator=authenticator,
+        clock=fixed_clock,
+    )
+    save_domain(directory, service, shares)
+    return service, list(shares.shares[:2])
+
+
+def reload(directory: Path) -> TpkgService:
+    return load_domain(directory, authenticator=authenticator, clock=fixed_clock)
+
+
+def states(service: TpkgService) -> dict:
+    return {name: r.to_dict() for name, r in service.requests.items()}
+
+
+# ---------------------------------------------------------------------------
+# state that lives only in the journal and the registry
+# ---------------------------------------------------------------------------
+
+
+def test_expiry_survives_reload(tmp_path, desk):
+    service, quorum = new_domain(desk, tmp_path)
+    request = service.submit_request(NODE, ("client",), 3600, b"bootstrap-node-01")
+    service.extract_and_deliver(request.name, quorum)
+    save_state(tmp_path, service)
+    later = fixed_clock() + datetime.timedelta(hours=2)
+    assert reload(tmp_path).check_validity(NODE, now=later) == "Expired"
+    assert reload(tmp_path).check_validity(NODE) == "Active"
+
+
+def test_request_names_continue_across_reloads(tmp_path, desk):
+    service, _ = new_domain(desk, tmp_path)
+    service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
+    service.submit_request("controller-manager.20250101", ("client",), 3600, b"admin")
+    reloaded = reload(tmp_path)
+    third = reloaded.submit_request(NODE, ("client",), 3600, b"bootstrap-node-01")
+    assert third.name == "req-3"
+    assert sorted(reload(tmp_path).requests) == ["req-1", "req-2", "req-3"]
+
+
+def test_save_state_writes_only_the_policy(tmp_path, desk):
+    service, _ = new_domain(desk, tmp_path)
+    service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    service.policy.blocklist.add("kubelet:node-09")
+    save_state(tmp_path, service)
+    after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert {name for name in before if before[name] != after[name]} == {"policy.json"}
+
+
+# Each op is (kind, request index); indexes past the end pick the last request.
+OPS = st.lists(st.tuples(st.sampled_from(["auto", "manual", "approve", "deny", "issue"]),
+                         st.integers(0, 7)), max_size=8)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(ops=OPS)
+def test_replayed_journal_matches_memory(desk, ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        service, quorum = new_domain(desk, directory)
+        for kind, index in ops:
+            names = list(service.requests)
+            name = names[min(index, len(names) - 1)] if names else "req-1"
+            try:
+                if kind == "auto":
+                    service.submit_request(NODE, ("client",), 3600, b"bootstrap-node-01")
+                elif kind == "manual":
+                    service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
+                elif kind == "approve":
+                    service.approve_request(name, "admin")
+                elif kind == "deny":
+                    service.deny_request(name, "admin")
+                else:
+                    service.extract_and_deliver(name, quorum)
+            except ibetls.tpkg.TpkgError:
+                pass  # a refused transition must leave no trace either
+        reloaded = reload(directory)
+        assert states(reloaded) == states(service)
+        assert reloaded.registry.records == service.registry.records
+        later = fixed_clock() + datetime.timedelta(hours=2)
+        for when in (None, later):
+            assert _validity(reloaded, when) == _validity(service, when)
+
+
+def _validity(service: TpkgService, when):
+    try:
+        return service.check_validity(NODE, now=when)
+    except ibetls.tpkg.UnknownIdentity:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# crash injection
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("last", ["submit", "approve"])
+def test_torn_journal_tail_loads_old_state_at_every_offset(tmp_path, desk, last):
+    service, _ = new_domain(desk, tmp_path)
+    pending = service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
+    journal = tmp_path / "requests.jsonl"
+    old_bytes, old_state = journal.read_bytes(), states(service)
+    if last == "submit":
+        service.submit_request(NODE, ("client",), 3600, b"bootstrap-node-01")
+    else:
+        service.approve_request(pending.name, "admin")
+    new_bytes, new_state = journal.read_bytes(), states(service)
+    assert old_state != new_state
+
+    for cut in range(len(old_bytes), len(new_bytes) + 1):
+        journal.write_bytes(new_bytes[:cut])
+        reloaded = reload(tmp_path)
+        assert states(reloaded) == (new_state if cut == len(new_bytes) else old_state), cut
+        # Recovery truncated the torn tail, so the next append reloads cleanly.
+        extra = reloaded.submit_request("controller-manager.20250101", ("client",), 3600,
+                                        b"admin")
+        again = reload(tmp_path)
+        assert states(again) == states(reloaded), cut
+        assert again.requests[extra.name].status is RequestStatus.PENDING
+
+
+@pytest.mark.parametrize("call", ["approve", "issue"])
+def test_crash_between_registry_record_and_request_line(tmp_path, desk, monkeypatch, call):
+    service, quorum = new_domain(desk, tmp_path)
+    request = service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
+    if call == "issue":
+        service.approve_request(request.name, "admin")
+    records_before = len(service.registry.records)
+
+    def crash(path, doc):
+        raise OSError("process died after the registry record")
+
+    def run(target):
+        if call == "approve":
+            target.approve_request(request.name, "admin")
+        else:
+            target.extract_and_deliver(request.name, quorum)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ibetls.tpkg.service, "append_line", crash)
+        with pytest.raises(OSError):
+            run(service)
+
+    reloaded = reload(tmp_path)
+    assert len(reloaded.registry.records) == records_before + 1
+    assert reloaded.requests[request.name].status is service.requests[request.name].status
+    run(reloaded)  # the retry succeeds
+    final = reload(tmp_path)
+    expected = RequestStatus.APPROVED if call == "approve" else RequestStatus.ISSUED
+    assert final.requests[request.name].status is expected
+    assert final.registry.verify() is None
+
+
+def test_interrupted_replace_leaves_old_file_loadable(tmp_path, desk, monkeypatch):
+    service, _ = new_domain(desk, tmp_path)
+    old_policy = (tmp_path / "policy.json").read_bytes()
+    service.epoch_increment()
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ibetls.tpkg.storage.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_state(tmp_path, service)
+
+    assert (tmp_path / "policy.json").read_bytes() == old_policy
+    assert reload(tmp_path).policy.current_epoch == "20250101"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "mpk.bin", "policy.json", "registry.jsonl", "requests.jsonl", "shares"]
+
+
+@pytest.mark.parametrize("damage", ["bad_middle_line", "missing_field", "name_gap"])
+def test_damaged_journal_is_registry_corruption(tmp_path, desk, damage):
+    service, _ = new_domain(desk, tmp_path)
+    for _ in range(3):
+        service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
+    journal = tmp_path / "requests.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    if damage == "bad_middle_line":
+        lines[1] = lines[1][:20] + "\n"
+    elif damage == "missing_field":
+        doc = json.loads(lines[1])
+        del doc["spec"]
+        lines[1] = json.dumps(doc) + "\n"
+    else:
+        del lines[1]
+    journal.write_text("".join(lines))
+    with pytest.raises(RegistryCorrupt):
+        reload(tmp_path)
+
+
+def test_issue_direct_records_the_key_active(desk, tmp_path):
+    service, quorum = new_domain(desk, tmp_path)
+    identity = IdentityString.parse("kube-apiserver.20250101")
+    key = service.issue_direct(identity, quorum, "operator")
+    assert key.identity == identity
+    reloaded = reload(tmp_path)
+    record = reloaded.registry.latest_for(identity.canonical)
+    assert (record.status, record.authorized_principal) == ("Active", "operator")
+    assert reloaded.check_validity(identity) == "Active"
+

@@ -22,8 +22,7 @@ from ibetls.tpkg import (
     UnauthenticatedPrincipal,
     UnknownIdentity,
     load_domain,
-    load_shares,
-    readable_share_count,
+    load_readable_shares,
     save_domain,
 )
 
@@ -340,13 +339,13 @@ def test_domain_save_load_round_trip(tmp_path, domain):
     service.submit_request("kubelet:node-01.20250101", ("client",), 86400,
                            b"bootstrap-node-01")
     save_domain(tmp_path, service, shares)
-    assert readable_share_count(tmp_path) == 3
+    assert len(load_readable_shares(tmp_path)) == 3
 
     reloaded = load_domain(tmp_path, authenticator=authenticator, clock=fixed_clock)
     assert reloaded.mpk.params_hash == service.mpk.params_hash
     assert reloaded.policy.trust_domain == service.policy.trust_domain
     assert reloaded.registry.verify() is None
-    quorum = load_shares(tmp_path, count=2)
+    quorum = load_readable_shares(tmp_path)[:2]
     with reloaded.reconstructed_master(quorum) as msk:
         assert np.array_equal(msk.reconstruct_public(reloaded.params), reloaded.mpk.A)
 
