@@ -23,6 +23,7 @@ from .scheme import (
     IdKemCiphertext,
     MasterPublicKey,
     params_hash_of,
+    preimage_dtype,
 )
 
 SCHEME_ID_ML_KEM = 0x0001      # reserved; not implemented here
@@ -43,13 +44,18 @@ def pack_vec(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values, dtype="<u4").tobytes()
 
 
-def unpack_vec(data: bytes, count: int, q: int, what: str) -> np.ndarray:
+def _words(data: bytes, count: int, q: int, what: str) -> np.ndarray:
+    """A read-only <u4 view of count coefficients, each checked to be < q."""
     if len(data) != 4 * count:
         raise DecodeError(f"{what}: expected {4 * count} bytes, got {len(data)}")
-    values = np.frombuffer(data, dtype="<u4").astype(np.int64)
+    values = np.frombuffer(data, dtype="<u4")
     if values.size and int(values.max()) >= q:
         raise DecodeError(f"{what}: coefficient out of range")
     return values
+
+
+def unpack_vec(data: bytes, count: int, q: int, what: str) -> np.ndarray:
+    return _words(data, count, q, what).astype(np.int64)
 
 
 def _prefix(params_hash: bytes, scheme_id: int) -> bytes:
@@ -105,13 +111,16 @@ def decode_master_public(data: bytes) -> MasterPublicKey:
 
 def encode_private_key(sk: IdentityPrivateKey) -> bytes:
     ident = sk.identity.canonical.encode("utf-8")
-    # X entries are signed but tiny; store the mod-q representative.
+    # X entries are signed but tiny; store the mod-q representative. X is
+    # narrow (int8 at desk parameters), so widen it before adding q to the
+    # negative entries; |X| <= beta < q/4 and q < 2^26 keep this in int32.
+    X = sk.X.astype(np.int32)
     return (
         _prefix(sk.params_hash, SCHEME_REFERENCE)
         + sk.params.header_bytes()
         + struct.pack("!H", len(ident))
         + ident
-        + pack_vec(sk.X % sk.params.q)
+        + pack_vec(X + np.int32(sk.params.q) * (X < 0))
     )
 
 
@@ -129,11 +138,13 @@ def decode_private_key(data: bytes) -> IdentityPrivateKey:
         identity = IdentityString.parse(body[2 : 2 + id_len].decode("utf-8"))
     except (UnicodeDecodeError, MalformedIdentity) as exc:
         raise DecodeError(f"identity private key: bad identity: {exc}") from exc
-    flat = unpack_vec(body[2 + id_len:], params.m * params.ell, params.q, "preimage matrix")
-    X = flat.reshape(params.m, params.ell)
-    X = np.where(X > params.q // 2, X - params.q, X)  # recover signed entries
+    words = _words(body[2 + id_len:], params.m * params.ell, params.q, "preimage matrix")
+    # Recover the signed entries in int32: KemParams' m*q*q < 2^53 keeps q
+    # below 2^26, so every checked word is a non-negative int32.
+    X = words.view("<i4") - np.int32(params.q) * (words > params.q // 2)
     if int(np.abs(X).max(initial=0)) > params.beta:
         raise DecodeError("identity private key: preimage exceeds beta")
+    X = X.astype(preimage_dtype(params)).reshape(params.m, params.ell)
     return IdentityPrivateKey(identity=identity, X=X, params_hash=params_hash, params=params)
 
 

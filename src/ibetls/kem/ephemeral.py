@@ -51,7 +51,7 @@ class EphemeralPublicKey:
 @dataclass
 class EphemeralKeyPair:
     public: EphemeralPublicKey
-    _x: np.ndarray = field(repr=False)  # (m, ell) secret, entries in {-1, 0, 1}
+    _x: np.ndarray = field(repr=False)  # (m, ell) int8 secret, entries in {-1, 0, 1}
     _consumed: bool = field(default=False, repr=False)
 
     def consume(self) -> None:

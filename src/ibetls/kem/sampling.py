@@ -56,20 +56,22 @@ class HashStream:
         return out
 
     def signed_uniform(self, count: int, bound: int) -> np.ndarray:
-        """Uniform values in [-bound, bound]."""
+        """Uniform values in [-bound, bound]; int8 when 0 < bound <= 7, else int64."""
         if bound == 0:
             return np.zeros(count, dtype=np.int64)
         span = 2 * bound + 1
         if span <= 16:  # byte-wise rejection; 4x cheaper than the u32 path
             limit = (256 // span) * span
-            out = np.empty(count, dtype=np.int64)
+            # byte -> byte % span - bound, so kept bytes map straight to int8
+            table = (np.arange(256) % span - bound).astype(np.int8)
+            out = np.empty(count, dtype=np.int8)
             filled = 0
             while filled < count:
                 draw = np.frombuffer(self.read(count - filled + 16), dtype=np.uint8)
                 kept = draw[draw < limit][: count - filled]
-                out[filled : filled + len(kept)] = kept.astype(np.int64) % span
+                out[filled : filled + len(kept)] = table[kept]
                 filled += len(kept)
-            return out - bound
+            return out
         return self.uniform_mod(count, span) - bound
 
     def signs(self, count: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Identity-based KEM with a gadget-trapdoor lattice instantiation.
 
-The master public key is A = [a_bar | G - a_bar*R] mod q with R the trapdoor.
-Identity public keys are syndrome matrices U hashed from the identity string;
-the identity private key is the exact preimage X = [R*z ; z] with
-z = bit-decompose(U), so A*X = G*z = U holds with equality and
-||X||_inf <= beta by the fixed trapdoor row weight.
+The master public key is A = [a_bar | G - a_bar*R] mod q with R the trapdoor
+(Micciancio-Peikert 2012, "Trapdoors for Lattices"). Identity public keys are
+syndrome matrices U hashed from the identity string; the identity private key
+is the exact preimage X = [R*z ; z] with z = bit-decompose(U), so
+A*X = G*z = U holds with equality and ||X||_inf <= beta by the fixed trapdoor
+row weight. R and X are held in the narrowest signed dtype that holds beta
+(int8 at desk parameters).
 """
 
 from __future__ import annotations
@@ -52,16 +54,13 @@ class MasterPublicKey:
 
 @dataclass(frozen=True)
 class MasterSecretKey:
-    R: np.ndarray      # (m_bar, n*k), entries in {-1, 0, 1}
+    R: np.ndarray      # (m_bar, n*k) int8, entries in {-1, 0, 1}
     a_bar: np.ndarray  # (n, m_bar) over Z_q
     params_hash: bytes = field(repr=False)  # of the public key setup derived with it
 
     def __post_init__(self) -> None:
         self.R.setflags(write=False)
         self.a_bar.setflags(write=False)
-
-    def reconstruct_public(self, params: KemParams) -> np.ndarray:
-        return _trapdoor_public(params, self.a_bar, self.R)
 
     def zeroize(self) -> None:
         for arr in (self.R, self.a_bar):
@@ -81,7 +80,7 @@ class IdentityPublicKey:
 @dataclass(frozen=True)
 class IdentityPrivateKey:
     identity: IdentityString
-    X: np.ndarray  # (m, ell) integers with ||X||_inf <= beta
+    X: np.ndarray  # (m, ell) with ||X||_inf <= beta, dtype preimage_dtype(params)
     params_hash: bytes
     params: KemParams
 
@@ -105,30 +104,60 @@ def params_hash_of(params: KemParams, A: np.ndarray) -> bytes:
     return h.digest()
 
 
-def setup(params: KemParams, seed: bytes) -> tuple[MasterPublicKey, MasterSecretKey]:
-    """Deterministically derive the master key pair from a 32-byte seed."""
+def preimage_dtype(params: KemParams) -> np.dtype:
+    """Narrowest signed dtype holding [-beta, beta]; int8 at desk parameters."""
+    return np.min_scalar_type(-params.beta)
+
+
+def _master_secret(params: KemParams, seed: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(a_bar, R) from a 32-byte seed: the only sampler of the master key."""
     if len(seed) != 32:
         raise ValueError("setup seed must be exactly 32 bytes")
-    n, q, w = params.n, params.q, params.n * params.k
+    n, w, rows = params.n, params.n * params.k, params.m_bar
 
-    stream = HashStream(seed, b"setup")
-    a_bar = stream.uniform_mod(n * params.m_bar, q).reshape(n, params.m_bar)
+    stream = HashStream(seed, b"setup.v3")
+    a_bar = stream.uniform_mod(n * rows, params.q).reshape(n, rows)
 
-    # Trapdoor rows have a fixed support of beta-1 signed entries: the support
-    # is the columns holding the row's beta-1 smallest fresh 64-bit keys, put
-    # in column order so the result does not depend on argpartition's order.
+    # Trapdoor rows have a fixed support of beta-1 signed entries, drawn by a
+    # partial Fisher-Yates shuffle of the columns run on every row at once:
+    # step j swaps column j with one of columns j..w-1 of that row.
     weight = params.trapdoor_row_weight
-    R = np.zeros((params.m_bar, w), dtype=np.int64)
-    if weight:
-        keys = stream.u64(params.m_bar * w).reshape(params.m_bar, w)
-        support = np.sort(np.argpartition(keys, weight - 1, axis=1)[:, :weight], axis=1)
-        signs = stream.signs(params.m_bar * weight).reshape(params.m_bar, weight)
-        np.put_along_axis(R, support, signs, axis=1)
+    perm = np.tile(np.arange(w, dtype=np.int32), (rows, 1))
+    row = np.arange(rows)
+    for j in range(weight):
+        pick = j + stream.uniform_mod(rows, w - j)
+        chosen = perm[row, pick]
+        perm[row, pick] = perm[:, j]
+        perm[:, j] = chosen
+    R = np.zeros((rows, w), dtype=np.int8)
+    R[row[:, None], perm[:, :weight]] = stream.signs(rows * weight).reshape(rows, weight)
+    return a_bar, R
 
+
+def setup(params: KemParams, seed: bytes) -> tuple[MasterPublicKey, MasterSecretKey]:
+    """Deterministically derive the master key pair from a 32-byte seed."""
+    a_bar, R = _master_secret(params, seed)
     A = _trapdoor_public(params, a_bar, R)
     params_hash = params_hash_of(params, A)
     return (MasterPublicKey(params=params, A=A, params_hash=params_hash),
             MasterSecretKey(R=R, a_bar=a_bar, params_hash=params_hash))
+
+
+def rebuild_master(mpk: MasterPublicKey, seed: bytes) -> MasterSecretKey:
+    """Re-derive the master secret of mpk from its seed, without the public half.
+
+    The seed is accepted when it derives mpk's left block a_bar; a seed that
+    matches there but not in R cannot occur short of a hash collision, and
+    extract's A @ X == U postcondition would still catch it. On a mismatch
+    the derived arrays are zeroed before MasterKeyMismatch is raised.
+    """
+    p = mpk.params
+    a_bar, R = _master_secret(p, seed)
+    if not np.array_equal(a_bar, mpk.A[:, : p.m_bar]):
+        a_bar.fill(0)
+        R.fill(0)
+        raise MasterKeyMismatch("seed does not derive this master public key")
+    return MasterSecretKey(R=R, a_bar=a_bar, params_hash=mpk.params_hash)
 
 
 def _syndrome_matrix(p: KemParams, canonical: str) -> np.ndarray:
@@ -144,15 +173,22 @@ def derive_public(mpk: MasterPublicKey, identity: IdentityString) -> IdentityPub
 def extract(
     msk: MasterSecretKey, mpk: MasterPublicKey, identity: IdentityString
 ) -> IdentityPrivateKey:
-    """Compute the exact short preimage X with A @ X == U (mod q)."""
+    """Compute the exact short preimage X with A @ X == U (mod q).
+
+    R @ Z is one float32 product, and it is exact: every entry of R is in
+    {-1, 0, 1} with beta-1 nonzeros per row and Z is binary, so every partial
+    sum is an integer of magnitude at most beta-1, and KemParams' margin
+    m*beta*eta + eta < q/4 with m*q*q < 2^53 keeps beta far below 2^24.
+    """
     p = mpk.params
     if msk.params_hash != mpk.params_hash:
         raise MasterKeyMismatch("master secret was not set up with this public key")
 
     U = derive_public(mpk, identity).U
     Z = gadget_decompose(p, U)
-    X = np.concatenate([np.asarray(msk.R.astype(np.float64) @ Z.astype(np.float64),
-                                   dtype=np.int64), Z])
+    dtype = preimage_dtype(p)
+    X = np.concatenate([(msk.R.astype(np.float32) @ Z.astype(np.float32)).astype(dtype),
+                        Z.astype(dtype)])
     # Postcondition checks are cheap relative to the trapdoor product.
     if int(np.abs(X).max()) > p.beta:
         raise AssertionError("preimage norm exceeded beta")

@@ -22,10 +22,12 @@ from ..kem import (
     IdentityPrivateKey,
     IdentityString,
     KemParams,
+    MasterKeyMismatch,
     MasterPublicKey,
     encode_master_public,
     encode_private_key,
     extract,
+    rebuild_master,
     setup,
 )
 from ..kem.sampling import HashStream
@@ -304,12 +306,17 @@ class TpkgService:
 
     @contextmanager
     def reconstructed_master(self, shares: list[Share]):
-        """Ephemeral in-memory master secret; zeroized when the scope exits."""
+        """Ephemeral in-memory master secret; zeroized when the scope exits.
+
+        Only the secret half is derived from the reconstructed seed; it is
+        checked against this domain's mpk, not used to recompute it.
+        """
         seed = shamir.reconstruct(shares)
-        mpk, msk = setup(self.params, seed)
         try:
-            if mpk.params_hash != self.mpk.params_hash:
-                raise ShareMismatch("reconstructed master does not match this domain")
+            msk = rebuild_master(self.mpk, seed)
+        except MasterKeyMismatch:
+            raise ShareMismatch("reconstructed master does not match this domain") from None
+        try:
             yield msk
         finally:
             msk.zeroize()

@@ -34,9 +34,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from ..kem import decode_master_public, encode_master_public
+from ..kem import IdentityString, decode_master_public, encode_master_public
 from ..kem.errors import MalformedIdentity
-from .registry import Registry, RegistryCorrupt, json_line, read_lines
+from .registry import STATUS_REVOKED, Registry, RegistryCorrupt, json_line, read_lines
 from .service import IdentityRequest, IssuerPolicy, TpkgService
 from .shamir import Share, ShareSet
 
@@ -96,6 +96,15 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
     mpk = decode_master_public((directory / "mpk.bin").read_bytes())
     policy = IssuerPolicy.from_dict(json.loads((directory / "policy.json").read_text()))
     registry = Registry.load(policy.trust_domain, directory / "registry.jsonl")
+    # A revocation is durable once its registry record is: policy.json may
+    # predate it if the process died before the next save_state.
+    try:
+        policy.blocklist.update(IdentityString.parse(record.identity).base
+                                for record in registry.records
+                                if record.status == STATUS_REVOKED)
+    except (AttributeError, MalformedIdentity) as exc:
+        raise RegistryCorrupt(f"{directory / 'registry.jsonl'}: bad revoked identity: "
+                              f"{exc!r}") from None
     service = TpkgService(params=mpk.params, mpk=mpk, policy=policy, registry=registry,
                           authenticator=authenticator, clock=clock)
     path = directory / "requests.jsonl"

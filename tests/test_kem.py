@@ -33,6 +33,7 @@ from ibetls.kem.scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
     _syndrome_matrix,
+    _trapdoor_public,
     shared_secret_kdf,
 )
 
@@ -105,7 +106,7 @@ def test_setup_reconstruction_identity(desk, mpk, msk):
     right = (G - (msk.a_bar.astype(np.float64) @ msk.R.astype(np.float64)).astype(np.int64)) % desk.q
     expected = np.concatenate([msk.a_bar, right], axis=1)
     assert np.array_equal(expected, mpk.A)
-    assert np.array_equal(msk.reconstruct_public(desk), mpk.A)
+    assert np.array_equal(_trapdoor_public(desk, msk.a_bar, msk.R), mpk.A)
 
 
 def test_setup_is_deterministic(desk):
@@ -128,17 +129,26 @@ def test_trapdoor_row_weight_fixed(desk, msk):
     assert set(np.unique(msk.R).tolist()) <= {-1, 0, 1}
 
 
-def test_trapdoor_support_matches_full_sort_reference(desk, msk):
-    # setup picks each row's support with argpartition; the columns of the
-    # beta-1 smallest keys by a full argsort of the same keys must be the same.
-    stream = HashStream(SETUP_SEED, b"setup")
+def test_trapdoor_matches_fisher_yates_replay(desk, msk):
+    # setup shuffles every row at once; replay the same stream one row at a
+    # time with a plain-Python partial Fisher-Yates shuffle.
+    stream = HashStream(SETUP_SEED, b"setup.v3")
     stream.uniform_mod(desk.n * desk.m_bar, desk.q)  # a_bar
-    w = desk.n * desk.k
-    keys = stream.u64(desk.m_bar * w).reshape(desk.m_bar, w)
-    expected = np.zeros(msk.R.shape, dtype=bool)
-    np.put_along_axis(expected, np.argsort(keys, axis=1)[:, :desk.beta - 1], True, axis=1)
-    assert np.array_equal(msk.R != 0, expected)
-    assert np.array_equal(np.abs(msk.R) == 1, expected)
+    w, weight = desk.n * desk.k, desk.trapdoor_row_weight
+    picks = [stream.uniform_mod(desk.m_bar, w - j).tolist() for j in range(weight)]
+    signs = stream.signs(desk.m_bar * weight).tolist()
+    expected = []
+    for row in range(desk.m_bar):
+        columns = list(range(w))
+        for j in range(weight):
+            k = j + picks[j][row]
+            columns[j], columns[k] = columns[k], columns[j]
+        entries = [0] * w
+        for j in range(weight):
+            entries[columns[j]] = signs[row * weight + j]
+        expected.append(entries)
+    assert msk.R.dtype == np.int8
+    assert msk.R.tolist() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,3 +58,22 @@ def test_every_draw_goes_through_read(monkeypatch, draw):
     draw(HashStream(SEED, b"draw"))
     assert calls
 
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(bound=st.integers(1, 7), count=st.integers(0, 2000), seed=st.binary(min_size=32, max_size=32))
+def test_signed_uniform_table_path_matches_modular_reference(bound, count, seed):
+    # Replay the byte-wise rejection with plain Python: each kept byte b gives
+    # b % span - bound.
+    span = 2 * bound + 1
+    limit = (256 // span) * span
+    reference = HashStream(seed, b"ternary")
+    expected: list[int] = []
+    while len(expected) < count:
+        kept = [b for b in reference.read(count - len(expected) + 16) if b < limit]
+        expected += [b % span - bound for b in kept[: count - len(expected)]]
+    stream = HashStream(seed, b"ternary")
+    out = stream.signed_uniform(count, bound)
+    assert out.dtype == np.int8
+    assert out.tolist() == expected
+    # Both read the same bytes, so the streams stay in step.
+    assert stream.read(16) == reference.read(16)

@@ -59,6 +59,17 @@ def test_expiry_survives_reload(tmp_path, desk):
     assert reload(tmp_path).check_validity(NODE) == "Active"
 
 
+def test_revocation_survives_reload_without_save_state(tmp_path, desk):
+    # A process that dies after revoke_identity, before the CLI's save_state,
+    # leaves the revocation only in the registry.
+    service, quorum = new_domain(desk, tmp_path)
+    service.issue_direct(IdentityString.parse(NODE), quorum, "node-01")
+    service.revoke_identity(NODE)
+    reloaded = reload(tmp_path)
+    assert reloaded.check_validity(NODE) == "Revoked"
+    assert reloaded.check_validity("kubelet:node-01.20250102") == "Revoked"
+
+
 def test_request_names_continue_across_reloads(tmp_path, desk):
     service, _ = new_domain(desk, tmp_path)
     service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")

@@ -4,7 +4,8 @@ import datetime
 import numpy as np
 import pytest
 
-from ibetls.kem import decode_private_key, derive_public, encode_private_key
+from ibetls.kem import decode_private_key, derive_public, encode_private_key, scheme
+from ibetls.kem.scheme import _trapdoor_public
 from ibetls.tpkg import (
     AlreadyIssued,
     ApiServer,
@@ -100,7 +101,8 @@ def test_quorum_reconstruct_requires_threshold(domain):
     # any two shares re-derive a master that matches the published mpk
     for pair in ([0, 1], [1, 2], [0, 2]):
         with service.reconstructed_master([shares.shares[i] for i in pair]) as msk:
-            assert np.array_equal(msk.reconstruct_public(service.params), service.mpk.A)
+            assert np.array_equal(_trapdoor_public(service.params, msk.a_bar, msk.R),
+                                  service.mpk.A)
 
 
 def test_quorum_zeroizes_on_exit(domain):
@@ -110,7 +112,7 @@ def test_quorum_zeroizes_on_exit(domain):
     assert not held.R.any() and not held.a_bar.any()
 
 
-def test_mixed_domain_shares_rejected(desk, domain):
+def test_mixed_domain_shares_rejected(desk, domain, monkeypatch):
     service, shares = domain
     other, other_shares = TpkgService.setup_domain(
         domain="ibe.kubernetes.io/etcd", params=desk, n_nodes=3, threshold=2,
@@ -120,10 +122,23 @@ def test_mixed_domain_shares_rejected(desk, domain):
     with pytest.raises(ShareMismatch):
         with service.reconstructed_master([shares.shares[0], other_shares.shares[1]]):
             pass
-    # a full foreign quorum is also rejected: it reconstructs the wrong master
+    # a full foreign quorum is also rejected: its a_bar is not mpk's left
+    # block, and what it derived is wiped before ShareMismatch leaves
+    derived = []
+    master_secret = scheme._master_secret
+
+    def recording(params, seed):
+        arrays = master_secret(params, seed)
+        derived.append(arrays)
+        return arrays
+
+    monkeypatch.setattr(scheme, "_master_secret", recording)
     with pytest.raises(ShareMismatch):
         with service.reconstructed_master(list(other_shares.shares[:2])):
             pass
+    [(a_bar, R)] = derived
+    assert a_bar.shape == (desk.n, desk.m_bar) and R.shape == (desk.m_bar, desk.n * desk.k)
+    assert not a_bar.any() and not R.any()
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +362,8 @@ def test_domain_save_load_round_trip(tmp_path, domain):
     assert reloaded.registry.verify() is None
     quorum = load_readable_shares(tmp_path)[:2]
     with reloaded.reconstructed_master(quorum) as msk:
-        assert np.array_equal(msk.reconstruct_public(reloaded.params), reloaded.mpk.A)
+        assert np.array_equal(_trapdoor_public(reloaded.params, msk.a_bar, msk.R),
+                              reloaded.mpk.A)
 
 
 # ---------------------------------------------------------------------------
