@@ -7,7 +7,7 @@ Exit codes: 0 success, 2 usage/config error, 3 policy denial,
 from __future__ import annotations
 
 import argparse
-import base64
+import functools
 import json
 import os
 import socket
@@ -40,6 +40,7 @@ from .tpkg import (
     RegistryCorrupt,
     TpkgError,
     TpkgService,
+    identity_request,
     load_chain,
     load_domain,
     load_readable_shares,
@@ -183,17 +184,8 @@ def _id_request_remote(args, config: CliConfig, service, principal) -> int:
     if not client_handshake_over_stream(session, stream):
         print("handshake with remote endpoint failed", file=sys.stderr)
         return EXIT_HANDSHAKE
-    request = {
-        "method": "POST",
-        "path": "/apis/security.k8s.io/v1alpha1/identityrequests",
-        "authorization": "Bearer " + base64.b64encode(principal.token).decode(),
-        "body": {"spec": {
-            "issuer": service.policy.trust_domain,
-            "identity": args.identity,
-            "usage": args.usage.split(","),
-            "expirationSeconds": args.expiration,
-        }},
-    }
+    request = identity_request(service.policy.trust_domain, args.identity,
+                               args.usage.split(","), args.expiration, principal.token)
     stream_send_message(session, stream, json.dumps(request).encode())
     raw = stream_recv_message(session, stream)
     stream.close()
@@ -294,13 +286,9 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
             return
         try:
             request = json.loads(raw.decode())
-        except ValueError:  # also UnicodeDecodeError
+        except ValueError:  # also UnicodeDecodeError; answered as a BadRequest
             request = None
-        if isinstance(request, dict):
-            response = api.handle(request)  # state changes are on disk before this returns
-        else:
-            response = {"status": 400, "error": {"reason": "BadRequest",
-                                                 "message": "body is not a JSON object"}}
+        response = api.handle(request)  # state changes are on disk before this returns
         stream_send_message(session, stream, json.dumps(response, sort_keys=True).encode())
 
     try:
@@ -373,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     setup_p = sub.add_parser("tpkg-setup", help="establish a trust domain")
+    setup_p.set_defaults(run=cmd_tpkg_setup)
     setup_p.add_argument("--domain", required=True)
     setup_p.add_argument("--trust-domain", default=None)
     setup_p.add_argument("--nodes", type=int, default=3)
@@ -387,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     setup_p.add_argument("--approvers", default="admin")
 
     serve_p = sub.add_parser("tpkg-serve", help="serve the issuance API over IBE-TLS/TCP")
+    serve_p.set_defaults(run=cmd_tpkg_serve)
     serve_p.add_argument("--domain", required=True)
     serve_p.add_argument("--listen", default=None)
     serve_p.add_argument("--endpoint-identity", default="tpkg-register")
@@ -394,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="exit after N requests (0 = run forever)")
 
     request_p = sub.add_parser("id-request", help="submit an IdentityRequest")
+    request_p.set_defaults(run=cmd_id_request)
     request_p.add_argument("--domain", required=True)
     request_p.add_argument("--identity", required=True)
     request_p.add_argument("--usage", default="client,server")
@@ -405,33 +396,40 @@ def build_parser() -> argparse.ArgumentParser:
     request_p.add_argument("--format", choices=["json", "table"], default="table")
 
     approve_p = sub.add_parser("id-approve", help="approve a pending request")
+    approve_p.set_defaults(run=cmd_id_approve)
     approve_p.add_argument("request")
     approve_p.add_argument("--domain", required=True)
     approve_p.add_argument("--approver", default="admin")
 
     list_p = sub.add_parser("id-list", help="list identity requests")
+    list_p.set_defaults(run=cmd_id_list)
     list_p.add_argument("--domain", required=True)
     list_p.add_argument("--format", choices=["json", "table"], default="table")
 
     revoke_p = sub.add_parser("id-revoke", help="blocklist an identity")
+    revoke_p.set_defaults(run=cmd_id_revoke)
     revoke_p.add_argument("--domain", required=True)
     revoke_p.add_argument("--identity", required=True)
 
     bump_p = sub.add_parser("epoch-bump", help="increment the issuer epoch")
+    bump_p.set_defaults(run=cmd_epoch_bump)
     bump_p.add_argument("--domain", required=True)
     bump_p.add_argument("--epoch", default=None)
 
     verify_p = sub.add_parser("registry-verify", help="verify a registry hash chain")
+    verify_p.set_defaults(run=cmd_registry_verify)
     verify_p.add_argument("--domain", default=None)
     verify_p.add_argument("--file", default=None)
 
-    for name in ("demo-k8s", "demo-5g"):
+    for name, script in (("demo-k8s", DEMO_K8S_SCRIPT), ("demo-5g", DEMO_5G_SCRIPT)):
         demo_p = sub.add_parser(name, help=f"run the {name[5:]} scenario")
+        demo_p.set_defaults(run=functools.partial(cmd_demo, script))
         demo_p.add_argument("--seed", type=int, default=0)
         demo_p.add_argument("--out", default=None)
         demo_p.add_argument("--format", choices=["json", "table"], default="table")
 
     bench_p = sub.add_parser("bench-report", help="comparison against the cert-based model")
+    bench_p.set_defaults(run=cmd_bench_report)
     bench_p.add_argument("--seed", type=int, default=0)
     bench_p.add_argument("--out", default=None)
     bench_p.add_argument("--format", choices=["json", "table"], default="table")
@@ -443,31 +441,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = CliConfig(args)
+    if args.command == "registry-verify" and not args.domain and not args.file:
+        parser.error("registry-verify needs --domain or --file")
     try:
-        if args.command == "tpkg-setup":
-            return cmd_tpkg_setup(args, config)
-        if args.command == "tpkg-serve":
-            return cmd_tpkg_serve(args, config)
-        if args.command == "id-request":
-            return cmd_id_request(args, config)
-        if args.command == "id-approve":
-            return cmd_id_approve(args, config)
-        if args.command == "id-list":
-            return cmd_id_list(args, config)
-        if args.command == "id-revoke":
-            return cmd_id_revoke(args, config)
-        if args.command == "epoch-bump":
-            return cmd_epoch_bump(args, config)
-        if args.command == "registry-verify":
-            if not args.domain and not args.file:
-                parser.error("registry-verify needs --domain or --file")
-            return cmd_registry_verify(args, config)
-        if args.command == "demo-k8s":
-            return cmd_demo(DEMO_K8S_SCRIPT, args, config)
-        if args.command == "demo-5g":
-            return cmd_demo(DEMO_5G_SCRIPT, args, config)
-        if args.command == "bench-report":
-            return cmd_bench_report(args, config)
+        return args.run(args, config)
     except (BlocklistedIdentity, PolicyViolation) as exc:
         print(f"denied: {exc}", file=sys.stderr)
         return EXIT_POLICY
@@ -477,8 +454,6 @@ def main(argv: list[str] | None = None) -> int:
     except RegistryCorrupt as exc:
         print(f"CORRUPT: {exc}", file=sys.stderr)
         return EXIT_REGISTRY
-    parser.error(f"unknown command {args.command}")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -107,8 +107,13 @@ class _SessionBase:
     # handler). A state with no entry accepts no record.
     _EXPECTED: dict[State, tuple[ContentType, dict[HandshakeType, str]]] = {}
 
-    def __init__(self, mpk: MasterPublicKey, rng_seed: bytes) -> None:
+    def __init__(self, mpk: MasterPublicKey, rng_seed: bytes,
+                 own_key: IdentityPrivateKey | None) -> None:
+        if own_key is not None and (own_key.params != mpk.params
+                                    or own_key.params_hash != mpk.params_hash):
+            raise ValueError("own_key was not issued under this master public key")
         self.mpk = mpk
+        self.own_key = own_key
         self.params = mpk.params
         self._rng = HashStream(rng_seed, f"{self.role}-session".encode())
         self.transcript = hashlib.sha256()
@@ -284,12 +289,11 @@ class ClientSession(_SessionBase):
         offer_identity: bool = True,
         eph_keypair: EphemeralKeyPair | None = None,
     ) -> None:
-        super().__init__(mpk, rng_seed)
+        super().__init__(mpk, rng_seed, own_key)
         if mutual and (own_key is None or own_identity is None):
             raise ValueError("mutual authentication requires the client identity and key")
         self.expected_peer_identity = server_identity
         self.own_identity = own_identity
-        self.own_key = own_key
         self.mutual = mutual
         # Sending the identity in cleartext leaks it to observers; suppressing
         # it defers disclosure until the server asks via HelloRetryRequest.
@@ -413,9 +417,8 @@ class ServerSession(_SessionBase):
         mutual: bool = False,
         expected_peer_identity: IdentityString | None = None,
     ) -> None:
-        super().__init__(mpk, rng_seed)
+        super().__init__(mpk, rng_seed, own_key)
         self.own_identity = own_identity
-        self.own_key = own_key
         self.mutual = mutual  # require and verify a client identity
         self.expected_peer_identity = expected_peer_identity
         self.client_identity: IdentityString | None = None

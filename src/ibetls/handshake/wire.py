@@ -189,8 +189,8 @@ class IbeIdentity:
     def of(cls, identity: IdentityString) -> "IbeIdentity":
         return cls(identity.canonical)
 
-    def parse(self, separator: str = ".") -> IdentityString:
-        return IdentityString.parse(self.identity, separator)
+    def parse(self) -> IdentityString:
+        return IdentityString.parse(self.identity)
 
     def to_extension(self) -> Extension:
         if not self.identity:

@@ -29,17 +29,14 @@ class IdentityString:
     """
 
     segments: tuple[str, ...]
-    separator: str = "."
 
     def __post_init__(self) -> None:
-        if len(self.separator) != 1:
-            raise MalformedIdentity("separator must be a single character")
         if len(self.segments) < 2:
             raise MalformedIdentity("identity needs at least one name segment and an epoch")
         for seg in self.segments:
             if not seg:
                 raise MalformedIdentity("empty identity segment")
-            if self.separator in seg:
+            if "." in seg:
                 raise MalformedIdentity(f"segment {seg!r} contains the separator")
         if not _epoch_ok(self.segments[-1]):
             raise MalformedIdentity(
@@ -47,12 +44,12 @@ class IdentityString:
             )
 
     @classmethod
-    def parse(cls, text: str, separator: str = ".") -> "IdentityString":
-        return cls(tuple(text.split(separator)), separator)
+    def parse(cls, text: str) -> "IdentityString":
+        return cls(tuple(text.split(".")))
 
     @property
     def canonical(self) -> str:
-        return self.separator.join(self.segments)
+        return ".".join(self.segments)
 
     @property
     def epoch(self) -> str:
@@ -61,10 +58,10 @@ class IdentityString:
     @property
     def base(self) -> str:
         """Identity without its epoch; the unit of revocation."""
-        return self.separator.join(self.segments[:-1])
+        return ".".join(self.segments[:-1])
 
     def with_epoch(self, epoch: str) -> "IdentityString":
-        return IdentityString(self.segments[:-1] + (epoch,), self.separator)
+        return IdentityString(self.segments[:-1] + (epoch,))
 
     def __str__(self) -> str:
         return self.canonical

@@ -34,9 +34,6 @@ class HashStream:
     def u32(self, count: int) -> np.ndarray:
         return np.frombuffer(self.read(4 * count), dtype="<u4").astype(np.int64)
 
-    def u64(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.read(8 * count), dtype="<u8")
-
     def bits(self, count: int) -> np.ndarray:
         raw = np.frombuffer(self.read((count + 7) // 8), dtype=np.uint8)
         return np.unpackbits(raw, bitorder="little")[:count].astype(np.int64)

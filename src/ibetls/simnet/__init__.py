@@ -5,7 +5,7 @@ from .core import (
     SimClock,
     SimNode,
     TrustDomainSim,
-    run_mutual_handshake,
+    run_handshake,
 )
 from .fiveg import (
     DEFAULT_SERVICES,
@@ -61,7 +61,7 @@ __all__ = [
     "establish",
     "app_send",
     "app_recv_chunk",
-    "run_mutual_handshake",
+    "run_handshake",
     "client_handshake_over_stream",
     "server_handshake_over_stream",
     "stream_send_message",

@@ -1,9 +1,18 @@
-"""Shared simulation plumbing: clock, nodes, trust domains, connections."""
+"""Shared simulation plumbing: clock, nodes, trust domains, and the one
+lifecycle both deployments run.
+
+A node enrolls over a server-authenticated IBE-TLS channel (``run_handshake``
+without a client key, then ``Connection.call`` with an IdentityRequest and
+``request_key``), connects to peers over mutual IBE-TLS (``run_handshake``
+with one), and is provisioned, rotated and revoked through its
+``TrustDomainSim``. Kubernetes and 5G differ only in policy and wiring.
+"""
 
 from __future__ import annotations
 
 import base64
 import datetime
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -12,6 +21,7 @@ from ..kem import (
     IdentityPrivateKey,
     IdentityString,
     MasterPublicKey,
+    decode_private_key,
     encode_master_public,
     encode_private_key,
 )
@@ -52,8 +62,6 @@ class SimNode:
         name = f"identity-key-{key.identity.base.replace(':', '-').replace('.', '-')}"
         self.secret_store[name] = manifest
         if self.secret_dir is not None:
-            import json
-
             self.secret_dir.mkdir(parents=True, exist_ok=True)
             (self.secret_dir / f"{name}.json").write_text(
                 json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
@@ -102,70 +110,89 @@ class TrustDomainSim:
     def current_epoch(self) -> str:
         return self.service.policy.current_epoch
 
+    def provision(self, node: SimNode, identity: IdentityString,
+                  principal: str) -> IdentityPrivateKey:
+        """Issue identity's key out of band under a quorum; node holds it."""
+        key = self.service.issue_direct(identity, self.quorum(), principal)
+        node.hold_key(self.name, key, self.mpk)
+        return key
+
+    def install(self, node: SimNode, delivery: dict) -> IdentityPrivateKey:
+        """node holds the key that a key-delivery document carries."""
+        key = decode_private_key(base64.b64decode(delivery["privateKey"]))
+        node.hold_key(self.name, key, self.mpk)
+        return key
+
+    def revoke(self, base: str) -> None:
+        """Blocklist base in every epoch; recorded at the current one."""
+        self.service.revoke_identity(f"{base}.{self.current_epoch}")
+
+
+def request_key(send, submit: dict) -> tuple[dict, dict | None]:
+    """Submit an IdentityRequest through send and, once it is approved, fetch
+    its key under the same bearer: (submit response, key response or None)."""
+    submitted = send(submit)
+    if submitted["status"] != 201 or submitted["body"]["status"] != "Approved":
+        return submitted, None
+    return submitted, send({"method": "POST",
+                            "path": f"/identityrequests/{submitted['body']['name']}/key",
+                            "authorization": submit["authorization"]})
+
+
+def run_handshake(mpk: MasterPublicKey, server_key: IdentityPrivateKey,
+                  client_seed: bytes, server_seed: bytes,
+                  client_key: IdentityPrivateKey | None = None,
+                  expect: IdentityString | None = None) -> Connection:
+    """Drive one in-process IBE-TLS handshake to completion or abort.
+
+    The client expects the server to be ``expect``, by default the identity
+    of server_key. With client_key both sides authenticate; without one,
+    only the server does.
+    """
+    mutual = client_key is not None
+    client = ClientSession(mpk, expect or server_key.identity, client_seed,
+                           own_identity=client_key.identity if mutual else None,
+                           own_key=client_key, mutual=mutual)
+    server = ServerSession(mpk, server_key.identity, server_key, server_seed, mutual=mutual)
+    return establish(client, server, WireCapture())
+
 
 @dataclass
 class ConnectReport:
+    """One connect attempt: refused before any handshake, or the connection
+    its handshake produced."""
+
     initiator: str
     responder: str
     domain: str
-    outcome: str                      # "complete" | "aborted" | "refused:<why>"
-    client_alert: int | None = None
-    server_alert: int | None = None
-    records: int = 0
-    auth_bytes: int = 0
     connection: Connection | None = None
+    refused: str = ""  # why no handshake was attempted
+
+    @property
+    def outcome(self) -> str:
+        """"complete", "aborted" or "refused:<why>"."""
+        if self.connection is None:
+            return f"refused:{self.refused}"
+        return "complete" if self.connection.ok else "aborted"
 
     @property
     def ok(self) -> bool:
         return self.outcome == "complete"
 
     def log_fields(self) -> dict:
+        conn = self.connection
         fields = {
             "initiator": self.initiator,
             "responder": self.responder,
             "domain": self.domain,
             "outcome": self.outcome,
-            "records": self.records,
-            "authBytes": self.auth_bytes,
+            "records": len(conn.capture.records) if conn else 0,
+            "authBytes": conn.client.auth_bytes + conn.server.auth_bytes if conn else 0,
         }
-        if self.connection is not None and self.connection.ok:
+        if conn is not None and conn.ok:
             # seed-dependent fingerprint: proves log determinism is not vacuous
-            fields["transcript"] = self.connection.client.transcript_hash().hex()[:16]
+            fields["transcript"] = conn.client.transcript_hash().hex()[:16]
         return fields
-
-
-def run_mutual_handshake(
-    mpk: MasterPublicKey,
-    server_identity: IdentityString,
-    server_key: IdentityPrivateKey,
-    client_identity: IdentityString,
-    client_key: IdentityPrivateKey,
-    client_seed: bytes,
-    server_seed: bytes,
-) -> Connection:
-    client = ClientSession(mpk, server_identity, client_seed,
-                           own_identity=client_identity, own_key=client_key, mutual=True)
-    server = ServerSession(mpk, server_identity, server_key, server_seed, mutual=True)
-    return establish(client, server, WireCapture())
-
-
-def connection_report(conn: Connection, initiator: str, responder: str,
-                      domain: str) -> ConnectReport:
-    if conn.ok:
-        outcome = "complete"
-    else:
-        outcome = "aborted"
-    return ConnectReport(
-        initiator=initiator,
-        responder=responder,
-        domain=domain,
-        outcome=outcome,
-        client_alert=conn.client.alert_sent or conn.client.alert_received,
-        server_alert=conn.server.alert_sent or conn.server.alert_received,
-        records=len(conn.capture.records),
-        auth_bytes=conn.client.auth_bytes + conn.server.auth_bytes,
-        connection=conn,
-    )
 
 
 def first_client_app_record_index(capture: WireCapture) -> int | None:

@@ -9,25 +9,15 @@ key through that channel (the NRF forwards the identity to the issuer).
 
 from __future__ import annotations
 
-import base64
-import json
 from dataclasses import dataclass
 
-from ..handshake import ClientSession, ServerSession
-from ..kem import IdentityPrivateKey, IdentityString, KemParams, decode_private_key
+from ..handshake import RecordAuthError
+from ..kem import IdentityPrivateKey, IdentityString, KemParams
 from ..kem.sampling import HashStream
-from ..tpkg import IssuerPolicy
-from .core import (
-    ConnectReport,
-    SimClock,
-    SimNode,
-    TrustDomainSim,
-    connection_report,
-    run_mutual_handshake,
-)
+from ..tpkg import IssuerPolicy, bearer_header, bearer_token, error_response, identity_request
+from .core import ConnectReport, SimClock, SimNode, TrustDomainSim, request_key, run_handshake
 from .principals import PrincipalKind, TokenAuthority
 from .profiles import nf_identity
-from .transport import WireCapture, establish
 
 NF_TYPES = ("AMF", "SMF", "UPF", "NRF", "UDM", "AUSF", "PCF", "NSSF")
 
@@ -106,86 +96,58 @@ class FiveGSim:
             authenticator=self.tokens.validate, clock=self.clock.now,
         )
         self.registry = ServiceRegistry()
-        self.nodes: dict[str, SimNode] = {}
         # The NRF is pre-provisioned: the one identity that exists up front.
-        self.nrf = self._provision_nrf()
+        self.nrf = SimNode(name="nrf-001", role="NRF")
+        self.nodes: dict[str, SimNode] = {"nrf-001": self.nrf}
+        identity = self.domain.provision(
+            self.nrf, nf_identity(plmn, "NRF", "nrf-001", epoch), "operator").identity
+        self.registry.register(NfProfile(nf_type="NRF", instance="nrf-001",
+                                         endpoint="nrf-001.5gc.local:8443",
+                                         capabilities=DEFAULT_SERVICES["NRF"],
+                                         identity_base=identity.base))
 
     def _seed(self) -> bytes:
         return self._rng.read(32)
 
-    def _provision_nrf(self) -> SimNode:
-        identity = nf_identity(self.plmn, "NRF", "nrf-001", self.domain.current_epoch)
-        key = self.domain.service.issue_direct(identity, self.domain.quorum(), "operator")
-        node = SimNode(name="nrf-001", role="NRF")
-        node.hold_key("5gc", key, self.domain.mpk)
-        self.nodes["nrf-001"] = node
-        profile = NfProfile(nf_type="NRF", instance="nrf-001",
-                            endpoint="nrf-001.5gc.local:8443",
-                            capabilities=DEFAULT_SERVICES["NRF"],
-                            identity_base=identity.base)
-        self.registry.register(profile)
-        return node
-
     def _nrf_key(self):
-        return self.nodes["nrf-001"].serving_key("5gc")
+        return self.nrf.serving_key("5gc")
 
     # -- registration (NRF-mediated issuance) -----------------------------------
 
-    def _nrf_handler(self):
-        def handle(raw: bytes) -> bytes:
-            request = json.loads(raw.decode())
-            token = base64.b64decode(request.get("authorization", "Bearer ")[len("Bearer "):] or b"")
-            principal = self.tokens.validate(token)
-            if principal is None:
-                return json.dumps({"status": 401, "error": {"reason": "Unauthenticated"}}).encode()
+    def _nrf_handler(self, request: dict) -> dict:
+        token = bearer_token(request)
+        if self.tokens.validate(token) is None:
+            return error_response(401, "Unauthenticated")
+        path = request.get("path", "")
 
-            if request.get("path", "").startswith("/nnrf-nfm/v1/nf-instances/"):
-                profile_doc = request.get("body", {})
-                identity = f"{profile_doc['identityBase']}.{self.domain.current_epoch}"
-                # forward the NF identity string to the issuer
-                submit = self.domain.api.handle({
-                    "method": "POST", "path": "/identityrequests",
-                    "authorization": request["authorization"],
-                    "body": {"spec": {"issuer": self.domain.service.policy.trust_domain,
-                                      "identity": identity,
-                                      "usage": ["client", "server"],
-                                      "expirationSeconds": 86400}},
-                })
-                if submit["status"] != 201 or submit["body"]["status"] != "Approved":
-                    return json.dumps(submit, sort_keys=True).encode()
-                delivery = self.domain.api.handle({
-                    "method": "POST",
-                    "path": f"/identityrequests/{submit['body']['name']}/key",
-                })
-                if delivery["status"] != 200:
-                    return json.dumps(delivery, sort_keys=True).encode()
-                profile = NfProfile(
-                    nf_type=profile_doc["nfType"],
-                    instance=profile_doc["instance"],
-                    endpoint=profile_doc["endpoint"],
-                    capabilities=tuple(profile_doc["capabilities"]),
-                    identity_base=profile_doc["identityBase"],
-                )
-                self.registry.register(profile)
-                return json.dumps({"status": 201, "body": {"ack": True,
-                                                           "keyDelivery": delivery["body"]}},
-                                  sort_keys=True).encode()
+        if path.startswith("/nnrf-nfm/v1/nf-instances/"):
+            profile = request.get("body", {})
+            # forward the NF identity string to the issuer
+            submit = identity_request(
+                self.domain.service.policy.trust_domain,
+                f"{profile['identityBase']}.{self.domain.current_epoch}",
+                ["client", "server"], 86400, token)
+            submitted, delivered = request_key(self.domain.api.handle, submit)
+            if delivered is None or delivered["status"] != 200:
+                return delivered or submitted
+            self.registry.register(NfProfile(
+                nf_type=profile["nfType"],
+                instance=profile["instance"],
+                endpoint=profile["endpoint"],
+                capabilities=tuple(profile["capabilities"]),
+                identity_base=profile["identityBase"],
+            ))
+            return {"status": 201, "body": {"ack": True, "keyDelivery": delivered["body"]}}
 
-            if request.get("path", "").startswith("/nnrf-disc/v1/nf-instances"):
-                service = request.get("query", {}).get("service")
-                instance = request.get("query", {}).get("instance")
-                try:
-                    profile = self.registry.lookup(service, instance)
-                except UnknownService:
-                    return json.dumps({"status": 404, "error": {"reason": "UnknownService",
-                                                                "message": service}}).encode()
-                return json.dumps(
-                    {"status": 200, "body": profile.discovery_view(self.domain.current_epoch)},
-                    sort_keys=True).encode()
+        if path.startswith("/nnrf-disc/v1/nf-instances"):
+            query = request.get("query", {})
+            try:
+                found = self.registry.lookup(query.get("service"), query.get("instance"))
+            except UnknownService:
+                return error_response(404, "UnknownService", query.get("service"))
+            return {"status": 200, "body": found.discovery_view(self.domain.current_epoch)}
 
-            return json.dumps({"status": 404, "error": {"reason": "NoRoute"}}).encode()
-
-        return handle
+        return error_response(404, "NoRoute")
 
     def register_nf(self, nf_type: str, instance: str,
                     services: tuple[str, ...] | None = None) -> dict:
@@ -204,33 +166,26 @@ class FiveGSim:
 
         principal = self.tokens.mint(base, {"5gc:network-functions"},
                                      PrincipalKind.OPERATOR_NF)
-        nrf_key = self._nrf_key()
-        client = ClientSession(self.domain.mpk, nrf_key.identity, self._seed())
-        server = ServerSession(self.domain.mpk, nrf_key.identity, nrf_key, self._seed())
-        conn = establish(client, server, WireCapture())
+        conn = run_handshake(self.domain.mpk, self._nrf_key(), self._seed(), self._seed())
         report = {"instance": instance, "nfType": nf_type,
                   "handshake": "complete" if conn.ok else "aborted",
                   "registered": False, "capture": conn.capture}
         if not conn.ok:
             return report
 
-        request = {
+        response = conn.call({
             "method": "POST",
             "path": f"/nnrf-nfm/v1/nf-instances/{instance}",
-            "authorization": "Bearer " + base64.b64encode(principal.token).decode(),
+            "authorization": bearer_header(principal.token),
             "body": {"nfType": nf_type, "instance": instance,
                      "endpoint": f"{instance}.5gc.local:7777",
                      "capabilities": list(services), "identityBase": base},
-        }
-        response = json.loads(conn.request(json.dumps(request).encode(),
-                                           self._nrf_handler()).decode())
+        }, self._nrf_handler)
         report["status"] = response["status"]
         if response["status"] != 201:
             report["reason"] = response.get("error", {}).get("reason")
             return report
-        key = decode_private_key(
-            base64.b64decode(response["body"]["keyDelivery"]["privateKey"]))
-        node.hold_key("5gc", key, self.domain.mpk)
+        key = self.domain.install(node, response["body"]["keyDelivery"])
         report["registered"] = True
         report["identity"] = key.identity.canonical
         return report
@@ -241,25 +196,21 @@ class FiveGSim:
         """Mutually authenticated discovery query against the NRF."""
         own_key = self.nodes[requester].serving_key("5gc")
         if own_key is None:
-            return {"status": 403, "error": {"reason": "NoCredential"}}
+            return error_response(403, "NoCredential")
         return self._discover(own_key, service, instance, self._seed(), self._seed())
 
     def _discover(self, own_key: IdentityPrivateKey, service: str, instance: str | None,
                   client_seed: bytes, nrf_seed: bytes) -> dict:
-        nrf_key = self._nrf_key()
-        conn = run_mutual_handshake(self.domain.mpk, nrf_key.identity, nrf_key,
-                                    own_key.identity, own_key, client_seed, nrf_seed)
+        conn = run_handshake(self.domain.mpk, self._nrf_key(), client_seed, nrf_seed,
+                             client_key=own_key)
         if not conn.ok:
-            return {"status": 495, "error": {"reason": "HandshakeAborted"}}
-        query = {
+            return error_response(495, "HandshakeAborted")
+        token = self.tokens.mint(own_key.identity.base, set(), PrincipalKind.OPERATOR_NF).token
+        return conn.call({
             "method": "GET", "path": "/nnrf-disc/v1/nf-instances",
-            "authorization": "Bearer " + base64.b64encode(
-                self.tokens.mint(own_key.identity.base, set(),
-                                 PrincipalKind.OPERATOR_NF).token).decode(),
+            "authorization": bearer_header(token),
             "query": {"service": service, **({"instance": instance} if instance else {})},
-        }
-        return json.loads(conn.request(json.dumps(query).encode(),
-                                       self._nrf_handler()).decode())
+        }, self._nrf_handler)
 
     def connect(self, initiator: str, service: str, instance: str | None = None
                 ) -> ConnectReport:
@@ -272,48 +223,40 @@ class FiveGSim:
         seeds = [self._seed() for _ in range(4)]  # drawn up front, whatever discovery finds
         client_key = self.nodes[initiator].serving_key("5gc")
         if client_key is None:
-            return ConnectReport(initiator, service, "5gc", outcome="refused:NoCredential")
+            return ConnectReport(initiator, service, "5gc", refused="NoCredential")
         discovery = self._discover(client_key, service, instance, seeds[0], seeds[1])
         if discovery["status"] != 200:
             return ConnectReport(initiator, service, "5gc",
-                                 outcome=f"refused:{discovery['error']['reason']}")
+                                 refused=discovery["error"]["reason"])
         advertised = discovery["body"]["identity"]
         expected = IdentityString.parse(advertised)
         if expected.epoch not in self.domain.service.policy.valid_epochs():
-            return ConnectReport(initiator, service, "5gc", outcome="refused:stale-epoch")
+            return ConnectReport(initiator, service, "5gc", refused="stale-epoch")
 
         responder_instance = expected.segments[2]
         responder = self.nodes.get(responder_instance)
         server_key = responder.serving_key("5gc") if responder else None
         if server_key is None:
             return ConnectReport(initiator, responder_instance, "5gc",
-                                 outcome="refused:missing-credential")
-
-        client = ClientSession(self.domain.mpk, expected, seeds[2],
-                               own_identity=client_key.identity, own_key=client_key,
-                               mutual=True)
-        server = ServerSession(self.domain.mpk, server_key.identity, server_key,
-                               seeds[3], mutual=True)
-        conn = establish(client, server, WireCapture())
-        return connection_report(conn, initiator, responder_instance, "5gc")
+                                 refused="missing-credential")
+        conn = run_handshake(self.domain.mpk, server_key, seeds[2], seeds[3],
+                             client_key=client_key, expect=expected)
+        return ConnectReport(initiator, responder_instance, "5gc", conn)
 
     # -- lifecycle -------------------------------------------------------------------
 
     def rotate(self, reregister: tuple[str, ...] = ()) -> str:
         """Bump the epoch; honest NFs re-register for fresh-epoch keys."""
         new_epoch = self.domain.service.epoch_increment()
-        nrf_identity = nf_identity(self.plmn, "NRF", "nrf-001", new_epoch)
-        key = self.domain.service.issue_direct(nrf_identity, self.domain.quorum(), "operator")
-        self.nodes["nrf-001"].hold_key("5gc", key, self.domain.mpk)
+        self.domain.provision(self.nrf, nf_identity(self.plmn, "NRF", "nrf-001", new_epoch),
+                              "operator")
         for instance in reregister:
             node = self.nodes[instance]
             self.register_nf(node.role, instance)
         return new_epoch
 
     def revoke(self, nf_type: str, instance: str) -> None:
-        base = f"{self.plmn}.{nf_type}.{instance}"
-        self.domain.service.revoke_identity(
-            IdentityString.parse(f"{base}.{self.domain.current_epoch}"))
+        self.domain.revoke(f"{self.plmn}.{nf_type}.{instance}")
 
 
 def compliance_checklist(sim: FiveGSim) -> list[dict]:
@@ -322,8 +265,6 @@ def compliance_checklist(sim: FiveGSim) -> list[dict]:
     Each row names the requirement, the clause it answers to, the mechanism,
     and whether the mechanism held when exercised against this simulation.
     """
-    from ..handshake import RecordAuthError
-
     sim.register_nf("AMF", "chk-amf")
     sim.register_nf("UDM", "chk-udm")
 
@@ -353,10 +294,8 @@ def compliance_checklist(sim: FiveGSim) -> list[dict]:
     # identity verification: an impostor without the producer's key aborts
     fake = sim.nodes["chk-amf"].serving_key("5gc")
     udm_identity = sim.nodes["chk-udm"].serving_key("5gc").identity
-    from .core import run_mutual_handshake
-
-    impostor = run_mutual_handshake(sim.domain.mpk, udm_identity, fake,
-                                    fake.identity, fake, sim._seed(), sim._seed())
+    impostor = run_handshake(sim.domain.mpk, fake, sim._seed(), sim._seed(),
+                             client_key=fake, expect=udm_identity)
     identity_ok = not impostor.ok
 
     authz_identity = sim.nodes["chk-udm"].serving_key("5gc").identity

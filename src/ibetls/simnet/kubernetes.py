@@ -10,24 +10,12 @@ kube-apiserver-client toward etcd, the kubelet, and the front-proxy.
 
 from __future__ import annotations
 
-import base64
-import json
-
-from ..handshake import ClientSession, ServerSession
 from ..kem import KemParams
 from ..kem.sampling import HashStream
-from ..tpkg import IDENTITYREQUESTS_PATH, IssuerPolicy
-from .core import (
-    ConnectReport,
-    SimClock,
-    SimNode,
-    TrustDomainSim,
-    connection_report,
-    run_mutual_handshake,
-)
+from ..tpkg import IssuerPolicy, bearer_token, error_response, identity_request
+from .core import ConnectReport, SimClock, SimNode, TrustDomainSim, request_key, run_handshake
 from .principals import PrincipalKind, TokenAuthority
 from .profiles import component_identity
-from .transport import WireCapture, establish
 
 CONTROL_PLANE = "control-plane"
 ETCD = "etcd"
@@ -47,6 +35,24 @@ COMPONENT_LINKS: dict[tuple[str, str], tuple[str, str, str]] = {
     ("etcd-peer-1", "etcd-peer-2"): ("etcd-peer-1", "etcd-peer-2", ETCD),
     ("kube-apiserver", "front-proxy"): ("kube-apiserver-client", "front-proxy", FRONT_PROXY),
 }
+
+
+# (node, its role, domain, key base) for every key issued out of band when the
+# cluster is created: the API server's server key and its client key in every
+# domain, the static control-plane clients, etcd and the aggregation layer
+CORE_KEYS: tuple[tuple[str, str, str, str], ...] = (
+    ("kube-apiserver", "kube-apiserver", CONTROL_PLANE, "kube-apiserver"),
+    ("kube-apiserver", "kube-apiserver", CONTROL_PLANE, "kube-apiserver-client"),
+    ("kube-apiserver", "kube-apiserver", ETCD, "kube-apiserver-client"),
+    ("kube-apiserver", "kube-apiserver", FRONT_PROXY, "kube-apiserver-client"),
+    ("kubectl", "kubectl", CONTROL_PLANE, "kubectl:admin"),
+    ("kube-scheduler", "scheduler", CONTROL_PLANE, "kube-scheduler"),
+    ("kube-controller-manager", "controller-manager", CONTROL_PLANE, "kube-controller-manager"),
+    ("etcd-server", "etcd", ETCD, "etcd-server"),
+    ("etcd-peer-1", "etcd", ETCD, "etcd-peer-1"),
+    ("etcd-peer-2", "etcd", ETCD, "etcd-peer-2"),
+    ("front-proxy", "front-proxy", FRONT_PROXY, "front-proxy"),
+)
 
 
 def _policies(epoch: str) -> dict[str, IssuerPolicy]:
@@ -99,9 +105,14 @@ class KubernetesSim:
                 authenticator=self.tokens.validate, clock=self.clock.now,
             )
         self.nodes: dict[str, SimNode] = {}
-        self._provision_core_components()
-
-    # -- setup ----------------------------------------------------------------
+        for node_name, role, domain_name, base in CORE_KEYS:
+            domain = self.domains[domain_name]
+            domain.provision(self.node(node_name, role),
+                             component_identity(base, domain.current_epoch), "cluster-bootstrap")
+        # every node trusts the domains it talks to
+        for node in self.nodes.values():
+            for domain_name, domain in self.domains.items():
+                node.trust.setdefault(domain_name, domain.mpk)
 
     def _seed(self) -> bytes:
         return self._rng.read(32)
@@ -111,62 +122,28 @@ class KubernetesSim:
             self.nodes[name] = SimNode(name=name, role=role or name)
         return self.nodes[name]
 
-    def _issue_to(self, node_name: str, domain: str, base: str, role: str | None = None) -> None:
-        domain_sim = self.domains[domain]
-        identity = component_identity(base, domain_sim.current_epoch)
-        key = domain_sim.service.issue_direct(identity, domain_sim.quorum(),
-                                              "cluster-bootstrap")
-        self.node(node_name, role).hold_key(domain, key, domain_sim.mpk)
-
-    def _provision_core_components(self) -> None:
-        # control-plane server and the API server's client roles in every domain
-        self._issue_to("kube-apiserver", CONTROL_PLANE, "kube-apiserver", role="kube-apiserver")
-        self._issue_to("kube-apiserver", CONTROL_PLANE, "kube-apiserver-client")
-        self._issue_to("kube-apiserver", ETCD, "kube-apiserver-client")
-        self._issue_to("kube-apiserver", FRONT_PROXY, "kube-apiserver-client")
-        # static control-plane clients
-        self._issue_to("kubectl", CONTROL_PLANE, "kubectl:admin", role="kubectl")
-        self._issue_to("kube-scheduler", CONTROL_PLANE, "kube-scheduler", role="scheduler")
-        self._issue_to("kube-controller-manager", CONTROL_PLANE, "kube-controller-manager",
-                       role="controller-manager")
-        # etcd members and the aggregation layer
-        self._issue_to("etcd-server", ETCD, "etcd-server", role="etcd")
-        self._issue_to("etcd-peer-1", ETCD, "etcd-peer-1", role="etcd")
-        self._issue_to("etcd-peer-2", ETCD, "etcd-peer-2", role="etcd")
-        self._issue_to("front-proxy", FRONT_PROXY, "front-proxy", role="front-proxy")
-        # every node trusts the domains it talks to
-        for node in self.nodes.values():
-            for domain_name, domain in self.domains.items():
-                node.trust.setdefault(domain_name, domain.mpk)
-
     # -- bootstrap flow ---------------------------------------------------------
 
     def _apiserver_handler(self, domain: TrustDomainSim):
-        def handle(raw: bytes) -> bytes:
-            request = json.loads(raw.decode())
-            token = base64.b64decode(request.get("authorization", "Bearer ")[len("Bearer "):] or b"")
-            principal = self.tokens.validate(token)
+        def handle(request: dict) -> dict:
+            principal = self.tokens.validate(bearer_token(request))
             path = request.get("path", "")
             is_bootstrap = principal is not None and \
                 principal.kind == PrincipalKind.BOOTSTRAP_TOKEN.value
             requested = request.get("body", {}).get("spec", {}).get("identity", "")
-            requested_base = requested.rsplit(".", 1)[0] if "." in requested else requested
             if principal is None:
-                response = {"status": 401, "error": {"reason": "Unauthenticated",
-                                                     "message": "invalid bearer token"}}
-            elif is_bootstrap and "identityrequests" not in path:
+                return error_response(401, "Unauthenticated", "invalid bearer token")
+            if is_bootstrap and "identityrequests" not in path:
                 # system:bootstrappers may only create IdentityRequests
-                response = {"status": 403, "error": {"reason": "Forbidden",
-                                                     "message": "bootstrappers may only manage identity requests"}}
-            elif is_bootstrap and request.get("method") == "POST" and \
+                return error_response(403, "Forbidden",
+                                      "bootstrappers may only manage identity requests")
+            if is_bootstrap and request.get("method") == "POST" and \
                     path.endswith("identityrequests") and \
-                    requested_base != f"kubelet:{principal.subject}":
+                    requested.rsplit(".", 1)[0] != f"kubelet:{principal.subject}":
                 # a bootstrap token is pinned to its own node's kubelet identity
-                response = {"status": 403, "error": {"reason": "Forbidden",
-                                                     "message": "bootstrap token may only request its own kubelet identity"}}
-            else:
-                response = domain.api.handle(request)
-            return json.dumps(response, sort_keys=True).encode()
+                return error_response(403, "Forbidden",
+                                      "bootstrap token may only request its own kubelet identity")
+            return domain.api.handle(request)
 
         return handle
 
@@ -178,28 +155,23 @@ class KubernetesSim:
         channel, and only then presents its bootstrap token.
         """
         domain = self.domains[CONTROL_PLANE]
-        base = f"kubelet:{node_name}"
+        identity = f"kubelet:{node_name}.{domain.current_epoch}"
         node = self.node(f"kubelet-{node_name}", role="kubelet")
         node.trust[CONTROL_PLANE] = domain.mpk
 
-        apiserver = self.nodes["kube-apiserver"]
-        server_key = apiserver.key_in(CONTROL_PLANE, "kube-apiserver")
+        apiserver_key = self.nodes["kube-apiserver"].key_in(CONTROL_PLANE, "kube-apiserver")
+        server_key = apiserver_key
         if fake_apiserver:
             # an impostor without sk_{kube-apiserver}; any other key will do
             server_key = self.nodes["kube-scheduler"].key_in(CONTROL_PLANE, "kube-scheduler")
-        server_identity = server_key.identity if not fake_apiserver else \
-            component_identity("kube-apiserver", domain.current_epoch)
-
         principal = self.tokens.mint(node_name, {"system:bootstrappers"},
                                      PrincipalKind.BOOTSTRAP_TOKEN)
-
-        client = ClientSession(domain.mpk, server_identity, self._seed())
-        server = ServerSession(domain.mpk, server_identity, server_key, self._seed())
-        conn = establish(client, server, WireCapture())
+        conn = run_handshake(domain.mpk, server_key, self._seed(), self._seed(),
+                             expect=apiserver_key.identity)
 
         report = {
             "node": node.name,
-            "identity": f"{base}.{domain.current_epoch}",
+            "identity": identity,
             "handshake": "complete" if conn.ok else "aborted",
             "token_sent": False,
             "issued": False,
@@ -209,39 +181,20 @@ class KubernetesSim:
             return report
 
         handler = self._apiserver_handler(domain)
-        submit = {
-            "method": "POST",
-            "path": IDENTITYREQUESTS_PATH,
-            "authorization": "Bearer " + base64.b64encode(principal.token).decode(),
-            "body": {"spec": {
-                "issuer": domain.service.policy.trust_domain,
-                "identity": f"{base}.{domain.current_epoch}",
-                "usage": ["client", "server"],
-                "expirationSeconds": 86400,
-            }},
-        }
-        response = json.loads(conn.request(json.dumps(submit).encode(), handler).decode())
+        submit = identity_request(domain.service.policy.trust_domain, identity,
+                                  ["client", "server"], 86400, principal.token)
+        submitted, delivered = request_key(lambda doc: conn.call(doc, handler), submit)
         report["token_sent"] = True
-        report["request_status"] = response.get("body", {}).get("status") or response.get("error", {}).get("reason")
-        if response["status"] != 201 or response["body"]["status"] != "Approved":
+        report["request_status"] = (submitted.get("body", {}).get("status")
+                                    or submitted.get("error", {}).get("reason"))
+        if delivered is None:
             return report
-
-        fetch = {
-            "method": "POST",
-            "path": f"/identityrequests/{response['body']['name']}/key",
-            "authorization": "Bearer " + base64.b64encode(principal.token).decode(),
-        }
-        key_response = json.loads(conn.request(json.dumps(fetch).encode(), handler).decode())
-        if key_response["status"] != 200:
-            report["request_status"] = key_response.get("error", {}).get("reason")
+        if delivered["status"] != 200:
+            report["request_status"] = delivered.get("error", {}).get("reason")
             return report
-
-        from ..kem import decode_private_key
-
-        key = decode_private_key(base64.b64decode(key_response["body"]["privateKey"]))
-        node.hold_key(CONTROL_PLANE, key, domain.mpk)
+        domain.install(node, delivered["body"])
         report["issued"] = True
-        report["expiration"] = key_response["body"]["expiration"]
+        report["expiration"] = delivered["body"]["expiration"]
         return report
 
     # -- connections ---------------------------------------------------------------
@@ -268,22 +221,19 @@ class KubernetesSim:
         client_key = client_node.key_in(domain_name, client_base)
         if server_key is None or client_key is None:
             return ConnectReport(initiator, responder, domain_name,
-                                 outcome="refused:missing-credential")
+                                 refused="missing-credential")
 
         policy = domain.service.policy
         for identity in (server_key.identity, client_key.identity):
             if identity.base in policy.blocklist:
-                return ConnectReport(initiator, responder, domain_name,
-                                     outcome="refused:revoked")
+                return ConnectReport(initiator, responder, domain_name, refused="revoked")
             if identity.epoch not in policy.valid_epochs():
                 return ConnectReport(initiator, responder, domain_name,
-                                     outcome="refused:stale-epoch")
+                                     refused="stale-epoch")
 
-        conn = run_mutual_handshake(
-            domain.mpk, server_key.identity, server_key,
-            client_key.identity, client_key, client_seed, server_seed,
-        )
-        return connection_report(conn, initiator, responder, domain_name)
+        conn = run_handshake(domain.mpk, server_key, client_seed, server_seed,
+                             client_key=client_key)
+        return ConnectReport(initiator, responder, domain_name, conn)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -292,12 +242,12 @@ class KubernetesSim:
         domain = self.domains[domain_name]
         new_epoch = domain.service.epoch_increment()
         for node_name, base in reissue:
-            self._issue_to(node_name, domain_name, base)
+            domain.provision(self.node(node_name), component_identity(base, new_epoch),
+                             "cluster-bootstrap")
         return new_epoch
 
     def revoke(self, domain_name: str, base: str) -> None:
-        domain = self.domains[domain_name]
-        domain.service.revoke_identity(component_identity(base, domain.current_epoch))
+        self.domains[domain_name].revoke(base)
 
     def verify_registries(self) -> dict[str, bool]:
         return {name: domain.service.registry.verify() is None

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .core import ConnectReport
 from .fiveg import FiveGSim
 from .kubernetes import KubernetesSim
 
@@ -95,20 +96,26 @@ DEMO_5G_SCRIPT = {
 }
 
 
+def _enrollment_outcome(enrolled: bool, handshake: str) -> str:
+    if enrolled:
+        return "ok"
+    return "aborted" if handshake == "aborted" else "denied"
+
+
+def _connect_outcome(report: ConnectReport) -> tuple[str, dict]:
+    outcome = "ok" if report.ok else "aborted" if report.connection else "refused"
+    return outcome, report.log_fields()
+
+
 def _k8s_step(sim: KubernetesSim, step: dict) -> tuple[str, dict]:
     op = step["op"]
     if op == "bootstrap":
         report = sim.bootstrap_kubelet(step["node"],
                                        fake_apiserver=step.get("fake_apiserver", False))
-        outcome = "ok" if report["issued"] else (
-            "aborted" if report["handshake"] == "aborted" else "denied")
-        detail = {"identity": report["identity"], "tokenSent": report["token_sent"]}
-        return outcome, detail
+        outcome = _enrollment_outcome(report["issued"], report["handshake"])
+        return outcome, {"identity": report["identity"], "tokenSent": report["token_sent"]}
     if op == "connect":
-        report = sim.connect(step["initiator"], step["responder"])
-        outcome = ("ok" if report.ok
-                   else "refused" if report.outcome.startswith("refused") else "aborted")
-        return outcome, report.log_fields()
+        return _connect_outcome(sim.connect(step["initiator"], step["responder"]))
     if op == "rotate":
         epoch = sim.rotate(step["domain"],
                            reissue=tuple(tuple(p) for p in step.get("reissue", [])))
@@ -126,8 +133,7 @@ def _fiveg_step(sim: FiveGSim, step: dict) -> tuple[str, dict]:
     op = step["op"]
     if op == "register":
         report = sim.register_nf(step["nfType"], step["instance"])
-        outcome = "ok" if report["registered"] else (
-            "aborted" if report["handshake"] == "aborted" else "denied")
+        outcome = _enrollment_outcome(report["registered"], report["handshake"])
         detail = {"instance": step["instance"], "nfType": step["nfType"]}
         if report.get("identity"):
             detail["identity"] = report["identity"]
@@ -138,10 +144,8 @@ def _fiveg_step(sim: FiveGSim, step: dict) -> tuple[str, dict]:
             return "ok", {"profile": response["body"]}
         return "denied", {"reason": response["error"]["reason"]}
     if op == "connect":
-        report = sim.connect(step["initiator"], step["service"], step.get("instance"))
-        outcome = ("ok" if report.ok
-                   else "refused" if report.outcome.startswith("refused") else "aborted")
-        return outcome, report.log_fields()
+        return _connect_outcome(
+            sim.connect(step["initiator"], step["service"], step.get("instance")))
     if op == "rotate":
         epoch = sim.rotate(reregister=tuple(step.get("reregister", [])))
         return "ok", {"newEpoch": epoch}

@@ -8,6 +8,7 @@ once it has completed or aborted.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 import time
@@ -67,26 +68,28 @@ class Connection:
     def ok(self) -> bool:
         return self.client.state is State.COMPLETE and self.server.state is State.COMPLETE
 
-    def request(self, payload: bytes, handler) -> bytes:
-        """Synchronous request/response over application records."""
-        request_body = None
-        for rec in app_send(self.client, payload):
-            self.capture.add("client", rec)
-            got = app_recv_chunk(self.server, rec)
+    def call(self, doc: dict, handler) -> dict:
+        """One JSON request and its JSON response over application records.
+
+        handler runs on the server side: it takes the request dict and
+        returns the response dict.
+        """
+        request = self._carry("client", self.client, self.server, json.dumps(doc).encode())
+        reply = handler(json.loads(request.decode()))
+        response = self._carry("server", self.server, self.client,
+                               json.dumps(reply, sort_keys=True).encode())
+        return json.loads(response.decode())
+
+    def _carry(self, sender: str, source, sink, payload: bytes) -> bytes:
+        message = None
+        for rec in app_send(source, payload):
+            self.capture.add(sender, rec)
+            got = app_recv_chunk(sink, rec)
             if got is not None:
-                request_body = got
-        if request_body is None:
-            raise RuntimeError("request message not assembled")
-        reply = handler(request_body)
-        response = None
-        for rec in app_send(self.server, reply):
-            self.capture.add("server", rec)
-            got = app_recv_chunk(self.client, rec)
-            if got is not None:
-                response = got
-        if response is None:
-            raise RuntimeError("response message not assembled")
-        return response
+                message = got
+        if message is None:
+            raise RuntimeError(f"{sender} message not assembled")
+        return message
 
 
 def establish(client: ClientSession, server: ServerSession,

@@ -9,11 +9,14 @@ GET  /identityrequests
 POST /identityrequests/<name>/approve   {"approver": ...}
 POST /identityrequests/<name>/deny      {"approver": ...}
 POST /identityrequests/<name>/key       -> key delivery document
+
+A request whose fields do not have these types is answered with 400.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 
 from ..kem.errors import MalformedIdentity
 from .service import (
@@ -31,8 +34,15 @@ from .service import (
 from .shamir import ShareMismatch, ThresholdNotMet
 
 IDENTITYREQUESTS_PATH = "/apis/security.k8s.io/v1alpha1/identityrequests"
+_BEARER = "Bearer "
+
+
+class BadRequest(Exception):
+    """The request document does not have the documented shape."""
+
 
 _ERROR_CODES = [
+    (BadRequest, 400, "BadRequest"),
     (UnauthenticatedPrincipal, 401, "Unauthenticated"),
     (ApprovalNotAuthorized, 403, "Forbidden"),
     (BlocklistedIdentity, 403, "IdentityRevoked"),
@@ -48,18 +58,59 @@ _ERROR_CODES = [
 ]
 
 
+def error_response(status: int, reason: str, message: str = "") -> dict:
+    return {"status": status, "error": {"reason": reason, "message": message}}
+
+
 def _error_response(exc: Exception) -> dict:
     for exc_type, status, reason in _ERROR_CODES:
         if isinstance(exc, exc_type):
-            return {"status": status, "error": {"reason": reason, "message": str(exc)}}
-    return {"status": 500, "error": {"reason": "Internal", "message": str(exc)}}
+            return error_response(status, reason, str(exc))
+    return error_response(500, "Internal", str(exc))
 
 
-def _bearer_token(request: dict) -> bytes:
+def bearer_header(token: bytes) -> str:
+    """The authorization header value that carries token."""
+    return _BEARER + base64.b64encode(token).decode()
+
+
+def bearer_token(request: dict) -> bytes:
+    """The token in a request's bearer header; b"" when there is none."""
     header = request.get("authorization", "")
-    if not header.startswith("Bearer "):
+    if not isinstance(header, str) or not header.startswith(_BEARER):
         return b""
-    return base64.b64decode(header[len("Bearer "):])
+    try:
+        return base64.b64decode(header[len(_BEARER):], validate=True)
+    except binascii.Error:
+        return b""
+
+
+def identity_request(issuer: str, identity: str, usage, expiration_seconds: int,
+                     token: bytes) -> dict:
+    """The API request that submits an IdentityRequest under token."""
+    return {
+        "method": "POST",
+        "path": IDENTITYREQUESTS_PATH,
+        "authorization": bearer_header(token),
+        "body": {"spec": {
+            "issuer": issuer,
+            "identity": identity,
+            "usage": list(usage),
+            "expirationSeconds": expiration_seconds,
+        }},
+    }
+
+
+def _field(doc: dict, key: str, kind: type, default=None):
+    """doc[key], checked to be a kind; a missing key gives default, or
+    BadRequest when there is none."""
+    if key not in doc and default is not None:
+        return default
+    value = doc.get(key)
+    # bool is an int subclass, but true is not a number of seconds
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise BadRequest(f"{key!r} must be a JSON {kind.__name__}")
+    return value
 
 
 class ApiServer:
@@ -73,26 +124,33 @@ class ApiServer:
         self.service = service
         self.shares_provider = shares_provider
 
-    def handle(self, request: dict) -> dict:
-        method = request.get("method", "GET").upper()
-        path = request.get("path", "")
+    def handle(self, request) -> dict:
         try:
-            return self._route(method, path, request)
+            if not isinstance(request, dict):
+                raise BadRequest("body is not a JSON object")
+            method = _field(request, "method", str, "GET").upper()
+            path = _field(request, "path", str, "")
+            _field(request, "authorization", str, "")
+            body = _field(request, "body", dict, {})
+            return self._route(method, path, body, bearer_token(request))
         except Exception as exc:  # noqa: BLE001 - mapped to wire errors
             return _error_response(exc)
 
-    def _route(self, method: str, path: str, request: dict) -> dict:
+    def _route(self, method: str, path: str, body: dict, token: bytes) -> dict:
         parts = [p for p in path.split("/") if p]
         if method == "POST" and path in (IDENTITYREQUESTS_PATH, "/identityrequests"):
-            spec = request.get("body", {}).get("spec", {})
-            issuer = spec.get("issuer")
+            spec = _field(body, "spec", dict, {})
+            issuer = _field(spec, "issuer", str, "")
             if issuer and issuer != self.service.policy.trust_domain:
                 raise PolicyViolation(f"unknown issuer {issuer!r}")
+            usage = _field(spec, "usage", list, [])
+            if not all(isinstance(u, str) for u in usage):
+                raise BadRequest("'usage' must be a list of strings")
             submitted = self.service.submit_request(
-                identity=spec["identity"],
-                usage=tuple(spec.get("usage", [])),
-                expiration_seconds=int(spec.get("expirationSeconds", 0)),
-                principal_token=_bearer_token(request),
+                identity=_field(spec, "identity", str),
+                usage=tuple(usage),
+                expiration_seconds=_field(spec, "expirationSeconds", int, 0),
+                principal_token=token,
             )
             return {"status": 201, "body": submitted.to_dict()}
 
@@ -104,14 +162,11 @@ class ApiServer:
 
         if method == "POST" and len(parts) >= 3 and parts[-3] == "identityrequests":
             name, action = parts[-2], parts[-1]
-            if action == "approve":
-                approved = self.service.approve_request(
-                    name, request.get("body", {}).get("approver", ""))
-                return {"status": 200, "body": approved.to_dict()}
-            if action == "deny":
-                denied = self.service.deny_request(
-                    name, request.get("body", {}).get("approver", ""))
-                return {"status": 200, "body": denied.to_dict()}
+            if action in ("approve", "deny"):
+                transition = (self.service.approve_request if action == "approve"
+                              else self.service.deny_request)
+                changed = transition(name, _field(body, "approver", str, ""))
+                return {"status": 200, "body": changed.to_dict()}
             if action == "key":
                 if self.shares_provider is None:
                     raise ThresholdNotMet("no share quorum available at this endpoint")
@@ -121,4 +176,4 @@ class ApiServer:
         if method == "GET" and len(parts) >= 2 and parts[-2] == "identityrequests":
             return {"status": 200, "body": self.service.get_request(parts[-1]).to_dict()}
 
-        return {"status": 404, "error": {"reason": "NoRoute", "message": path}}
+        return error_response(404, "NoRoute", path)

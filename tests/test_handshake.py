@@ -189,6 +189,28 @@ def test_mismatched_master_public_key_aborts(desk, mpk, server_identity, server_
     assert server.alert_sent == AlertCode.DECODE_ERROR
 
 
+def test_session_refuses_a_key_from_another_parameter_set(mpk, server_identity, server_key,
+                                                         client_identity, client_key):
+    from ibetls.kem import decode_private_key, encode_private_key
+
+    def beta_flipped(key):
+        # beta is the seventh u32 of the parameter header, after the 34-byte
+        # prefix and the 5-byte magic; bit 7 turns 65 into 193, which still
+        # decodes, into a key whose params differ from the mpk's
+        blob = bytearray(encode_private_key(key))
+        blob[34 + 5 + 24] ^= 0x80
+        return decode_private_key(bytes(blob))
+
+    bad_server_key = beta_flipped(server_key)
+    assert bad_server_key.params != mpk.params
+    assert bad_server_key.params_hash == mpk.params_hash
+    with pytest.raises(ValueError):
+        ServerSession(mpk, server_identity, bad_server_key, seed_of(432))
+    with pytest.raises(ValueError):
+        ClientSession(mpk, server_identity, seed_of(433), own_identity=client_identity,
+                      own_key=beta_flipped(client_key), mutual=True)
+
+
 def test_server_pinned_client_identity(mpk, server_identity, server_key,
                                        client_identity, client_key):
     client = ClientSession(mpk, server_identity, seed_of(430),

@@ -38,7 +38,6 @@ def test_streams_are_separated_by_label_and_seed():
 
 @pytest.mark.parametrize("draw", [
     lambda s: s.u32(5),
-    lambda s: s.u64(5),
     lambda s: s.bits(13),
     lambda s: s.uniform_mod(5, 1048573),
     lambda s: s.signed_uniform(5, 1),

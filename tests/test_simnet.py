@@ -111,38 +111,29 @@ def test_kubelet_bootstrap_full_flow(k8s):
 
 
 def test_bootstrap_token_cannot_request_other_identities(k8s):
-    import base64
-    import json
-
     from ibetls.simnet.principals import PrincipalKind
+    from ibetls.tpkg import identity_request
 
     domain = k8s.domains["control-plane"]
     handler = k8s._apiserver_handler(domain)
     principal = k8s.tokens.mint("node-66", {"system:bootstrappers"},
                                 PrincipalKind.BOOTSTRAP_TOKEN)
-    request = {
-        "method": "POST", "path": "/apis/security.k8s.io/v1alpha1/identityrequests",
-        "authorization": "Bearer " + base64.b64encode(principal.token).decode(),
-        "body": {"spec": {"identity": "controller-manager.20250101",
-                          "usage": ["client"], "expirationSeconds": 3600}},
-    }
-    response = json.loads(handler(json.dumps(request).encode()).decode())
-    assert response["status"] == 403
+    request = identity_request(domain.service.policy.trust_domain,
+                               "controller-manager.20250101", ["client"], 3600,
+                               principal.token)
+    assert handler(request)["status"] == 403
 
 
 def test_bootstrap_token_cannot_use_other_api_routes(k8s):
-    import base64
-    import json
-
     from ibetls.simnet.principals import PrincipalKind
+    from ibetls.tpkg import bearer_header
 
     handler = k8s._apiserver_handler(k8s.domains["control-plane"])
     principal = k8s.tokens.mint("node-66", {"system:bootstrappers"},
                                 PrincipalKind.BOOTSTRAP_TOKEN)
     request = {"method": "GET", "path": "/api/v1/pods",
-               "authorization": "Bearer " + base64.b64encode(principal.token).decode()}
-    response = json.loads(handler(json.dumps(request).encode()).decode())
-    assert response["status"] == 403
+               "authorization": bearer_header(principal.token)}
+    assert handler(request)["status"] == 403
 
 
 def test_impersonated_apiserver_aborts_before_token(k8s):
@@ -193,15 +184,18 @@ def test_no_certificate_bytes_on_any_wire(k8s):
 
 def test_trust_domain_isolation_all_pairs(k8s):
     # A key issued by one domain never completes against a peer expecting a
-    # different domain's trust anchor.
+    # different domain's trust anchor: a session refuses to hold it under
+    # that anchor, and a server that runs under its own domain aborts.
     domains = list(k8s.domains)
     for issuing, expecting in itertools.permutations(domains, 2):
         issuer = k8s.domains[issuing]
         verifier = k8s.domains[expecting]
         identity = component_identity("cross-domain-test", issuer.current_epoch)
         wrong_key = issuer.service.issue_direct(identity, issuer.quorum(), "cluster-bootstrap")
+        with pytest.raises(ValueError):
+            ServerSession(verifier.mpk, identity, wrong_key, seed_of(7500))
         client = ClientSession(verifier.mpk, identity, seed_of(7000 + hash((issuing, expecting)) % 1000))
-        server = ServerSession(verifier.mpk, identity, wrong_key, seed_of(7500))
+        server = ServerSession(issuer.mpk, identity, wrong_key, seed_of(7500))
         conn = establish(client, server, WireCapture())
         assert not conn.ok, (issuing, expecting)
 

@@ -3,10 +3,13 @@ import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibetls.kem import decode_private_key, derive_public, encode_private_key, scheme
 from ibetls.kem.scheme import _trapdoor_public
 from ibetls.tpkg import (
+    IDENTITYREQUESTS_PATH,
     AlreadyIssued,
     ApiServer,
     ApprovalNotAuthorized,
@@ -22,6 +25,7 @@ from ibetls.tpkg import (
     TpkgService,
     UnauthenticatedPrincipal,
     UnknownIdentity,
+    bearer_header,
     load_domain,
     load_readable_shares,
     save_domain,
@@ -58,9 +62,8 @@ def make_policy(**overrides) -> IssuerPolicy:
     return IssuerPolicy(**defaults)
 
 
-@pytest.fixture()
-def domain(desk):
-    service, shares = TpkgService.setup_domain(
+def make_domain(desk):
+    return TpkgService.setup_domain(
         domain="ibe.kubernetes.io/apiserver",
         params=desk,
         n_nodes=3,
@@ -70,7 +73,11 @@ def domain(desk):
         authenticator=authenticator,
         clock=fixed_clock,
     )
-    return service, shares
+
+
+@pytest.fixture()
+def domain(desk):
+    return make_domain(desk)
 
 
 # ---------------------------------------------------------------------------
@@ -444,3 +451,76 @@ def test_api_deny_route(domain):
     assert denied["status"] == 200 and denied["body"]["status"] == "Denied"
     key = api.handle({"method": "POST", "path": f"/identityrequests/{name}/key"})
     assert key["status"] == 409
+
+
+@pytest.mark.parametrize("request_doc", [
+    {"method": "POST", "path": IDENTITYREQUESTS_PATH, "authorization": bearer_header(b"admin"),
+     "body": {"spec": {"usage": ["client"], "expirationSeconds": 3600}}},
+    {"method": "POST", "path": IDENTITYREQUESTS_PATH, "authorization": bearer_header(b"admin"),
+     "body": {"spec": {"identity": "scheduler.20250101", "usage": ["client"],
+                       "expirationSeconds": "abc"}}},
+    {"method": "POST", "path": IDENTITYREQUESTS_PATH, "authorization": bearer_header(b"admin"),
+     "body": {"spec": {"identity": 5, "usage": ["client"], "expirationSeconds": 3600}}},
+    {"method": "POST", "path": IDENTITYREQUESTS_PATH, "body": []},
+    {"method": "POST", "path": "/identityrequests/req-1/approve",
+     "body": {"approver": ["admin"]}},
+    {"method": 5, "path": "/identityrequests"},
+    [1, 2],
+], ids=["no-identity", "expiration-abc", "identity-int", "body-list", "approver-list",
+        "method-int", "not-an-object"])
+def test_api_answers_malformed_requests_with_400(domain, request_doc):
+    service, shares = domain
+    api = ApiServer(service, shares_provider=lambda: list(shares.shares[:2]))
+    response = api.handle(request_doc)
+    assert response["status"] == 400
+    assert response["error"]["reason"] == "BadRequest"
+
+
+@pytest.fixture(scope="module")
+def fuzzed_api(desk):
+    service, shares = make_domain(desk)
+    return ApiServer(service, shares_provider=lambda: list(shares.shares[:2]))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def documented_or_any(strategy):
+    return strategy | json_values
+
+
+specs = st.fixed_dictionaries({}, optional={
+    "issuer": documented_or_any(st.just("ibe.kubernetes.io/apiserver")),
+    "identity": documented_or_any(st.sampled_from(
+        ["kubelet:node-01.20250101", "scheduler.20250101", "a..20250101"])),
+    "usage": documented_or_any(st.lists(st.sampled_from(["client", "server", "peer"]),
+                                        max_size=3)),
+    "expirationSeconds": documented_or_any(st.integers(-5, 40 * 86400)),
+})
+api_requests = st.fixed_dictionaries({}, optional={
+    "method": documented_or_any(st.sampled_from(["GET", "POST", "post"])),
+    "path": documented_or_any(st.sampled_from([
+        IDENTITYREQUESTS_PATH, "/identityrequests", "/identityrequests/req-1",
+        "/identityrequests/req-1/approve", "/identityrequests/req-1/deny",
+        "/identityrequests/req-1/key", "/"])),
+    "authorization": documented_or_any(st.sampled_from([
+        bearer_header(b"admin"), bearer_header(b"bootstrap-node-01"), "Bearer !!", "Basic eA=="])),
+    "body": documented_or_any(st.fixed_dictionaries({}, optional={
+        "spec": documented_or_any(specs),
+        "approver": documented_or_any(st.just("admin")),
+    })),
+})
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(doc=api_requests | json_values)
+def test_api_never_answers_500(fuzzed_api, doc):
+    # Any JSON document gets a mapped status: never 500, never an exception.
+    response = fuzzed_api.handle(doc)
+    assert isinstance(response["status"], int)
+    assert response["status"] != 500, response

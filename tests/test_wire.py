@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibetls.kem import DecodeError
+from ibetls.kem.codec import SCHEME_REFERENCE
 from ibetls.handshake import (
     ClientHello,
     EncryptedExtensions,
@@ -13,6 +16,8 @@ from ibetls.handshake import (
     decode_extension,
 )
 from ibetls.handshake.wire import (
+    EXT_IBE_IDENTITY,
+    EXT_IBE_IDENTITY_AUTH,
     decode_client_hello,
     decode_encrypted_extensions,
     decode_finished,
@@ -124,3 +129,61 @@ def test_trailing_garbage_rejected():
     _, body = unframe(framed)
     with pytest.raises(DecodeError):
         decode_client_hello(body + b"\x00")
+
+
+# Every standalone decoder, each fed the bytes it would take off the wire.
+DECODERS = {
+    "record": split_record,
+    "handshake message": unframe,
+    "extension": decode_extension,
+    "ClientHello": decode_client_hello,
+    "ServerHello": decode_server_hello,
+    "HelloRetryRequest": decode_hello_retry_request,
+    "EncryptedExtensions": decode_encrypted_extensions,
+    "Finished": decode_finished,
+    "ibe_identity_auth": lambda data: IbeIdentityAuth.from_extension(
+        Extension(EXT_IBE_IDENTITY_AUTH, data)),
+    "ibe_identity": lambda data: IbeIdentity.from_extension(Extension(EXT_IBE_IDENTITY, data)),
+}
+
+# Valid encodings to mangle, so that inputs get past the first length field.
+_EXTENSIONS = [IbeIdentityAuth(SCHEME_REFERENCE, b"\xAA" * 6).to_extension(),
+               IbeIdentity("kubelet:node-01.20250101").to_extension(), Extension(7, b"")]
+SAMPLES = [
+    record(22, b"payload"),
+    encode_finished(Finished(verify_data=b"\x22" * 32)),
+    _EXTENSIONS[0].encode(),
+    _EXTENSIONS[0].extension_data,
+    _EXTENSIONS[1].extension_data,
+    unframe(encode_client_hello(ClientHello(random=bytes(32), eph_share=b"\x05" * 40,
+                                            extensions=_EXTENSIONS)))[1],
+    unframe(encode_server_hello(ServerHello(random=bytes(32), eph_ciphertext=b"ct" * 20,
+                                            extensions=_EXTENSIONS[:1])))[1],
+    unframe(encode_hello_retry_request(HelloRetryRequest(random=bytes(32))))[1],
+    unframe(encode_encrypted_extensions(EncryptedExtensions(extensions=_EXTENSIONS)))[1],
+]
+
+
+def _flip(sample: bytes, position: int, bit: int) -> bytes:
+    data = bytearray(sample)
+    data[position % len(data)] ^= 1 << bit
+    return bytes(data)
+
+
+wire_inputs = st.one_of(
+    st.binary(max_size=160),
+    st.builds(_flip, st.sampled_from(SAMPLES), st.integers(0, 2**16), st.integers(0, 7)),
+    st.builds(lambda sample, cut: sample[:cut % len(sample)],
+              st.sampled_from(SAMPLES), st.integers(0, 2**16)),
+    st.builds(lambda sample, tail: sample + tail, st.sampled_from(SAMPLES),
+              st.binary(min_size=1, max_size=8)),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(decoder=st.sampled_from(sorted(DECODERS)), data=wire_inputs)
+def test_decoders_raise_only_decode_error(decoder, data):
+    try:
+        DECODERS[decoder](data)
+    except DecodeError:
+        pass
