@@ -1,7 +1,9 @@
 """Operator command surface.
 
 Exit codes: 0 success, 2 usage/config error, 3 policy denial,
-4 handshake or scenario failure, 5 registry corruption.
+4 handshake or scenario failure, 5 registry corruption, or a registry or
+request journal that another writer changed since this command read it
+(nothing was written; retry).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .simnet import (
 from .tpkg import (
     ApiServer,
     IssuerPolicy,
+    JournalConflict,
     LegacyLayout,
     PolicyViolation,
     RegistryCorrupt,
@@ -453,6 +456,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except RegistryCorrupt as exc:
         print(f"CORRUPT: {exc}", file=sys.stderr)
+        return EXIT_REGISTRY
+    except JournalConflict as exc:
+        print(f"CONFLICT: {exc}; nothing was written, retry", file=sys.stderr)
         return EXIT_REGISTRY
 
 

@@ -1,14 +1,19 @@
 """Fixed-width serialization for keys and ciphertexts.
 
-Coefficients are packed little-endian, 4 bytes per Z_q element. Every blob is
-prefixed with the 32-byte params_hash it is bound to and a 2-byte scheme id.
-Scheme id 0x0001 is reserved for the standard-track construction and is
-accepted by the codec but cannot be instantiated; the reference instantiation
-registers in the experimental range as 0x7001.
+The two blobs that cross the handshake, ciphertexts and ephemeral public
+shares, carry their Z_q coefficients at params.k bits each: one little-endian
+bit stream, padded with zero bits to the next byte (the shape of FIPS 203's
+ByteEncode_d, lossless). Master public keys and identity private keys keep 4
+little-endian bytes per Z_q element. Every blob is prefixed with the 32-byte
+params_hash it is bound to and a 2-byte scheme id. Scheme id 0x0001 is
+reserved for the standard-track construction and is accepted by the codec but
+cannot be instantiated; the reference instantiation registers in the
+experimental range as 0x7001.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 
@@ -58,6 +63,77 @@ def unpack_vec(data: bytes, count: int, q: int, what: str) -> np.ndarray:
     return _words(data, count, q, what).astype(np.int64)
 
 
+def packed_size(count: int, q: int) -> int:
+    """Bytes that pack_coeffs takes for count coefficients of Z_q."""
+    return (count * (q - 1).bit_length() + 7) // 8
+
+
+@functools.lru_cache(maxsize=8)
+def _bit_layout(count: int, k: int) -> tuple[np.ndarray, ...]:
+    """Where each of count k-bit coefficients sits in a stream of u64 words.
+
+    Coefficient i starts at bit i*k: in word[i], at bit shift[i]. starts and
+    last index the first and the last coefficient that starts in each word
+    (KemParams keeps q < 2^32, so k <= 32 and every word but the stream's
+    last has one). Only a last one can run past its word's top, and its
+    value >> back[w] is the part that lands in the next word (0 when nothing
+    does). Sizes come from decoded headers, so the cache is small and fixed.
+    """
+    pos = np.arange(count, dtype=np.uint64) * np.uint64(k)
+    word = (pos >> np.uint64(6)).astype(np.intp)
+    shift = pos & np.uint64(63)
+    starts = np.flatnonzero(np.diff(word, prepend=-1))
+    last = np.append(starts[1:], count) - 1
+    # A shift by 64 is undefined; a coefficient at bit 0 has no high part.
+    back = np.where(shift[last] == 0, np.uint64(63), np.uint64(64) - shift[last])
+    layout = (word, shift, starts, last, back)
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
+def pack_coeffs(values: np.ndarray, q: int) -> bytes:
+    """values (each in [0, q)) at (q-1).bit_length() bits each, little-endian."""
+    values = np.asarray(values).astype(np.uint64, copy=False).ravel()
+    size = packed_size(values.size, q)
+    if not values.size:
+        return b""
+    word, shift, starts, last, back = _bit_layout(values.size, (q - 1).bit_length())
+    # One more word than coefficients start in, for the last one's high part.
+    words = np.zeros(starts.size + 1, dtype="<u8")
+    # Coefficients in one word occupy disjoint bits, so their sum is their OR.
+    words[:-1] = np.add.reduceat(values << shift, starts)
+    words[1:] |= values[last] >> back
+    return words.tobytes()[:size]
+
+
+def unpack_coeffs(data: bytes, count: int, q: int, what: str) -> np.ndarray:
+    """The count coefficients pack_coeffs wrote into data, as int64.
+
+    data must have exactly packed_size(count, q) bytes, zero pad bits and
+    every coefficient below q, so each vector has one encoding.
+    """
+    k = (q - 1).bit_length()
+    size = packed_size(count, q)
+    if len(data) != size:
+        raise DecodeError(f"{what}: expected {size} bytes, got {len(data)}")
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    used = count * k % 8
+    if used and data[-1] >> used:
+        raise DecodeError(f"{what}: nonzero pad bits")
+    word, shift, starts, last, back = _bit_layout(count, k)
+    words = np.zeros(starts.size + 1, dtype="<u8")
+    words.view(np.uint8)[:size] = np.frombuffer(data, dtype=np.uint8)
+    values = words[word] >> shift
+    # Bits the shift moves past k are masked off, so no-spill entries add nothing.
+    values[last] |= words[1:] << back
+    values &= np.uint64((1 << k) - 1)
+    if int(values.max()) >= q:
+        raise DecodeError(f"{what}: coefficient out of range")
+    return values.view(np.int64)
+
+
 def _prefix(params_hash: bytes, scheme_id: int) -> bytes:
     return params_hash + struct.pack("!H", scheme_id)
 
@@ -73,21 +149,25 @@ def _split_prefix(data: bytes, what: str) -> tuple[bytes, int, bytes]:
 
 def ciphertext_size(params: KemParams) -> int:
     """Serialized length is a constant of the parameter set."""
-    return 34 + 4 * (params.m + params.ell)
+    return 34 + packed_size(params.m + params.ell, params.q)
+
+
+def eph_public_size(params: KemParams) -> int:
+    """Serialized length of an ephemeral public share at params."""
+    return 34 + len(params.header_bytes()) + 32 + packed_size(params.n * params.ell, params.q)
 
 
 def encode_ciphertext(ct: IdKemCiphertext, params_hash: bytes,
                       scheme_id: int = SCHEME_REFERENCE) -> bytes:
-    return _prefix(params_hash, scheme_id) + pack_vec(ct.c0) + pack_vec(ct.c1)
+    return _prefix(params_hash, scheme_id) + pack_coeffs(np.concatenate((ct.c0, ct.c1)),
+                                                         ct.params.q)
 
 
 def decode_ciphertext(data: bytes, params: KemParams) -> tuple[bytes, int, IdKemCiphertext]:
     params_hash, scheme_id, body = _split_prefix(data, "ciphertext")
-    if len(body) != 4 * (params.m + params.ell):
-        raise DecodeError("ciphertext: wrong body length for parameters")
-    c0 = unpack_vec(body[: 4 * params.m], params.m, params.q, "ciphertext c0")
-    c1 = unpack_vec(body[4 * params.m:], params.ell, params.q, "ciphertext c1")
-    return params_hash, scheme_id, IdKemCiphertext(c0=c0, c1=c1)
+    flat = unpack_coeffs(body, params.m + params.ell, params.q, "ciphertext")
+    ct = IdKemCiphertext(params=params, c0=flat[: params.m], c1=flat[params.m:])
+    return params_hash, scheme_id, ct
 
 
 def encode_master_public(mpk: MasterPublicKey) -> bytes:
@@ -158,7 +238,7 @@ def encode_eph_public(pub: EphemeralPublicKey) -> bytes:
         _prefix(eph_params_hash(params), SCHEME_EPHEMERAL)
         + params.header_bytes()
         + pub.seed_a
-        + pack_vec(pub.U.ravel())
+        + pack_coeffs(pub.U, params.q)
     )
 
 
@@ -173,5 +253,5 @@ def decode_eph_public(data: bytes) -> EphemeralPublicKey:
     if len(body) < 32:
         raise DecodeError("ephemeral public key: truncated matrix seed")
     seed_a = body[:32]
-    flat = unpack_vec(body[32:], params.n * params.ell, params.q, "ephemeral syndromes")
+    flat = unpack_coeffs(body[32:], params.n * params.ell, params.q, "ephemeral syndromes")
     return EphemeralPublicKey(params=params, seed_a=seed_a, U=flat.reshape(params.n, params.ell))

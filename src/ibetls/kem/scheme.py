@@ -90,6 +90,7 @@ class IdentityPrivateKey:
 
 @dataclass(frozen=True)
 class IdKemCiphertext:
+    params: KemParams
     c0: np.ndarray  # length m over Z_q
     c1: np.ndarray  # length ell over Z_q
 
@@ -218,7 +219,7 @@ def _encrypt_bits(p: KemParams, A: np.ndarray, U: np.ndarray,
     k_bits = stream.bits(p.ell)
     c0 = (matmul_mod(A.T, s.reshape(-1, 1), p.q).ravel() + e0) % p.q
     c1 = (matmul_mod(U.T, s.reshape(-1, 1), p.q).ravel() + e1 + (p.q // 2) * k_bits) % p.q
-    return IdKemCiphertext(c0=c0, c1=c1), k_bits
+    return IdKemCiphertext(params=p, c0=c0, c1=c1), k_bits
 
 
 def _decrypt_bits(p: KemParams, X: np.ndarray, ct: IdKemCiphertext) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .kem.codec import ciphertext_size
+from .kem.codec import ciphertext_size, eph_public_size
 from .simnet.transport import Connection
 
 REQUIRED_MESSAGES = frozenset({
@@ -51,6 +51,8 @@ class HandshakeMetrics:
     mutual: bool
     ciphertext_bytes: int           # serialized |ct| at these parameters
     wire_bytes: int
+    eph_share_bytes: int            # serialized ephemeral public share in the ClientHello
+    coefficient_bits: int           # bits per Z_q coefficient in ciphertexts and shares
 
     @property
     def kem_ciphertext_count(self) -> int:
@@ -88,6 +90,8 @@ def instrument(conn: Connection) -> HandshakeMetrics:
         mutual=bool(getattr(client, "mutual", False)),
         ciphertext_bytes=ciphertext_size(client.params),
         wire_bytes=conn.capture.total_bytes(),
+        eph_share_bytes=eph_public_size(client.params),
+        coefficient_bits=client.params.k,
     )
 
 
@@ -119,6 +123,8 @@ def compare_report(metrics: HandshakeMetrics, model: CertCostModel | None = None
             "authExtensionBytes": metrics.auth_bytes,
             "kemCiphertextBytes": metrics.kem_auth_wire_bytes,
             "ciphertextBytes": metrics.ciphertext_bytes,
+            "ephemeralShareBytes": metrics.eph_share_bytes,
+            "coefficientBits": metrics.coefficient_bits,
             "kemCiphertexts": metrics.kem_ciphertext_count,
             "wireBytes": metrics.wire_bytes,
             "ops": dict(metrics.ops),

@@ -9,6 +9,7 @@ no key material.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -24,6 +25,15 @@ STATUS_REVOKED = "Revoked"
 
 class RegistryCorrupt(Exception):
     """Issuer state on disk is torn, malformed, or breaks the hash chain."""
+
+
+class JournalConflict(Exception):
+    """An append-only file changed since this writer last read or wrote it.
+
+    Another writer has appended to it, so an append from this writer's view
+    would fork the chain or reuse a request name. Nothing was written; reload
+    the domain and retry.
+    """
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ class Registry:
 
     def __init__(self, issuer: str, path: Path | None = None) -> None:
         self.issuer = issuer
-        self.path = Path(path) if path is not None else None
+        self.journal = Journal(path) if path is not None else None
         self.records: list[RegistryRecord] = []
 
     def append(self, identity: str, principal: str, time_iso: str, epoch: str,
@@ -104,8 +114,8 @@ class Registry:
             status=status,
             prev_hash=prev,
         ).seal()
-        if self.path is not None:
-            append_line(self.path, record.to_dict())
+        if self.journal is not None:
+            append_line(self.journal, record.to_dict())
         self.records.append(record)
         return record
 
@@ -122,7 +132,7 @@ class Registry:
     def load(cls, issuer: str, path: Path) -> "Registry":
         """The chain in path, which must verify: nothing is appended to a broken one."""
         registry = cls(issuer, path=path)
-        registry.records = load_chain(path)
+        registry.records = read_chain(registry.journal)
         broken = registry.verify()
         if broken is not None:
             raise RegistryCorrupt(f"{path}: chain breaks at record {broken}")
@@ -133,41 +143,67 @@ def json_line(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def append_line(path: Path, doc: dict) -> None:
-    """Append one JSON document as one line, durable once this returns."""
-    with open(path, "a", encoding="utf-8") as sink:
-        sink.write(json_line(doc))
+class Journal:
+    """An append-only JSON-lines file, and its length when this writer last
+    read or wrote it."""
+
+    def __init__(self, path: Path, size: int = 0) -> None:
+        self.path = Path(path)
+        self.size = size
+
+    def read(self) -> tuple[list[dict], bytes]:
+        """The documents on the complete lines of the file, and its torn tail.
+
+        A line is complete once its newline is written; the bytes after the
+        last newline are returned as they are. A complete line that is not one
+        JSON object raises RegistryCorrupt.
+        """
+        data = self.path.read_bytes()
+        self.size = len(data)
+        body, _, tail = data.rpartition(b"\n")
+        docs = []
+        for number, line in enumerate(body.split(b"\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except ValueError:
+                doc = None
+            if not isinstance(doc, dict):
+                raise RegistryCorrupt(f"{self.path}: line {number} is not a JSON record")
+            docs.append(doc)
+        return docs, tail
+
+
+def append_line(journal: Journal, doc: dict) -> None:
+    """Append one JSON document as one line, durable once this returns.
+
+    Under an exclusive lock on the file, the line is written only if the file
+    still has the length this writer last read or wrote; otherwise another
+    writer has appended since, and JournalConflict is raised.
+    """
+    line = json_line(doc).encode("utf-8")
+    with open(journal.path, "ab") as sink:
+        fcntl.flock(sink, fcntl.LOCK_EX)  # released when the file closes
+        size = os.fstat(sink.fileno()).st_size
+        if size != journal.size:
+            raise JournalConflict(f"{journal.path} is {size} bytes, not the {journal.size} "
+                                  "this writer last saw: another writer has changed it")
+        sink.write(line)
         sink.flush()
         os.fsync(sink.fileno())
+    journal.size = size + len(line)
 
 
-def read_lines(path: Path) -> tuple[list[dict], bytes]:
-    """The documents on the complete lines of a JSON-lines file, and its torn tail.
-
-    A line is complete once its newline is written; the bytes after the last
-    newline are returned as they are. A complete line that is not one JSON
-    object raises RegistryCorrupt.
-    """
-    body, _, tail = Path(path).read_bytes().rpartition(b"\n")
-    docs = []
-    for number, line in enumerate(body.split(b"\n"), 1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError:
-            doc = None
-        if not isinstance(doc, dict):
-            raise RegistryCorrupt(f"{path}: line {number} is not a JSON record")
-        docs.append(doc)
-    return docs, tail
-
-
-def load_chain(path: Path) -> list[RegistryRecord]:
-    docs, tail = read_lines(path)
+def read_chain(journal: Journal) -> list[RegistryRecord]:
+    docs, tail = journal.read()
     if tail.strip():
-        raise RegistryCorrupt(f"{path}: last record is torn (no newline)")
+        raise RegistryCorrupt(f"{journal.path}: last record is torn (no newline)")
     try:
         return [RegistryRecord.from_dict(doc) for doc in docs]
     except KeyError as exc:
-        raise RegistryCorrupt(f"{path}: a record lacks field {exc}") from None
+        raise RegistryCorrupt(f"{journal.path}: a record lacks field {exc}") from None
+
+
+def load_chain(path: Path) -> list[RegistryRecord]:
+    return read_chain(Journal(path))

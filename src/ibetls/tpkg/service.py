@@ -36,6 +36,7 @@ from .registry import (
     STATUS_ACTIVE,
     STATUS_EXPIRED,
     STATUS_REVOKED,
+    Journal,
     Registry,
     RegistryRecord,
     append_line,
@@ -254,7 +255,7 @@ class TpkgService:
         self.authenticator = authenticator  # token bytes -> Principal | None
         self.clock = clock or _utcnow
         self.requests: dict[str, IdentityRequest] = {}
-        self.requests_path: Path | None = None  # journal; see storage.py
+        self.requests_journal: Journal | None = None  # see storage.py
         # Serializes appends and transitions; reentrant so that issuing a
         # request can go through issue_direct.
         self._write_lock = threading.RLock()
@@ -380,8 +381,8 @@ class TpkgService:
 
     def _record(self, request: IdentityRequest, status: RequestStatus) -> None:
         """Journal request at status, then make that its state in memory."""
-        if self.requests_path is not None:
-            append_line(self.requests_path, replace(request, status=status).to_dict())
+        if self.requests_journal is not None:
+            append_line(self.requests_journal, replace(request, status=status).to_dict())
         request.status = status
         self.requests[request.name] = request
 
@@ -453,9 +454,9 @@ class TpkgService:
         if isinstance(identity, str):
             identity = IdentityString.parse(identity)
         with self._write_lock:
-            self.policy.blocklist.add(identity.base)
             self.registry.append(identity.canonical, "operator", self._now_iso(),
                                  identity.epoch, STATUS_REVOKED)
+            self.policy.blocklist.add(identity.base)
 
     def epoch_increment(self, new_epoch: str | None = None) -> str:
         with self._write_lock:

@@ -12,9 +12,13 @@ Identity private keys are never written here; delivery is wire-only.
 
 Files that change are written in one of two ways. The two .jsonl files are
 appended one line at a time, and each append is fsynced before the call that
-made it returns. mpk.bin, policy.json and the shares are replaced whole: a
-temp file in the same directory is written and fsynced, then renamed over the
-old one, so a crash leaves the old file or the new one.
+made it returns. An append holds an exclusive flock on its file and is refused
+with JournalConflict unless the file still has the length this service last
+read or wrote: two services on one home, in one process or two, cannot both
+append from their own view and fork the chain or reuse a request name.
+mpk.bin, policy.json and the shares are replaced whole: a temp file in the
+same directory is written and fsynced, then renamed over the old one, so a
+crash leaves the old file or the new one.
 
 Write order. A request transition that has a registry record (auto-approval,
 approve, deny, issue) appends that record first and the request line second.
@@ -36,7 +40,7 @@ from pathlib import Path
 
 from ..kem import IdentityString, decode_master_public, encode_master_public
 from ..kem.errors import MalformedIdentity
-from .registry import STATUS_REVOKED, Registry, RegistryCorrupt, json_line, read_lines
+from .registry import STATUS_REVOKED, Journal, Registry, RegistryCorrupt, json_line
 from .service import IdentityRequest, IssuerPolicy, TpkgService
 from .shamir import Share, ShareSet
 
@@ -70,16 +74,19 @@ def save_domain(directory: Path, service: TpkgService, share_set: ShareSet) -> N
     for share in share_set.shares:
         replace_file(shares_dir / f"node-{share.index}.json",
                      (json.dumps(share.to_dict(), indent=2) + "\n").encode())
-    if service.registry.path is None:
-        path = directory / "registry.jsonl"
-        replace_file(path, "".join(json_line(r.to_dict())
-                                   for r in service.registry.records).encode())
-        service.registry.path = path
-    if service.requests_path is None:
-        path = directory / "requests.jsonl"
-        replace_file(path, "".join(json_line(r.to_dict())
-                                   for r in service.list_requests()).encode())
-        service.requests_path = path
+    if service.registry.journal is None:
+        service.registry.journal = start_journal(directory / "registry.jsonl",
+                                                 service.registry.records)
+    if service.requests_journal is None:
+        service.requests_journal = start_journal(directory / "requests.jsonl",
+                                                 service.list_requests())
+
+
+def start_journal(path: Path, items) -> Journal:
+    """Write path whole with one line per item, and append to it from now on."""
+    data = "".join(json_line(item.to_dict()) for item in items).encode()
+    replace_file(path, data)
+    return Journal(path, len(data))
 
 
 def save_state(directory: Path, service: TpkgService) -> None:
@@ -107,20 +114,21 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
                               f"{exc!r}") from None
     service = TpkgService(params=mpk.params, mpk=mpk, policy=policy, registry=registry,
                           authenticator=authenticator, clock=clock)
-    path = directory / "requests.jsonl"
-    docs, tail = read_lines(path)
-    if tail:
-        os.truncate(path, path.stat().st_size - len(tail))  # a torn last append
+    journal = Journal(directory / "requests.jsonl")
+    docs, tail = journal.read()
+    if tail:  # a torn last append
+        journal.size -= len(tail)
+        os.truncate(journal.path, journal.size)
     try:
         for doc in docs:
             request = IdentityRequest.from_dict(doc)
             service.requests[request.name] = request
     except (AttributeError, KeyError, TypeError, ValueError, MalformedIdentity) as exc:
-        raise RegistryCorrupt(f"{path}: bad request record: {exc!r}") from None
+        raise RegistryCorrupt(f"{journal.path}: bad request record: {exc!r}") from None
     # Names are derived from the count, so they must be exactly req-1..req-N.
     if set(service.requests) != {f"req-{i}" for i in range(1, len(service.requests) + 1)}:
-        raise RegistryCorrupt(f"{path}: request names are not req-1..req-N")
-    service.requests_path = path
+        raise RegistryCorrupt(f"{journal.path}: request names are not req-1..req-N")
+    service.requests_journal = journal
     return service
 
 

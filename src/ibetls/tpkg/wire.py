@@ -19,6 +19,7 @@ import base64
 import binascii
 
 from ..kem.errors import MalformedIdentity
+from .registry import JournalConflict
 from .service import (
     AlreadyIssued,
     ApprovalNotAuthorized,
@@ -52,6 +53,7 @@ _ERROR_CODES = [
     (UnknownIdentity, 404, "UnknownIdentity"),
     (AlreadyIssued, 409, "AlreadyIssued"),
     (InvalidTransition, 409, "InvalidTransition"),
+    (JournalConflict, 409, "Conflict"),
     (ThresholdNotMet, 503, "ThresholdNotMet"),
     (ShareMismatch, 503, "ShareMismatch"),
     (MalformedIdentity, 400, "MalformedIdentity"),

@@ -114,6 +114,30 @@ def test_epoch_bump_and_registry_verify(home, capsys):
     assert code == 5 and "CORRUPT" in err
 
 
+def test_concurrent_writer_exits_5_and_leaves_the_home_intact(home, capsys, monkeypatch):
+    directory = setup_domain(home, capsys)
+    load_domain = ibetls.cli.load_domain
+
+    def load_then_race(*args, **kwargs):
+        # another process revokes an identity after this command has loaded
+        service = load_domain(*args, **kwargs)
+        load_domain(*args, **kwargs).revoke_identity("scheduler.20250101")
+        return service
+
+    before = (directory / "requests.jsonl").read_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(ibetls.cli, "load_domain", load_then_race)
+        code, _, err = run_cli(["--home", str(home), "id-request", "--domain", "control-plane",
+                                "--identity", "kubelet:node-01.20250101",
+                                "--subject", "node-01", "--groups", "system:bootstrappers"],
+                               capsys)
+    assert code == 5 and err.startswith("CONFLICT") and len(err.splitlines()) == 1, err
+    assert (directory / "requests.jsonl").read_bytes() == before
+    code, out, _ = run_cli(["--home", str(home), "registry-verify", "--domain",
+                            "control-plane"], capsys)
+    assert code == 0 and "intact" in out
+
+
 def test_torn_or_broken_registry_exits_5_everywhere(home, capsys):
     directory = setup_domain(home, capsys)
     path = directory / "registry.jsonl"

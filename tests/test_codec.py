@@ -1,5 +1,9 @@
 """Properties of the kem/codec.py decoders: every blob round-trips, and a
-truncated, extended or bit-flipped blob raises only the KemError family."""
+truncated, extended or bit-flipped blob raises only the KemError family. The
+k-bit coefficient packing equals a plain-integer reference and has one
+encoding per vector."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -20,7 +24,9 @@ from ibetls.kem import (
     encode_master_public,
     encode_private_key,
 )
+from ibetls.kem.codec import pack_coeffs, pack_vec, packed_size, unpack_coeffs
 from ibetls.kem.ephemeral import EphemeralPublicKey
+from ibetls.kem.params import is_prime
 from ibetls.kem.scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
@@ -64,7 +70,7 @@ def build(kind: str, params: KemParams, fill: str, seed: int, identity: Identity
     """One object of kind at params."""
     rng = np.random.default_rng(seed)
     if kind == "ciphertext":
-        return IdKemCiphertext(c0=_coefficients(params, params.m, fill, rng),
+        return IdKemCiphertext(params=params, c0=_coefficients(params, params.m, fill, rng),
                                c1=_coefficients(params, params.ell, fill, rng))
     if kind == "master_public":
         A = _coefficients(params, params.n * params.m, fill, rng).reshape(params.n, params.m)
@@ -157,3 +163,100 @@ def test_mangled_blob_raises_only_kem_errors(param_sets, kind, which, fill, muta
             decode(kind, bytes(mangled), params)
         except KemError:
             pass
+
+
+# -- pack_coeffs / unpack_coeffs: k-bit coefficients in one little-endian bit stream
+
+def prime_of_width(k: int, start: int) -> int:
+    """A prime q with (q-1).bit_length() == k: the first one at or after start
+    in (2^(k-1), 2^k], else the last one before it."""
+    low, high = 2 ** (k - 1) + 1, 2 ** k
+    start = min(max(start, low), high)
+    for q in itertools.chain(range(start, high + 1), range(start - 1, low - 1, -1)):
+        if is_prime(q):
+            return q
+    raise AssertionError(f"no prime of width {k}")
+
+
+def reference_pack(values: list[int], k: int) -> bytes:
+    """The bit stream from a plain Python int: value i at bits [i*k, (i+1)*k)."""
+    return sum(c << (i * k) for i, c in enumerate(values)).to_bytes(
+        (len(values) * k + 7) // 8, "little")
+
+
+@st.composite
+def coefficient_vectors(draw):
+    """(q, k, values) for a prime q of every width k in 2..26."""
+    k = draw(st.integers(2, 26))
+    q = prime_of_width(k, draw(st.integers(2 ** (k - 1), 2 ** k)))
+    count = draw(st.integers(1, 70))
+    fill = draw(st.sampled_from(["random", "zero", "max"]))
+    if fill == "random":
+        values = draw(st.lists(st.integers(0, q - 1), min_size=count, max_size=count))
+    else:
+        values = [0 if fill == "zero" else q - 1] * count
+    return q, k, values
+
+
+@PROPERTY
+@given(vector=coefficient_vectors())
+@example(vector=(3, 2, [2, 1, 0]))
+@example(vector=(prime_of_width(26, 2 ** 26), 26, [prime_of_width(26, 2 ** 26) - 1] * 5))
+def test_pack_coeffs_is_the_bit_stream_and_round_trips(vector):
+    q, k, values = vector
+    assert (q - 1).bit_length() == k
+    blob = pack_coeffs(np.array(values, dtype=np.int64), q)
+    assert blob == reference_pack(values, k)
+    assert len(blob) == packed_size(len(values), q)
+    back = unpack_coeffs(blob, len(values), q, "vector")
+    assert back.dtype == np.int64 and back.tolist() == values
+
+
+@pytest.mark.parametrize("k", range(2, 27))
+def test_every_width_packs_the_extreme_vectors(k):
+    rng = np.random.default_rng(k)
+    for q in (prime_of_width(k, 0), prime_of_width(k, 2 ** k)):
+        for count in (1, 7, 8, 33):
+            for values in ([0] * count, [q - 1] * count, rng.integers(0, q, count).tolist()):
+                blob = pack_coeffs(np.array(values), q)
+                assert blob == reference_pack(values, k), (q, count)
+                assert unpack_coeffs(blob, count, q, "vector").tolist() == values
+
+
+@PROPERTY
+@given(vector=coefficient_vectors(), where=st.integers(0, 2**31), bit=st.integers(0, 7))
+def test_noncanonical_packing_raises_decode_error(vector, where, bit):
+    q, k, values = vector
+    count = len(values)
+    blob = reference_pack(values, k)
+    for wrong in (blob[:-1], blob + b"\x00", blob + bytes([1 << bit])):
+        with pytest.raises(DecodeError):
+            unpack_coeffs(wrong, count, q, "vector")
+    used = count * k % 8
+    if used:  # any nonzero pad bit
+        pad_bit = used + bit % (8 - used)
+        with pytest.raises(DecodeError):
+            unpack_coeffs(blob[:-1] + bytes([blob[-1] | 1 << pad_bit]), count, q, "vector")
+    # a coefficient in [q, 2^k), which fits the width but is not in Z_q
+    big = list(values)
+    big[where % count] = q + where % (2 ** k - q)
+    with pytest.raises(DecodeError):
+        unpack_coeffs(reference_pack(big, k), count, q, "vector")
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["ciphertext", "eph_public"]),
+       which=st.sampled_from(["small", "desk"]), fill=st.sampled_from(FILLS),
+       seed=st.integers(0, 2**32))
+def test_v1_layout_blob_raises_decode_error(param_sets, kind, which, fill, seed):
+    """4 bytes per coefficient, as the first codec wrote these blobs: never misread."""
+    params = param_sets[which]
+    obj = build(kind, params, fill, seed, IdentityString.parse("kube-apiserver.20250101"))
+    packed = encode(kind, obj)
+    if kind == "ciphertext":
+        v1 = packed[:34] + pack_vec(obj.c0) + pack_vec(obj.c1)
+    else:
+        v1 = packed[:34 + len(params.header_bytes()) + 32] + pack_vec(obj.U.ravel())
+    assert len(v1) > len(packed)
+    with pytest.raises(DecodeError):
+        decode(kind, v1, params)

@@ -71,7 +71,7 @@ def test_eph_decaps_rejects_out_of_range(desk):
     bad = ct.c1.copy()
     bad[0] = desk.q
     with pytest.raises(DecodeError):
-        eph_decaps(keypair, IdKemCiphertext(c0=ct.c0, c1=bad))
+        eph_decaps(keypair, IdKemCiphertext(params=desk, c0=ct.c0, c1=bad))
 
 
 def test_public_matrix_expanded_lazily_once_per_key(desk):

@@ -281,7 +281,7 @@ def test_single_coefficient_tamper_flips_exactly_one_bit(desk, mpk, server_key, 
         c1[position] = (c1[position] + q // 2) % q
         after = recovered_bits(c1)
         assert int(np.sum(before != after)) == 1 and before[position] != after[position]
-        assert decaps(server_key, IdKemCiphertext(c0=ct.c0, c1=c1)) != ss
+        assert decaps(server_key, IdKemCiphertext(params=desk, c0=ct.c0, c1=c1)) != ss
 
 
 def test_decaps_rejects_out_of_range(desk, server_key, mpk, server_identity):
@@ -289,7 +289,7 @@ def test_decaps_rejects_out_of_range(desk, server_key, mpk, server_identity):
     bad = ct.c0.copy()
     bad[0] = desk.q  # structurally invalid, not an authentication failure
     with pytest.raises(DecodeError):
-        decaps(server_key, IdKemCiphertext(c0=bad, c1=ct.c1))
+        decaps(server_key, IdKemCiphertext(params=desk, c0=bad, c1=ct.c1))
 
 
 def test_domain_separation_of_shared_secret(mpk):

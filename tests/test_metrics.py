@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import pytest
 
+from ibetls.cli import main
 from ibetls.handshake import ClientSession, ServerSession
-from ibetls.kem import ciphertext_size
+from ibetls.kem import ciphertext_size, encode_eph_public, eph_generate, eph_public_size
 from ibetls.metrics import (
     CertCostModel,
     MetricsIncomplete,
@@ -71,6 +73,27 @@ def test_ciphertext_size_constant_across_handshakes(mpk, server_identity, server
                         mutual=True, seed=9200 + 2 * i)
         sizes.add(instrument(conn).ciphertext_bytes)
     assert len(sizes) == 1
+
+
+def test_desk_wire_sizes_follow_the_packing_formula(desk, capsys):
+    """Ciphertexts and ephemeral shares carry k = 20 bits per Z_q coefficient."""
+    ct = 34 + (desk.m + desk.ell) * desk.k // 8
+    assert ciphertext_size(desk) == ct == 3874
+    share = 34 + len(desk.header_bytes()) + 32 + desk.n * desk.ell * desk.k // 8
+    assert eph_public_size(desk) == share == 20599
+    assert len(encode_eph_public(eph_generate(desk, seed_of(1)).public)) == share
+
+    assert main(["bench-report", "--format", "json"]) == 0
+    ibe = json.loads(capsys.readouterr().out)["ibeTls"]
+    # Framing and the random take 41 B of each hello, the client's identity
+    # extension 29 B more; each auth extension is 8 B of header + |ct|.
+    assert ibe["messages"]["ClientHello"] == 41 + 29 + share + 8 + ct == 24551
+    assert ibe["messages"]["ServerHello"] == 41 + ct + 8 + ct == 7797
+    assert (ibe["ephemeralShareBytes"], ibe["coefficientBits"]) == (share, desk.k)
+
+    low, high = CertCostModel().total_range()
+    assert ibe["kemCiphertextBytes"] == 3 * ct == 11622
+    assert low <= 3 * ct <= high
 
 
 def test_cert_model_totals():

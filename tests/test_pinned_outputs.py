@@ -19,10 +19,10 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("script, seed, digest", [
-    (DEMO_K8S_SCRIPT, 0, "060dd74ed5ca8fcefd6035857eed0b7446fc4b7809b52e19bd741d7f8553713e"),
-    (DEMO_5G_SCRIPT, 0, "70ae7d3c387bd0149082de82016a94ebcc736e494b8dde00624d1fed8141d514"),
-    (DEMO_K8S_SCRIPT, 7, "b82786949927cab541215eb24a8490607df54a6f0ea653112c3b02a013c11b94"),
-    (DEMO_5G_SCRIPT, 7, "2d640cdcac60860a225e8ac823fadffed5a4bbed00dacab4ce5162920d4762af"),
+    (DEMO_K8S_SCRIPT, 0, "d43cfe3a65c2893c0183283dedf791bb30f990ebdf8fe4255d9604f1d46ed667"),
+    (DEMO_5G_SCRIPT, 0, "e1db944fb1cb8abd3b426d6d9222e987cc105376f10de472debd8491513b78d8"),
+    (DEMO_K8S_SCRIPT, 7, "e46c6adaf9fa3f8e209554d1c5b6f27e94bceabc22439758ea1837e2e478764b"),
+    (DEMO_5G_SCRIPT, 7, "075f139cc73b7240cf2dcb43947b055fd23a58b8a7109e51440d7001dea14c25"),
 ], ids=["k8s-0", "5g-0", "k8s-7", "5g-7"])
 def test_demo_log_digest(script, seed, digest):
     # the bytes demo-k8s / demo-5g --format json print
@@ -32,4 +32,4 @@ def test_demo_log_digest(script, seed, digest):
 def test_bench_report_digest(capsys):
     assert main(["bench-report", "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out) == (
-        "726041b3c5f44f6399247ce24879c21c6a8a61067eefd239bce7a9ce12208937")
+        "5c8ea1b6e96e8d1e5a501c8d1c20a3ed6587876ca025627fe106aea42a493184")

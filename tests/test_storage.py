@@ -13,9 +13,12 @@ import ibetls.tpkg.service
 import ibetls.tpkg.storage
 from ibetls.kem import IdentityString
 from ibetls.tpkg import (
+    ApiServer,
+    JournalConflict,
     RegistryCorrupt,
     RequestStatus,
     TpkgService,
+    identity_request,
     load_domain,
     save_domain,
     save_state,
@@ -68,6 +71,39 @@ def test_revocation_survives_reload_without_save_state(tmp_path, desk):
     reloaded = reload(tmp_path)
     assert reloaded.check_validity(NODE) == "Revoked"
     assert reloaded.check_validity("kubelet:node-01.20250102") == "Revoked"
+
+
+@pytest.mark.parametrize("second", ["submit", "auto_approve", "revoke"])
+def test_second_writer_on_one_home_is_refused(tmp_path, desk, second):
+    # Two services opened on one home, as two processes would: the second
+    # appends from a view the first has already changed.
+    new_domain(desk, tmp_path)
+    first, other = reload(tmp_path), reload(tmp_path)
+    first.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
+    first.revoke_identity("controller-manager.20250101")
+    on_disk = [(tmp_path / name).read_bytes() for name in ("registry.jsonl", "requests.jsonl")]
+    records = list(other.registry.records)
+    with pytest.raises(JournalConflict):
+        if second == "submit":
+            other.submit_request("controller-manager.20250101", ("client",), 3600, b"admin")
+        elif second == "auto_approve":
+            other.submit_request(NODE, ("client",), 3600, b"bootstrap-node-01")
+        else:
+            other.revoke_identity(NODE)
+    assert [(tmp_path / name).read_bytes() for name in ("registry.jsonl", "requests.jsonl")] \
+        == on_disk
+    assert (other.requests, other.registry.records) == ({}, records)
+    assert IdentityString.parse(NODE).base not in other.policy.blocklist
+    response = ApiServer(other).handle(identity_request(
+        other.policy.trust_domain, "scheduler.20250101", ["client"], 3600, b"admin"))
+    assert (response["status"], response["error"]["reason"]) == (409, "Conflict")
+
+    reloaded = reload(tmp_path)
+    assert reloaded.registry.verify() is None
+    assert states(reloaded) == states(first)
+    retry = reloaded.submit_request(NODE, ("client",), 3600, b"bootstrap-node-01")
+    assert (retry.name, retry.status) == ("req-2", RequestStatus.APPROVED)
+    assert reload(tmp_path).registry.verify() is None
 
 
 def test_request_names_continue_across_reloads(tmp_path, desk):
