@@ -293,6 +293,10 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
             request = None
         response = api.handle(request)  # state changes are on disk before this returns
         stream_send_message(session, stream, json.dumps(response, sort_keys=True).encode())
+        if response.get("error", {}).get("reason") == "Conflict":
+            # Another writer appended to this home; serve from its state now,
+            # so the next write is checked against the journals as they are.
+            api.service = load_domain(directory, authenticator=authority.validate)
 
     try:
         while True:

@@ -418,6 +418,10 @@ class ServerSession(_SessionBase):
         expected_peer_identity: IdentityString | None = None,
     ) -> None:
         super().__init__(mpk, rng_seed, own_key)
+        # The identity the server claims. Nothing checks it against
+        # own_key.identity: the handshake proves only what own_key decapsulates,
+        # and a claimed identity with another identity's key is how the tests
+        # build an impostor server, which the client must refuse.
         self.own_identity = own_identity
         self.mutual = mutual  # require and verify a client identity
         self.expected_peer_identity = expected_peer_identity

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import struct
 
@@ -11,7 +10,7 @@ ZEROS = bytes(HASH_LEN)
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:
-    return hmac.new(key, data, hashlib.sha256).digest()
+    return hmac.digest(key, data, "sha256")
 
 
 def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:

@@ -73,7 +73,7 @@ def eph_generate(params: KemParams, rng_seed: bytes) -> EphemeralKeyPair:
     seed_a = stream.read(32)
     A = _expand_matrix(seed_a, params)
     x = stream.signed_uniform(params.m * params.ell, 1).reshape(params.m, params.ell)
-    U = matmul_mod(A, x, params.q)
+    U = matmul_mod(A, x, params.q, bound=1)
     return EphemeralKeyPair(public=EphemeralPublicKey(params=params, seed_a=seed_a, U=U), _x=x)
 
 
@@ -86,5 +86,5 @@ def eph_encaps(public: EphemeralPublicKey, rng_seed: bytes) -> tuple[IdKemCipher
 
 
 def eph_decaps(keypair: EphemeralKeyPair, ct: IdKemCiphertext) -> bytes:
-    k_bits = _decrypt_bits(keypair.public.params, keypair._x, ct)
+    k_bits = _decrypt_bits(keypair.public.params, keypair._x, ct, 1)
     return _kem_kdf(k_bits, keypair.public.binding_hash(), b"ibetls eph ss")

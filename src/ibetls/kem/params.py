@@ -8,6 +8,7 @@ cryptographically meaningful.
 
 from __future__ import annotations
 
+import functools
 import struct
 import warnings
 from dataclasses import dataclass
@@ -57,7 +58,8 @@ class KemParams:
     m_bar    columns of the random left block, n*k
     m        total columns, m_bar + n*k
     q        prime modulus with m*q*q in float64's exact-integer range, so
-             matmul_mod is exact on entries in (-q, q)
+             matmul_mod's product of two wide operands is exact on entries
+             in (-q, q)
     ell      shared-secret bit length
     beta     infinity-norm bound on extracted preimages
     eta      infinity-norm bound on encryption noise
@@ -130,11 +132,18 @@ class KemParams:
         """Parse a header produced by :meth:`header_bytes`; returns (params, bytes consumed)."""
         if len(data) < 5 + 32 + 2 or data[:5] != b"IBEK1":
             raise InvalidParams("bad parameter header")
-        n, k, m_bar, m, q, ell, beta, eta = struct.unpack("<8I", data[5:37])
         (ds_len,) = struct.unpack("<H", data[37:39])
         end = 39 + ds_len
         if len(data) < end:
             raise InvalidParams("truncated parameter header")
-        params = cls(n=n, k=k, m_bar=m_bar, m=m, q=q, ell=ell, beta=beta, eta=eta,
-                     domain_sep=data[39:end])
-        return params, end
+        return _params_of_header(bytes(data[:end])), end
+
+
+@functools.lru_cache(maxsize=8)
+def _params_of_header(header: bytes) -> KemParams:
+    """The parameter set one exact header names. Only successful parses are
+    cached, so a header that fails KemParams' checks fails on every decode,
+    and a repeated header skips the primality test."""
+    n, k, m_bar, m, q, ell, beta, eta = struct.unpack("<8I", header[5:37])
+    return KemParams(n=n, k=k, m_bar=m_bar, m=m, q=q, ell=ell, beta=beta, eta=eta,
+                     domain_sep=header[39:])

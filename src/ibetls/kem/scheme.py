@@ -6,7 +6,8 @@ syndrome matrices U hashed from the identity string; the identity private key
 is the exact preimage X = [R*z ; z] with z = bit-decompose(U), so
 A*X = G*z = U holds with equality and ||X||_inf <= beta by the fixed trapdoor
 row weight. R and X are held in the narrowest signed dtype that holds beta
-(int8 at desk parameters).
+(int8 at desk parameters). Products against them pass their bound to
+sampling.matmul_mod, the one place that derives when such a product is exact.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def gadget_decompose(params: KemParams, values: np.ndarray) -> np.ndarray:
 
 def _trapdoor_public(params: KemParams, a_bar: np.ndarray, R: np.ndarray) -> np.ndarray:
     """A = [a_bar | G - a_bar*R] mod q."""
-    right = (gadget_matrix(params) - matmul_mod(a_bar, R, params.q)) % params.q
+    right = (gadget_matrix(params) - matmul_mod(a_bar, R, params.q, bound=1)) % params.q
     return np.concatenate([a_bar, right], axis=1)
 
 
@@ -178,8 +179,9 @@ def extract(
 
     R @ Z is one float32 product, and it is exact: every entry of R is in
     {-1, 0, 1} with beta-1 nonzeros per row and Z is binary, so every partial
-    sum is an integer of magnitude at most beta-1, and KemParams' margin
-    m*beta*eta + eta < q/4 with m*q*q < 2^53 keeps beta far below 2^24.
+    sum is an integer of magnitude at most beta-1, far below the 2^24 that
+    sampling.limb_bits keeps every float32 sum under. The A @ X == U check
+    goes through matmul_mod with bound beta, which is exact by the same rule.
     """
     p = mpk.params
     if msk.params_hash != mpk.params_hash:
@@ -193,7 +195,7 @@ def extract(
     # Postcondition checks are cheap relative to the trapdoor product.
     if int(np.abs(X).max()) > p.beta:
         raise AssertionError("preimage norm exceeded beta")
-    if not np.array_equal(matmul_mod(mpk.A, X, p.q), U):
+    if not np.array_equal(matmul_mod(mpk.A, X, p.q, bound=p.beta), U):
         raise AssertionError("preimage does not satisfy A @ X == U")
     return IdentityPrivateKey(identity=identity, X=X, params_hash=mpk.params_hash, params=p)
 
@@ -222,14 +224,15 @@ def _encrypt_bits(p: KemParams, A: np.ndarray, U: np.ndarray,
     return IdKemCiphertext(params=p, c0=c0, c1=c1), k_bits
 
 
-def _decrypt_bits(p: KemParams, X: np.ndarray, ct: IdKemCiphertext) -> np.ndarray:
-    """Recover the bits with the short preimage X; rejects malformed ciphertexts."""
+def _decrypt_bits(p: KemParams, X: np.ndarray, ct: IdKemCiphertext, bound: int) -> np.ndarray:
+    """Recover the bits with the short preimage X, ||X||_inf <= bound (checked by
+    matmul_mod); rejects malformed ciphertexts."""
     if ct.c0.shape != (p.m,) or ct.c1.shape != (p.ell,):
         raise DecodeError("ciphertext dimensions do not match parameters")
     if int(ct.c0.min(initial=0)) < 0 or int(ct.c0.max(initial=0)) >= p.q \
             or int(ct.c1.min(initial=0)) < 0 or int(ct.c1.max(initial=0)) >= p.q:
         raise DecodeError("ciphertext coefficient out of range")
-    mask = (ct.c1 - matmul_mod(X.T, ct.c0.reshape(-1, 1), p.q).ravel()) % p.q
+    mask = (ct.c1 - matmul_mod(ct.c0.reshape(1, -1), X, p.q, bound=bound).ravel()) % p.q
     return ((2 * mask + p.q // 2) // p.q) % 2
 
 
@@ -248,6 +251,8 @@ def decaps(sk: IdentityPrivateKey, ct: IdKemCiphertext) -> bytes:
     """Recover the secret; never signals failure (implicit rejection).
 
     A wrong key or tampered ciphertext yields a different 32-byte value, and
-    the mismatch surfaces later at Finished verification.
+    the mismatch surfaces later at Finished verification. A hand-built key
+    whose X exceeds beta raises ValueError; decode_private_key refuses one.
     """
-    return shared_secret_kdf(_decrypt_bits(sk.params, sk.X, ct), sk.identity, sk.params_hash)
+    return shared_secret_kdf(_decrypt_bits(sk.params, sk.X, ct, sk.params.beta),
+                             sk.identity, sk.params_hash)

@@ -301,6 +301,34 @@ def test_serve_and_remote_request(home, capsys):
     assert service.check_validity(endpoint) == "Active"
 
 
+def test_serve_reloads_after_another_writer_and_writes_again(home, capsys):
+    from ibetls.tpkg import load_domain
+
+    directory = setup_domain(home, capsys)
+    port = free_port()
+    thread, server_result = serve_in_thread(home, port, 3)
+    assert remote_request(home, port, capsys, subject="node-05") == 0
+    assert json.loads(capsys.readouterr().out)["status"] == 201
+    # another process appends to the home tpkg-serve has loaded
+    code, _, _ = run_cli(["--home", str(home), "id-request", "--domain", "control-plane",
+                          "--identity", "kubelet:node-06.20250101", "--subject", "node-06",
+                          "--groups", "system:bootstrappers"], capsys)
+    assert code == 0
+    remote_request(home, port, capsys, subject="node-07")
+    refused = json.loads(capsys.readouterr().out)
+    assert refused["status"] == 409 and refused["error"]["reason"] == "Conflict"
+    # the refusal reloaded the domain, so the same write now goes through
+    assert remote_request(home, port, capsys, subject="node-07") == 0
+    assert json.loads(capsys.readouterr().out)["status"] == 201
+    thread.join(timeout=30)
+    assert not thread.is_alive() and server_result.get("code") == 0
+    identities = {r.identity.canonical for r in load_domain(directory).list_requests()}
+    assert {f"kubelet:node-0{i}.20250101" for i in (5, 6, 7)} <= identities
+    code, out, _ = run_cli(["--home", str(home), "registry-verify", "--domain",
+                            "control-plane"], capsys)
+    assert code == 0 and "intact" in out
+
+
 def test_live_sessions_draw_fresh_seeds(home, capsys, monkeypatch):
     seeds = []
 

@@ -28,7 +28,7 @@ from ibetls.kem import (
     require_reference_scheme,
     setup,
 )
-from ibetls.kem.sampling import HashStream, matmul_mod
+from ibetls.kem.sampling import HashStream, limb_bits, matmul_mod
 from ibetls.kem.scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
@@ -87,6 +87,20 @@ def test_float64_bound_rejected():
     header = b"IBEK1" + struct.pack("<8IH", n, k, n * k, m, q, 256, beta, eta, 1) + b"x"
     with pytest.raises(InvalidParams):
         KemParams.from_header(header)
+
+
+def test_bad_header_still_refused_after_a_good_one_is_cached(desk):
+    good = desk.header_bytes()
+    assert KemParams.from_header(good + b"tail") == (desk, len(good))
+    assert KemParams.from_header(good)[0] is KemParams.from_header(good)[0]
+    # the same header with a composite q, then with a broken magic
+    fields = list(struct.unpack("<8I", good[5:37]))
+    fields[4] = desk.q + 1
+    composite = good[:5] + struct.pack("<8I", *fields) + good[37:]
+    for bad in (composite, b"IBEK0" + good[5:], good[:-1]):
+        for _ in range(2):
+            with pytest.raises(InvalidParams):
+                KemParams.from_header(bad)
 
 
 def test_params_emit_non_security_banner():
@@ -345,6 +359,16 @@ def test_private_key_decode_rejects_preimage_above_beta(desk, server_key):
         decode_private_key(encode_private_key(oversized))
 
 
+def test_decaps_refuses_hand_built_preimage_above_beta(desk, mpk, server_key):
+    ct, _ = encaps(mpk, server_key.identity, seed_of(13))
+    X = server_key.X.copy()
+    X[7, 2] = desk.beta + 1
+    oversized = IdentityPrivateKey(identity=server_key.identity, X=X,
+                                   params_hash=server_key.params_hash, params=desk)
+    with pytest.raises(ValueError):
+        decaps(oversized, ct)
+
+
 @pytest.mark.parametrize("offset, byte", [(0, 0xFF), (-1, ord("x"))],
                          ids=["not_utf8", "malformed_epoch"])
 def test_private_key_decode_rejects_bad_identity(server_key, offset, byte):
@@ -401,3 +425,55 @@ def test_matmul_mod_matches_integer_reference(desk, rows, inner, cols, fill, see
     expected = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(inner)) % q
                  for j in range(cols)] for i in range(rows)]
     assert matmul_mod(a, b, q).tolist() == expected
+
+
+def test_limb_widths_at_desk_parameters(desk):
+    # X (bound beta) gets three 7-bit limbs, the ternary x two 13-bit limbs.
+    assert limb_bits(desk.m, desk.beta) == 7
+    assert limb_bits(desk.m, 1) == 13
+    assert -(-desk.k // limb_bits(desk.m, 1000)) >= 4
+    with pytest.raises(ValueError):
+        limb_bits(2**12, 2**12)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(rows=st.integers(1, 3), inner=st.integers(1, 1280), cols=st.integers(1, 3),
+       bound=st.sampled_from(["1", "eta", "beta", "1000"]),
+       wide=st.sampled_from(["random", "zero", "max"]),
+       short=st.sampled_from(["random", "max", "min"]), seed=st.integers(0, 2**32))
+@example(rows=2, inner=1280, cols=2, bound="beta", wide="max", short="min", seed=0)
+@example(rows=1, inner=1280, cols=3, bound="1000", wide="max", short="max", seed=0)
+# The 2^24 edge: 241 * 17 * (2^12 - 1) == 2^24 - 1, so every limb of 4095 is
+# all ones and each limb's sum is the largest the kernel admits.
+@example(rows=2, inner=241, cols=2, bound="17", wide="limb", short="max", seed=0)
+def test_bounded_matmul_mod_matches_integer_reference(desk, rows, inner, cols, bound, wide,
+                                                      short, seed):
+    q = desk.q
+    bound = {"eta": desk.eta, "beta": desk.beta}.get(bound) or int(bound)
+    assert inner <= desk.m
+    if wide == "limb":
+        assert limb_bits(inner, bound) == 12 and inner * bound * 4095 == 2**24 - 1
+    rng = np.random.default_rng(seed)
+    a = {"random": lambda: rng.integers(0, q, size=(rows, inner)),
+         "zero": lambda: np.zeros((rows, inner), dtype=np.int64),
+         "max": lambda: np.full((rows, inner), q - 1, dtype=np.int64),
+         "limb": lambda: np.full((rows, inner), 4095, dtype=np.int64)}[wide]()
+    dtype = np.min_scalar_type(-bound)
+    b = {"random": lambda: rng.integers(-bound, bound + 1, size=(inner, cols)),
+         "max": lambda: np.full((inner, cols), bound),
+         "min": lambda: np.full((inner, cols), -bound)}[short]().astype(dtype)
+    expected = [[sum(int(a[i, t]) * int(b[t, j]) for t in range(inner)) % q
+                 for j in range(cols)] for i in range(rows)]
+    assert matmul_mod(a, b, q, bound=bound).tolist() == expected
+    # one entry past the bound, on either side, is refused
+    over = b.astype(np.int64)
+    over[rng.integers(inner), rng.integers(cols)] = rng.choice([-1, 1]) * (bound + 1)
+    with pytest.raises(ValueError):
+        matmul_mod(a, over, q, bound=bound)
+
+
+def test_bounded_matmul_mod_refuses_int8_minimum(desk):
+    # abs(int8(-128)) wraps to -128, so the bound check must not rely on abs.
+    a = np.ones((1, 4), dtype=np.int64)
+    with pytest.raises(ValueError):
+        matmul_mod(a, np.full((4, 1), -128, dtype=np.int8), desk.q, bound=127)
