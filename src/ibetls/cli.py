@@ -1,14 +1,17 @@
 """Operator command surface.
 
 Exit codes: 0 success, 2 usage/config error, 3 policy denial,
-4 handshake or scenario failure, 5 registry corruption, or a registry or
-request journal that another writer changed since this command read it
-(nothing was written; retry).
+4 handshake or scenario failure, or an unreachable --remote endpoint,
+5 registry corruption, or a registry or request journal that another writer
+changed since this command read it (nothing was written; retry). A command
+that fails says why in one stderr line; FAILURES maps each exception to its
+code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -19,7 +22,7 @@ import time
 from pathlib import Path
 
 from .handshake import ClientSession, ServerSession
-from .kem import IdentityString, KemParams, NOT_SECURE_BANNER
+from .kem import IdentityString, KemParams, MalformedIdentity, NOT_SECURE_BANNER
 from .metrics import CertCostModel, compare_report, instrument, render_table
 from .simnet import (
     DEMO_5G_SCRIPT,
@@ -30,6 +33,7 @@ from .simnet import (
     client_handshake_over_stream,
     component_identity,
     run_scenario,
+    seed_bytes,
     server_handshake_over_stream,
     stream_recv_message,
     stream_send_message,
@@ -39,7 +43,6 @@ from .tpkg import (
     IssuerPolicy,
     JournalConflict,
     LegacyLayout,
-    PolicyViolation,
     RegistryCorrupt,
     TpkgError,
     TpkgService,
@@ -51,13 +54,30 @@ from .tpkg import (
     save_state,
     verify_chain,
 )
-from .tpkg.service import BlocklistedIdentity, EpochExpired, UnauthenticatedPrincipal
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_POLICY = 3
 EXIT_HANDSHAKE = 4
 EXIT_REGISTRY = 5
+
+
+class RemoteUnreachable(Exception):
+    """The --remote endpoint refused the connection or stopped answering."""
+
+
+# How a command that raises ends: the first row whose exception types match
+# gives the exit code and the one line written to stderr. ValueError and
+# OSError cover input the command cannot use: bad option values, a config
+# file that is missing or not JSON, a --file that cannot be read.
+FAILURES = (
+    (JournalConflict, EXIT_REGISTRY, "CONFLICT: {}; nothing was written, retry"),
+    (RegistryCorrupt, EXIT_REGISTRY, "CORRUPT: {}"),
+    (TpkgError, EXIT_POLICY, "denied: {}"),
+    (RemoteUnreachable, EXIT_HANDSHAKE, "unreachable: {}"),
+    (LegacyLayout, EXIT_USAGE, "{}"),
+    ((MalformedIdentity, ValueError, OSError), EXIT_USAGE, "error: {}"),
+)
 
 DEFAULT_HOME = Path("ibetls-home")
 # Seconds one connection may take in all, so a silent or dripping client cannot
@@ -73,7 +93,6 @@ class CliConfig:
         self.home = Path(getattr(args, "home", None) or doc.get("home") or DEFAULT_HOME)
         self.listen = getattr(args, "listen", None) or doc.get("listen") or "127.0.0.1:9443"
         self.profile = doc.get("profile", "desk")
-        self.verbosity = int(doc.get("verbosity", 1))
 
     def domain_dir(self, name: str) -> Path:
         return self.home / "domains" / name
@@ -99,7 +118,7 @@ class CliConfig:
 
     def params(self) -> KemParams:
         if self.profile != "desk":
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError(f"config profile {self.profile!r} is unknown; only 'desk' exists")
         return KemParams.desk()
 
 
@@ -111,10 +130,6 @@ def _print(payload, fmt: str) -> None:
             print(payload)
         else:
             print(json.dumps(payload, sort_keys=True))
-
-
-def _seed_from_arg(seed: int) -> bytes:
-    return int(seed).to_bytes(32, "big")
 
 
 def cmd_tpkg_setup(args, config: CliConfig) -> int:
@@ -139,7 +154,7 @@ def cmd_tpkg_setup(args, config: CliConfig) -> int:
         params=config.params(),
         n_nodes=args.nodes,
         threshold=args.threshold,
-        seed=_seed_from_arg(args.seed),
+        seed=seed_bytes(args.seed),
         policy=policy,
     )
     save_domain(directory, service, shares)
@@ -162,36 +177,35 @@ def cmd_id_request(args, config: CliConfig) -> int:
     _, service, authority = _open_domain(args, config)
     principal = authority.mint(args.subject, set(args.groups.split(",")) if args.groups else set())
     if args.remote:
-        return _id_request_remote(args, config, service, principal)
-    try:
-        request = service.submit_request(
-            identity=args.identity,
-            usage=tuple(args.usage.split(",")),
-            expiration_seconds=args.expiration,
-            principal_token=principal.token,
-        )
-    except (PolicyViolation, EpochExpired, UnauthenticatedPrincipal) as exc:
-        print(f"denied: {exc}", file=sys.stderr)
-        return EXIT_POLICY
+        return _id_request_remote(args, service, principal)
+    request = service.submit_request(
+        identity=args.identity,
+        usage=tuple(args.usage.split(",")),
+        expiration_seconds=args.expiration,
+        principal_token=principal.token,
+    )
     _print(request.to_dict(), args.format)
     return EXIT_OK
 
 
-def _id_request_remote(args, config: CliConfig, service, principal) -> int:
+def _id_request_remote(args, service, principal) -> int:
     host, _, port = args.remote.rpartition(":")
+    address = (host or "127.0.0.1", int(port))
     endpoint_identity = component_identity(args.endpoint_identity,
                                            service.policy.current_epoch)
-    sock = socket.create_connection((host or "127.0.0.1", int(port)), timeout=10)
-    stream = RecordStream(sock)
-    session = ClientSession(service.mpk, endpoint_identity, os.urandom(32))
-    if not client_handshake_over_stream(session, stream):
-        print("handshake with remote endpoint failed", file=sys.stderr)
-        return EXIT_HANDSHAKE
     request = identity_request(service.policy.trust_domain, args.identity,
                                args.usage.split(","), args.expiration, principal.token)
-    stream_send_message(session, stream, json.dumps(request).encode())
-    raw = stream_recv_message(session, stream)
-    stream.close()
+    try:
+        sock = socket.create_connection(address, timeout=10)
+        with contextlib.closing(RecordStream(sock)) as stream:
+            session = ClientSession(service.mpk, endpoint_identity, os.urandom(32))
+            if not client_handshake_over_stream(session, stream):
+                print("handshake with remote endpoint failed", file=sys.stderr)
+                return EXIT_HANDSHAKE
+            stream_send_message(session, stream, json.dumps(request).encode())
+            raw = stream_recv_message(session, stream)
+    except OSError as exc:
+        raise RemoteUnreachable(f"{args.remote}: {exc}") from None
     if raw is None:
         print("no response from endpoint", file=sys.stderr)
         return EXIT_HANDSHAKE
@@ -202,11 +216,7 @@ def _id_request_remote(args, config: CliConfig, service, principal) -> int:
 
 def cmd_id_approve(args, config: CliConfig) -> int:
     _, service, _ = _open_domain(args, config)
-    try:
-        request = service.approve_request(args.request, args.approver)
-    except TpkgError as exc:
-        print(f"cannot approve: {exc}", file=sys.stderr)
-        return EXIT_POLICY
+    request = service.approve_request(args.request, args.approver)
     print(f"{request.name} {request.status.value}")
     return EXIT_OK
 
@@ -232,11 +242,7 @@ def cmd_id_revoke(args, config: CliConfig) -> int:
 
 def cmd_epoch_bump(args, config: CliConfig) -> int:
     directory, service, _ = _open_domain(args, config)
-    try:
-        new_epoch = service.epoch_increment(args.epoch)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    new_epoch = service.epoch_increment(args.epoch)
     save_state(directory, service)
     print(f"epoch now {new_epoch} "
           f"(window keeps {service.policy.rotation_window} prior)")
@@ -341,7 +347,7 @@ def cmd_demo(script: dict, args, config: CliConfig) -> int:
 
 def cmd_bench_report(args, config: CliConfig) -> int:
     print(f"! {NOT_SECURE_BANNER}", file=sys.stderr)
-    sim = KubernetesSim(seed=_seed_from_arg(args.seed))
+    sim = KubernetesSim(seed=seed_bytes(args.seed))
     report_conn = sim.connect("kube-scheduler", "kube-apiserver")
     if not report_conn.ok:
         print("benchmark handshake failed", file=sys.stderr)
@@ -447,23 +453,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = CliConfig(args)
     if args.command == "registry-verify" and not args.domain and not args.file:
         parser.error("registry-verify needs --domain or --file")
     try:
-        return args.run(args, config)
-    except (BlocklistedIdentity, PolicyViolation) as exc:
-        print(f"denied: {exc}", file=sys.stderr)
-        return EXIT_POLICY
-    except LegacyLayout as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except RegistryCorrupt as exc:
-        print(f"CORRUPT: {exc}", file=sys.stderr)
-        return EXIT_REGISTRY
-    except JournalConflict as exc:
-        print(f"CONFLICT: {exc}; nothing was written, retry", file=sys.stderr)
-        return EXIT_REGISTRY
+        return args.run(args, CliConfig(args))
+    except Exception as exc:
+        for kinds, code, line in FAILURES:
+            if isinstance(exc, kinds):
+                print(line.format(exc), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -54,20 +54,4 @@ class DirectionKeys:
         return inner[:-1], inner[-1]
 
 
-def seal_record(app_traffic_secret: bytes, seq: int, plaintext: bytes) -> bytes:
-    """One-shot application-data protection at an explicit sequence number."""
-    keys = DirectionKeys(app_traffic_secret)
-    keys._seq = seq
-    return keys.seal(plaintext, ContentType.APPLICATION_DATA)
-
-
-def open_record(app_traffic_secret: bytes, seq: int, rec: bytes) -> bytes:
-    keys = DirectionKeys(app_traffic_secret)
-    keys._seq = seq
-    content, content_type = keys.open(rec)
-    if content_type != ContentType.APPLICATION_DATA:
-        raise RecordAuthError("unexpected inner content type")
-    return content
-
-
-__all__ = ["DirectionKeys", "RecordAuthError", "seal_record", "open_record", "record"]
+__all__ = ["DirectionKeys", "RecordAuthError", "record"]

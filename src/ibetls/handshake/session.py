@@ -427,7 +427,6 @@ class ServerSession(_SessionBase):
         self.expected_peer_identity = expected_peer_identity
         self.client_identity: IdentityString | None = None
         self._sent_hrr = False
-        self._th2: bytes | None = None
         self.state = State.WAIT_CLIENT_HELLO
 
     def _handle_client_hello(self, framed: bytes, body: bytes) -> list[bytes]:
@@ -493,14 +492,13 @@ class ServerSession(_SessionBase):
         self._absorb(framed_sf, "send")
         sealed_sf = self._hs_send.seal(framed_sf, ContentType.HANDSHAKE)
 
-        self._th2 = self.transcript_hash()
-        self.schedule.derive_application(self._th2)
+        self.schedule.derive_application(self.transcript_hash())
         self.state = State.WAIT_CLIENT_FINISHED
         return [record(ContentType.HANDSHAKE, framed_sh), sealed_ee, sealed_sf]
 
     def _handle_client_finished(self, framed: bytes, body: bytes) -> list[bytes]:
         finished = decode_finished(body)
-        if not verify_finished(self.schedule.client_finished_key, self._th2,
+        if not verify_finished(self.schedule.client_finished_key, self.schedule.th2,
                                finished.verify_data):
             return self._abort(AlertCode.IBE_AUTH_FAILURE)
         self._absorb(framed, "recv")

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from .errors import MalformedIdentity
 
 
-def _epoch_ok(epoch: str) -> bool:
-    # Epoch must parse as an unsigned integer ("20250101", "7") or an
-    # ISO-8601 date ("2025-01-01").
+def is_epoch(epoch: str) -> bool:
+    """Whether epoch is an unsigned integer ("20250101", "7") or an ISO-8601
+    date ("2025-01-01"), the two forms an identity's last segment may take."""
     if epoch.isdigit():
         return True
     try:
@@ -38,7 +38,7 @@ class IdentityString:
                 raise MalformedIdentity("empty identity segment")
             if "." in seg:
                 raise MalformedIdentity(f"segment {seg!r} contains the separator")
-        if not _epoch_ok(self.segments[-1]):
+        if not is_epoch(self.segments[-1]):
             raise MalformedIdentity(
                 f"epoch {self.segments[-1]!r} is neither an unsigned integer nor an ISO date"
             )

@@ -180,8 +180,9 @@ def extract(
     R @ Z is one float32 product, and it is exact: every entry of R is in
     {-1, 0, 1} with beta-1 nonzeros per row and Z is binary, so every partial
     sum is an integer of magnitude at most beta-1, far below the 2^24 that
-    sampling.limb_bits keeps every float32 sum under. The A @ X == U check
-    goes through matmul_mod with bound beta, which is exact by the same rule.
+    sampling.limb_bits keeps every float32 sum under. The A @ X == U check is
+    matmul_mod's float64 product, exact because ||X||_inf <= beta < q and
+    KemParams keeps m*q*q below 2^53.
     """
     p = mpk.params
     if msk.params_hash != mpk.params_hash:
@@ -195,7 +196,7 @@ def extract(
     # Postcondition checks are cheap relative to the trapdoor product.
     if int(np.abs(X).max()) > p.beta:
         raise AssertionError("preimage norm exceeded beta")
-    if not np.array_equal(matmul_mod(mpk.A, X, p.q, bound=p.beta), U):
+    if not np.array_equal(matmul_mod(mpk.A, X, p.q), U):
         raise AssertionError("preimage does not satisfy A @ X == U")
     return IdentityPrivateKey(identity=identity, X=X, params_hash=mpk.params_hash, params=p)
 

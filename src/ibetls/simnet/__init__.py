@@ -18,7 +18,7 @@ from .fiveg import (
 from .kubernetes import COMPONENT_LINKS, KubernetesSim
 from .principals import PrincipalKind, SimPrincipal, TokenAuthority
 from .profiles import component_identity, k8s_identity, nf_identity
-from .scenarios import DEMO_5G_SCRIPT, DEMO_K8S_SCRIPT, TranscriptLog, run_scenario
+from .scenarios import DEMO_5G_SCRIPT, DEMO_K8S_SCRIPT, TranscriptLog, run_scenario, seed_bytes
 from .transport import (
     Connection,
     RecordStream,
@@ -53,6 +53,7 @@ __all__ = [
     "DEFAULT_SERVICES",
     "TranscriptLog",
     "run_scenario",
+    "seed_bytes",
     "DEMO_K8S_SCRIPT",
     "DEMO_5G_SCRIPT",
     "Connection",

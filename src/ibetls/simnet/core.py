@@ -29,31 +29,34 @@ from ..tpkg import ApiServer, IssuerPolicy, ShareSet, TpkgService
 from .transport import Connection, WireCapture, establish
 
 
-class SimClock:
-    """Logical clock: advances only when the scenario runner says so."""
+# The epoch every simulated trust domain starts in.
+GENESIS_EPOCH = "20250101"
 
-    def __init__(self, start: datetime.datetime | None = None) -> None:
-        self.current = start or datetime.datetime(2025, 1, 2, tzinfo=datetime.timezone.utc)
+
+class SimClock:
+    """Logical clock that starts on 2025-01-02 UTC and advances one second
+    each time the scenario runner says so."""
+
+    def __init__(self) -> None:
+        self.current = datetime.datetime(2025, 1, 2, tzinfo=datetime.timezone.utc)
 
     def now(self) -> datetime.datetime:
         return self.current
 
-    def advance(self, seconds: int = 1) -> None:
-        self.current += datetime.timedelta(seconds=seconds)
+    def advance(self) -> None:
+        self.current += datetime.timedelta(seconds=1)
 
 
 @dataclass
 class SimNode:
     name: str
     role: str
-    trust: dict[str, MasterPublicKey] = field(default_factory=dict)
     keys: dict[tuple[str, str], IdentityPrivateKey] = field(default_factory=dict)
     secret_store: dict[str, dict] = field(default_factory=dict)
     secret_dir: Path | None = None
 
     def hold_key(self, domain: str, key: IdentityPrivateKey, mpk: MasterPublicKey) -> None:
         self.keys[(domain, key.identity.base)] = key
-        self.trust.setdefault(domain, mpk)
         manifest = {
             "id": base64.b64encode(key.identity.canonical.encode()).decode(),
             "secret-key": base64.b64encode(encode_private_key(key)).decode(),
@@ -88,12 +91,11 @@ class TrustDomainSim:
 
     @classmethod
     def create(cls, name: str, params, policy: IssuerPolicy, seed: bytes,
-               n_nodes: int = 3, threshold: int = 2, authenticator=None,
-               clock=None) -> "TrustDomainSim":
+               authenticator=None, clock=None) -> "TrustDomainSim":
+        """Three share-holding nodes, any two of which can rebuild the master."""
         service, shares = TpkgService.setup_domain(
-            domain=policy.trust_domain, params=params, n_nodes=n_nodes,
-            threshold=threshold, seed=seed, policy=policy,
-            authenticator=authenticator, clock=clock,
+            domain=policy.trust_domain, params=params, n_nodes=3, threshold=2,
+            seed=seed, policy=policy, authenticator=authenticator, clock=clock,
         )
         domain = cls(name=name, service=service, shares=shares, api=None)
         domain.api = ApiServer(service, shares_provider=domain.quorum)

@@ -2,9 +2,10 @@
 service discovery, and mutually authenticated NF-to-NF sessions.
 
 The NRF is the only identity provisioned before any bootstrap; every other
-NF is provisioned with the master public key and the NRF identity, registers
-over a server-authenticated IBE-TLS channel, and receives its own identity
-key through that channel (the NRF forwards the identity to the issuer).
+NF knows only the master public key (the handshake takes it from the domain)
+and the NRF identity, registers over a server-authenticated IBE-TLS channel,
+and receives its own identity key through that channel (the NRF forwards the
+identity to the issuer).
 """
 
 from __future__ import annotations
@@ -15,9 +16,13 @@ from ..handshake import RecordAuthError
 from ..kem import IdentityPrivateKey, IdentityString, KemParams
 from ..kem.sampling import HashStream
 from ..tpkg import IssuerPolicy, bearer_header, bearer_token, error_response, identity_request
-from .core import ConnectReport, SimClock, SimNode, TrustDomainSim, request_key, run_handshake
+from .core import (GENESIS_EPOCH, ConnectReport, SimClock, SimNode, TrustDomainSim, request_key,
+                   run_handshake)
 from .principals import PrincipalKind, TokenAuthority
 from .profiles import nf_identity
+
+# The simulated network's PLMN id (MCC 001, MNC 01: the test network).
+PLMN = "00101"
 
 NF_TYPES = ("AMF", "SMF", "UPF", "NRF", "UDM", "AUSF", "PCF", "NSSF")
 
@@ -73,26 +78,23 @@ class ServiceRegistry:
 
 
 class FiveGSim:
-    def __init__(self, params: KemParams | None = None, seed: bytes = b"\x00" * 32,
-                 plmn: str = "00101", epoch: str = "20250101") -> None:
-        self.params = params or KemParams.desk()
-        self.plmn = plmn
+    def __init__(self, seed: bytes = b"\x00" * 32) -> None:
         self.clock = SimClock()
         self._rng = HashStream(seed, b"5g-sim")
         self.tokens = TokenAuthority(self._rng.read(32))
         policy = IssuerPolicy(
-            trust_domain=f"ibe.5gc.{plmn}",
-            identity_patterns=(f"{plmn}.*",),
+            trust_domain=f"ibe.5gc.{PLMN}",
+            identity_patterns=(f"{PLMN}.*",),
             permitted_usages=frozenset({"client", "server", "peer"}),
             max_expiration_seconds=30 * 86400,
-            current_epoch=epoch,
+            current_epoch=GENESIS_EPOCH,
             rotation_window=1,
             auto_approve=True,
             principal_template="{subject}",
             approvers=frozenset({"operator"}),
         )
         self.domain = TrustDomainSim.create(
-            "5gc", self.params, policy, self._rng.read(32),
+            "5gc", KemParams.desk(), policy, self._rng.read(32),
             authenticator=self.tokens.validate, clock=self.clock.now,
         )
         self.registry = ServiceRegistry()
@@ -100,7 +102,7 @@ class FiveGSim:
         self.nrf = SimNode(name="nrf-001", role="NRF")
         self.nodes: dict[str, SimNode] = {"nrf-001": self.nrf}
         identity = self.domain.provision(
-            self.nrf, nf_identity(plmn, "NRF", "nrf-001", epoch), "operator").identity
+            self.nrf, nf_identity(PLMN, "NRF", "nrf-001", GENESIS_EPOCH), "operator").identity
         self.registry.register(NfProfile(nf_type="NRF", instance="nrf-001",
                                          endpoint="nrf-001.5gc.local:8443",
                                          capabilities=DEFAULT_SERVICES["NRF"],
@@ -149,8 +151,7 @@ class FiveGSim:
 
         return error_response(404, "NoRoute")
 
-    def register_nf(self, nf_type: str, instance: str,
-                    services: tuple[str, ...] | None = None) -> dict:
+    def register_nf(self, nf_type: str, instance: str) -> dict:
         """NFRegister over IBE-TLS to the NRF; no certificate attached.
 
         The response carries the registration ack and the identity key
@@ -158,11 +159,9 @@ class FiveGSim:
         """
         if nf_type not in NF_TYPES:
             raise ValueError(f"unknown NF type {nf_type}")
-        services = services if services is not None else DEFAULT_SERVICES[nf_type]
-        base = f"{self.plmn}.{nf_type}.{instance}"
+        base = f"{PLMN}.{nf_type}.{instance}"
         node = self.nodes.get(instance) or SimNode(name=instance, role=nf_type)
         self.nodes[instance] = node
-        node.trust["5gc"] = self.domain.mpk
 
         principal = self.tokens.mint(base, {"5gc:network-functions"},
                                      PrincipalKind.OPERATOR_NF)
@@ -179,7 +178,7 @@ class FiveGSim:
             "authorization": bearer_header(principal.token),
             "body": {"nfType": nf_type, "instance": instance,
                      "endpoint": f"{instance}.5gc.local:7777",
-                     "capabilities": list(services), "identityBase": base},
+                     "capabilities": list(DEFAULT_SERVICES[nf_type]), "identityBase": base},
         }, self._nrf_handler)
         report["status"] = response["status"]
         if response["status"] != 201:
@@ -248,7 +247,7 @@ class FiveGSim:
     def rotate(self, reregister: tuple[str, ...] = ()) -> str:
         """Bump the epoch; honest NFs re-register for fresh-epoch keys."""
         new_epoch = self.domain.service.epoch_increment()
-        self.domain.provision(self.nrf, nf_identity(self.plmn, "NRF", "nrf-001", new_epoch),
+        self.domain.provision(self.nrf, nf_identity(PLMN, "NRF", "nrf-001", new_epoch),
                               "operator")
         for instance in reregister:
             node = self.nodes[instance]
@@ -256,7 +255,7 @@ class FiveGSim:
         return new_epoch
 
     def revoke(self, nf_type: str, instance: str) -> None:
-        self.domain.revoke(f"{self.plmn}.{nf_type}.{instance}")
+        self.domain.revoke(f"{PLMN}.{nf_type}.{instance}")
 
 
 def compliance_checklist(sim: FiveGSim) -> list[dict]:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from ..kem import KemParams
 from ..kem.sampling import HashStream
 from ..tpkg import IssuerPolicy, bearer_token, error_response, identity_request
-from .core import ConnectReport, SimClock, SimNode, TrustDomainSim, request_key, run_handshake
+from .core import (GENESIS_EPOCH, ConnectReport, SimClock, SimNode, TrustDomainSim, request_key,
+                   run_handshake)
 from .principals import PrincipalKind, TokenAuthority
 from .profiles import component_identity
 
@@ -55,7 +56,7 @@ CORE_KEYS: tuple[tuple[str, str, str, str], ...] = (
 )
 
 
-def _policies(epoch: str) -> dict[str, IssuerPolicy]:
+def _policies() -> dict[str, IssuerPolicy]:
     return {
         CONTROL_PLANE: IssuerPolicy(
             trust_domain="ibe.kubernetes.io/apiserver",
@@ -63,7 +64,7 @@ def _policies(epoch: str) -> dict[str, IssuerPolicy]:
                                "kube-scheduler", "kube-controller-manager", "kubectl:*"),
             permitted_usages=frozenset({"client", "server"}),
             max_expiration_seconds=30 * 86400,
-            current_epoch=epoch,
+            current_epoch=GENESIS_EPOCH,
             rotation_window=1,
             auto_approve=True,
             principal_template="kubelet:{subject}",
@@ -74,7 +75,7 @@ def _policies(epoch: str) -> dict[str, IssuerPolicy]:
             identity_patterns=("etcd-server", "etcd-peer-*", "kube-apiserver-client"),
             permitted_usages=frozenset({"client", "server", "peer"}),
             max_expiration_seconds=30 * 86400,
-            current_epoch=epoch,
+            current_epoch=GENESIS_EPOCH,
             rotation_window=1,
             approvers=frozenset({"admin"}),
         ),
@@ -83,7 +84,7 @@ def _policies(epoch: str) -> dict[str, IssuerPolicy]:
             identity_patterns=("front-proxy", "kube-apiserver-client"),
             permitted_usages=frozenset({"client", "server"}),
             max_expiration_seconds=30 * 86400,
-            current_epoch=epoch,
+            current_epoch=GENESIS_EPOCH,
             rotation_window=1,
             approvers=frozenset({"admin"}),
         ),
@@ -91,17 +92,15 @@ def _policies(epoch: str) -> dict[str, IssuerPolicy]:
 
 
 class KubernetesSim:
-    def __init__(self, params: KemParams | None = None, seed: bytes = b"\x00" * 32,
-                 cluster: str = "prod-us-west", epoch: str = "20250101") -> None:
-        self.params = params or KemParams.desk()
-        self.cluster = cluster
+    def __init__(self, seed: bytes = b"\x00" * 32) -> None:
+        params = KemParams.desk()
         self.clock = SimClock()
         self._rng = HashStream(seed, b"k8s-sim")
         self.tokens = TokenAuthority(self._rng.read(32))
         self.domains: dict[str, TrustDomainSim] = {}
-        for name, policy in _policies(epoch).items():
+        for name, policy in _policies().items():
             self.domains[name] = TrustDomainSim.create(
-                name, self.params, policy, self._rng.read(32),
+                name, params, policy, self._rng.read(32),
                 authenticator=self.tokens.validate, clock=self.clock.now,
             )
         self.nodes: dict[str, SimNode] = {}
@@ -109,10 +108,6 @@ class KubernetesSim:
             domain = self.domains[domain_name]
             domain.provision(self.node(node_name, role),
                              component_identity(base, domain.current_epoch), "cluster-bootstrap")
-        # every node trusts the domains it talks to
-        for node in self.nodes.values():
-            for domain_name, domain in self.domains.items():
-                node.trust.setdefault(domain_name, domain.mpk)
 
     def _seed(self) -> bytes:
         return self._rng.read(32)
@@ -150,14 +145,14 @@ class KubernetesSim:
     def bootstrap_kubelet(self, node_name: str, fake_apiserver: bool = False) -> dict:
         """Pod/node identity key bootstrap against the API server endpoint.
 
-        The joining node is provisioned out-of-band with the control-plane
-        mpk and the API server identity, opens a server-authenticated IBE-TLS
-        channel, and only then presents its bootstrap token.
+        The joining node knows only the control-plane mpk and the API server
+        identity (the handshake takes the mpk from the domain). It opens a
+        server-authenticated IBE-TLS channel, and only then presents its
+        bootstrap token.
         """
         domain = self.domains[CONTROL_PLANE]
         identity = f"kubelet:{node_name}.{domain.current_epoch}"
         node = self.node(f"kubelet-{node_name}", role="kubelet")
-        node.trust[CONTROL_PLANE] = domain.mpk
 
         apiserver_key = self.nodes["kube-apiserver"].key_in(CONTROL_PLANE, "kube-apiserver")
         server_key = apiserver_key
@@ -253,11 +248,11 @@ class KubernetesSim:
         return {name: domain.service.registry.verify() is None
                 for name, domain in self.domains.items()}
 
-    def rotate_epoch_scenario(self, node_name: str = "node-02") -> dict:
+    def rotate_epoch_scenario(self) -> dict:
         """Window accept/reject plus emergency revocation, as one report."""
         report: dict[str, bool | str] = {}
-        boot = self.bootstrap_kubelet(node_name)
-        kubelet = f"kubelet-{node_name}"
+        boot = self.bootstrap_kubelet("node-02")
+        kubelet = "kubelet-node-02"
         report["bootstrap"] = boot["issued"]
         report["connect_same_epoch"] = self.connect(kubelet, "kube-apiserver").ok
 

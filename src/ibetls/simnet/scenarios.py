@@ -32,14 +32,12 @@ class TranscriptLog:
     def to_jsonl(self) -> str:
         return "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in self.entries)
 
-    def write(self, path: Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
 
-
-def _seed_bytes(seed: int | bytes) -> bytes:
-    if isinstance(seed, bytes):
-        return seed.ljust(32, b"\x00")[:32]
-    return int(seed).to_bytes(32, "big")
+def seed_bytes(seed: int) -> bytes:
+    """The 32-byte big-endian form of an integer seed in [0, 2**256)."""
+    if not 0 <= seed < 1 << 256:
+        raise ValueError(f"seed {seed} is not in [0, 2**256)")
+    return seed.to_bytes(32, "big")
 
 
 DEMO_K8S_SCRIPT = {
@@ -158,17 +156,16 @@ def _fiveg_step(sim: FiveGSim, step: dict) -> tuple[str, dict]:
     raise ValueError(f"unknown 5g op {op!r}")
 
 
-def run_scenario(script: dict | str | Path, seed: int | bytes = 0) -> TranscriptLog:
+def run_scenario(script: dict | str | Path, seed: int = 0) -> TranscriptLog:
     """Execute a scenario; deterministic in the seed."""
     if not isinstance(script, dict):
         script = json.loads(Path(script).read_text(encoding="utf-8"))
     kind = script.get("kind")
-    seed_bytes = _seed_bytes(seed)
     if kind == "k8s":
-        sim = KubernetesSim(seed=seed_bytes)
+        sim = KubernetesSim(seed=seed_bytes(seed))
         runner = _k8s_step
     elif kind == "5g":
-        sim = FiveGSim(seed=seed_bytes)
+        sim = FiveGSim(seed=seed_bytes(seed))
         runner = _fiveg_step
     else:
         raise ValueError(f"unknown scenario kind {kind!r}")

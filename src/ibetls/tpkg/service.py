@@ -16,7 +16,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from pathlib import Path
 
 from ..kem import (
     IdentityPrivateKey,
@@ -30,6 +29,7 @@ from ..kem import (
     rebuild_master,
     setup,
 )
+from ..kem.identity import is_epoch
 from ..kem.sampling import HashStream
 from . import shamir
 from .registry import (
@@ -45,6 +45,11 @@ from .shamir import Share, ShareMismatch, ShareSet
 
 USAGES = frozenset({"client", "server", "peer"})
 TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"  # registry issuanceTime and delivery expiration
+
+
+def _check_epoch(epoch: str) -> None:
+    if not is_epoch(epoch):
+        raise ValueError(f"epoch {epoch!r} is neither an unsigned integer nor an ISO date")
 
 
 class TpkgError(Exception):
@@ -157,6 +162,7 @@ class IssuerPolicy:
     blocklist: set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
+        _check_epoch(self.current_epoch)
         if self.auto_approve and not self.principal_template:
             raise ValueError(
                 "auto_approve requires a pinned principal-to-identity template"
@@ -271,7 +277,6 @@ class TpkgService:
         threshold: int,
         seed: bytes,
         policy: IssuerPolicy,
-        registry_path: Path | None = None,
         authenticator=None,
         clock=None,
     ) -> tuple["TpkgService", ShareSet]:
@@ -279,7 +284,8 @@ class TpkgService:
 
         The input seed is consumed here: the master seed derived from it is
         split into shares and the trapdoor it generates is discarded. Only a
-        qualified quorum of shares can re-derive it.
+        qualified quorum of shares can re-derive it. The registry lives in
+        memory until save_domain attaches it to a journal on disk.
         """
         if not 1 <= threshold <= n_nodes:
             raise ValueError("need 1 <= t <= n_nodes")
@@ -288,8 +294,7 @@ class TpkgService:
         mpk, msk = setup(params, master_seed)
         msk.zeroize()
         share_set = shamir.split(master_seed, n_nodes, threshold, domain, stream.read(32))
-        registry = Registry(domain, path=registry_path)
-        service = cls(params=params, mpk=mpk, policy=policy, registry=registry,
+        service = cls(params=params, mpk=mpk, policy=policy, registry=Registry(domain),
                       authenticator=authenticator, clock=clock)
         service.registry.append(
             identity=f"{domain}/genesis",
@@ -466,6 +471,7 @@ class TpkgService:
                         "current epoch is not an integer; supply the next epoch explicitly"
                     )
                 new_epoch = str(int(self.policy.current_epoch) + 1)
+            _check_epoch(new_epoch)
             self.policy.epoch_history.insert(0, self.policy.current_epoch)
             self.policy.current_epoch = new_epoch
         return new_epoch

@@ -93,7 +93,8 @@ def split(
     return ShareSet(n_nodes=n_nodes, threshold=threshold, shares=tuple(shares))
 
 
-def reconstruct(shares: list[Share], secret_len: int = 32) -> bytes:
+def reconstruct(shares: list[Share]) -> bytes:
+    """The 32-byte secret that a qualified subset of one share set encodes."""
     if not shares:
         raise ThresholdNotMet("no shares supplied")
     first = shares[0]
@@ -122,4 +123,4 @@ def reconstruct(shares: list[Share], secret_len: int = 32) -> bytes:
             denominator = denominator * (share_i.index - share_j.index) % prime
         lagrange = numerator * pow(denominator, prime - 2, prime) % prime
         secret = (secret + share_i.value * lagrange) % prime
-    return secret.to_bytes(secret_len, "big")
+    return secret.to_bytes(32, "big")

@@ -171,6 +171,36 @@ def test_home_with_old_requests_file_refused(home, capsys):
     assert "requests.json" in err and len(err.strip().splitlines()) == 1
 
 
+# Every failure ends with its documented exit code and one stderr line (the
+# not-secure banner aside), never with a traceback.
+@pytest.mark.parametrize("argv, expected", [
+    (["id-request", "--domain", "control-plane", "--identity", "no-epoch"], 2),
+    (["id-revoke", "--domain", "control-plane", "--identity", "kubelet:node-01"], 2),
+    (["tpkg-setup", "--domain", "other", "--usages", "foo"], 2),
+    (["tpkg-setup", "--domain", "other", "--threshold", "5"], 2),
+    (["tpkg-setup", "--domain", "other", "--epoch", "notanepoch"], 2),
+    (["--config", "{tmp}/missing.json", "id-list", "--domain", "control-plane"], 2),
+    (["--config", "{tmp}/not-json.json", "id-list", "--domain", "control-plane"], 2),
+    (["--config", "{tmp}/profile.json", "tpkg-setup", "--domain", "other"], 2),
+    (["registry-verify", "--file", "{tmp}/missing.jsonl"], 2),
+    (["demo-k8s", "--seed", "-1"], 2),
+    (["id-request", "--domain", "control-plane", "--identity", "kubelet:node-05.20250101",
+      "--remote", "127.0.0.1:{closed_port}"], 4),
+], ids=["malformed-request-identity", "malformed-revoke-identity", "unknown-usage",
+        "threshold-above-nodes", "malformed-epoch", "missing-config", "config-not-json",
+        "unknown-profile", "missing-registry-file", "negative-seed", "closed-remote"])
+def test_bad_input_exits_with_its_code_and_one_line(home, tmp_path, capsys, argv, expected):
+    setup_domain(home, capsys)
+    (tmp_path / "not-json.json").write_text("{home:", encoding="utf-8")
+    (tmp_path / "profile.json").write_text(json.dumps({"profile": "datacenter"}),
+                                           encoding="utf-8")
+    argv = [arg.format(tmp=tmp_path, closed_port=free_port()) for arg in argv]
+    code, _, err = run_cli(["--home", str(home), *argv], capsys)
+    reasons = [line for line in err.splitlines() if not line.startswith("! ")]
+    assert code == expected and len(reasons) == 1 and "Traceback" not in err, err
+    assert not (home / "domains" / "other").exists()
+
+
 def test_revoke_then_request_denied(home, capsys):
     setup_domain(home, capsys)
     code, _, _ = run_cli([
@@ -266,17 +296,17 @@ def remote_request(home, port, capsys, subject="node-05"):
     """Run id-request --remote, retrying until the server listens."""
     deadline = time.time() + 30
     while True:
-        try:
-            return main([
-                "--home", str(home), "id-request", "--domain", "control-plane",
-                "--identity", f"kubelet:{subject}.20250101", "--subject", subject,
-                "--groups", "system:bootstrappers",
-                "--remote", f"127.0.0.1:{port}", "--format", "json",
-            ])
-        except ConnectionRefusedError:
-            assert time.time() < deadline, "tpkg-serve did not start"
-            capsys.readouterr()  # drop partial output from the failed attempt
-            time.sleep(0.3)
+        code = main([
+            "--home", str(home), "id-request", "--domain", "control-plane",
+            "--identity", f"kubelet:{subject}.20250101", "--subject", subject,
+            "--groups", "system:bootstrappers",
+            "--remote", f"127.0.0.1:{port}", "--format", "json",
+        ])
+        if code != 4:
+            return code
+        err = capsys.readouterr().err  # drop output from the failed attempt
+        assert "unreachable: " in err and time.time() < deadline, err
+        time.sleep(0.3)
 
 
 def test_serve_and_remote_request(home, capsys):

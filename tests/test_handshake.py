@@ -17,9 +17,7 @@ from ibetls.handshake import (
     ServerSession,
     State,
     alert_record,
-    open_record,
     record,
-    seal_record,
     split_record,
 )
 from ibetls.handshake.wire import encode_encrypted_extensions, encode_finished
@@ -391,16 +389,6 @@ def test_cross_direction_key_misuse_fails(mpk, server_identity, server_key):
     rec = client.seal_app(b"direction")
     with pytest.raises(RecordAuthError):
         client.open_app(rec)  # client's receive keys are the server's send keys
-
-
-def test_one_shot_record_helpers():
-    secret = b"\x42" * 32
-    rec = seal_record(secret, 0, b"payload")
-    assert open_record(secret, 0, rec) == b"payload"
-    with pytest.raises(RecordAuthError):
-        open_record(secret, 1, rec)
-    with pytest.raises(RecordAuthError):
-        open_record(b"\x43" * 32, 0, rec)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from ibetls.kem.sampling import HashStream, limb_bits, matmul_mod
 from ibetls.kem.scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
+    MasterSecretKey,
     _syndrome_matrix,
     _trapdoor_public,
     shared_secret_kdf,
@@ -234,6 +235,27 @@ def test_cross_domain_keys_not_interchangeable(desk, mpk, msk):
     ct, ss = encaps(mpk, ident, seed_of(5))
     assert decaps(sk_here, ct) == ss
     assert decaps(sk_there, ct) != ss
+
+
+def test_three_issued_keys_recover_the_trapdoor(desk, mpk, msk):
+    # A key X = [R Z ; Z] shows R Z over the integers. ceil(n*k/ell) keys
+    # stack into a full-rank Z, and R = rint(RZ pinv(Z)) exactly, at any
+    # parameter size, because extraction is linear in R. Their holders can
+    # then extract a key for any identity (README, "Escrow").
+    keys = [extract(msk, mpk, IdentityString.parse(f"svc-{i}.20250101")) for i in range(3)]
+    assert len(keys) == -(-desk.n * desk.k // desk.ell)
+    Z = np.hstack([key.X[desk.m_bar:] for key in keys]).astype(np.float64)
+    RZ = np.hstack([key.X[: desk.m_bar] for key in keys]).astype(np.float64)
+    assert Z.shape == (640, 768) and np.linalg.matrix_rank(Z) == 640
+    R = np.rint(RZ @ np.linalg.pinv(Z)).astype(np.int8)
+    assert np.array_equal(R, msk.R)
+
+    forged_msk = MasterSecretKey(R=R, a_bar=mpk.A[:, : desk.m_bar],
+                                 params_hash=mpk.params_hash)
+    never_issued = IdentityString.parse("kube-apiserver.20991231")
+    forged = extract(forged_msk, mpk, never_issued)
+    ct, ss = encaps(mpk, never_issued, seed_of(6))
+    assert decaps(forged, ct) == ss
 
 
 # ---------------------------------------------------------------------------
