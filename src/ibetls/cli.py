@@ -19,10 +19,17 @@ import socket
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 from .handshake import ClientSession, ServerSession
-from .kem import IdentityString, KemParams, MalformedIdentity, NOT_SECURE_BANNER
+from .kem import (
+    NOT_SECURE_BANNER,
+    IdentityString,
+    KemParams,
+    MalformedIdentity,
+    ToyParametersWarning,
+)
 from .metrics import CertCostModel, compare_report, instrument, render_table
 from .simnet import (
     DEMO_5G_SCRIPT,
@@ -133,7 +140,6 @@ def _print(payload, fmt: str) -> None:
 
 
 def cmd_tpkg_setup(args, config: CliConfig) -> int:
-    print(f"! {NOT_SECURE_BANNER}", file=sys.stderr)
     directory = config.domain_dir(args.domain)
     if (directory / "mpk.bin").exists():
         print(f"domain {args.domain} already exists at {directory}", file=sys.stderr)
@@ -264,7 +270,6 @@ def cmd_registry_verify(args, config: CliConfig) -> int:
 
 
 def cmd_tpkg_serve(args, config: CliConfig) -> int:
-    print(f"! {NOT_SECURE_BANNER}", file=sys.stderr)
     directory, service, authority = _open_domain(args, config)
     readable = load_readable_shares(directory)
     threshold = readable[0].threshold if readable else None
@@ -327,7 +332,6 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
 
 
 def cmd_demo(script: dict, args, config: CliConfig) -> int:
-    print(f"! {NOT_SECURE_BANNER}", file=sys.stderr)
     log = run_scenario(script, seed=args.seed)
     output = log.to_jsonl()
     if args.out:
@@ -346,7 +350,6 @@ def cmd_demo(script: dict, args, config: CliConfig) -> int:
 
 
 def cmd_bench_report(args, config: CliConfig) -> int:
-    print(f"! {NOT_SECURE_BANNER}", file=sys.stderr)
     sim = KubernetesSim(seed=seed_bytes(args.seed))
     report_conn = sim.connect("kube-scheduler", "kube-apiserver")
     if not report_conn.ok:
@@ -455,8 +458,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "registry-verify" and not args.domain and not args.file:
         parser.error("registry-verify needs --domain or --file")
+    # The banner stands for the warning every parameter set raises.
+    print(f"! {NOT_SECURE_BANNER}", file=sys.stderr)
     try:
-        return args.run(args, CliConfig(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ToyParametersWarning)
+            return args.run(args, CliConfig(args))
     except Exception as exc:
         for kinds, code, line in FAILURES:
             if isinstance(exc, kinds):

@@ -25,14 +25,14 @@ from ..kem import (
 )
 from ..kem.codec import (
     SCHEME_EPHEMERAL,
-    SCHEME_ID_ML_KEM,
     SCHEME_REFERENCE,
     decode_ciphertext,
     decode_eph_public,
     encode_ciphertext,
     encode_eph_public,
+    require_negotiable_scheme,
 )
-from ..kem.errors import DecodeError, InvalidParams, MalformedIdentity, UnsupportedScheme
+from ..kem.errors import DecodeError, MalformedIdentity, UnsupportedScheme
 from ..kem.sampling import HashStream
 from .record import DirectionKeys, RecordAuthError
 from .schedule import KeySchedule, compute_finished, verify_finished
@@ -190,7 +190,7 @@ class _SessionBase:
             # Wrong traffic keys mean the peer derived different secrets: an
             # authentication failure, not a parsing problem.
             return self._abort(AlertCode.IBE_AUTH_FAILURE)
-        except (DecodeError, MalformedIdentity, InvalidParams):
+        except (DecodeError, MalformedIdentity):
             return self._abort(AlertCode.DECODE_ERROR)
         except UnsupportedScheme:
             return self._abort(AlertCode.UNSUPPORTED_SCHEME)
@@ -246,14 +246,11 @@ class _SessionBase:
                 raise DecodeError("missing ibe_identity_auth extension")
             return None
         auth = IbeIdentityAuth.from_extension(ext)
-        params_hash, scheme_id, ct = decode_ciphertext(auth.encapsulated_identity, self.params)
-        if scheme_id != auth.ibe_scheme_id:
-            # a mangled scheme field, not a coherent offer of another scheme
-            raise DecodeError("extension and ciphertext disagree on the scheme id")
-        if auth.ibe_scheme_id == SCHEME_ID_ML_KEM:
-            raise UnsupportedScheme("scheme 0x0001 is reserved and not implemented here")
-        if params_hash != self.mpk.params_hash:
-            raise DecodeError("ciphertext bound to a different master public key")
+        # Decoding under the extension's id first makes a disagreement between
+        # the two ids a decode_error; only a coherent offer is judged.
+        ct = decode_ciphertext(auth.encapsulated_identity, self.params, self.mpk.params_hash,
+                               auth.ibe_scheme_id)
+        require_negotiable_scheme(auth.ibe_scheme_id)
         return ct
 
     def _auth_extension_for(self, ct) -> bytes:
@@ -356,9 +353,8 @@ class ClientSession(_SessionBase):
         hello = decode_server_hello(body)
         ct_c = self._parse_identity_auth(hello.extensions, required=self.mutual)
 
-        _, eph_scheme, eph_ct = decode_ciphertext(hello.eph_ciphertext, self.params)
-        if eph_scheme != SCHEME_EPHEMERAL:
-            raise DecodeError("server key share is not an ephemeral-KEM ciphertext")
+        eph_ct = decode_ciphertext(hello.eph_ciphertext, self.params, self.mpk.params_hash,
+                                   SCHEME_EPHEMERAL)
         eph = eph_decaps(self._eph, eph_ct)
         self.ops["decaps"] += 1
         self._eph.erase()  # forward secrecy: drop the ephemeral secret now
@@ -432,10 +428,7 @@ class ServerSession(_SessionBase):
     def _handle_client_hello(self, framed: bytes, body: bytes) -> list[bytes]:
         hello = decode_client_hello(body)
         ct_s = self._parse_identity_auth(hello.extensions, required=True)
-        eph_public = decode_eph_public(hello.eph_share)
-        if eph_public.params != self.params:
-            # the peer picks the share's dimensions; never expand a matrix it sized
-            raise DecodeError("ephemeral share uses parameters other than the domain's")
+        eph_public = decode_eph_public(hello.eph_share, self.params)
 
         identity_ext = find_extension(hello.extensions, EXT_IBE_IDENTITY)
         if self.mutual and identity_ext is None:

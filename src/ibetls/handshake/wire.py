@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from ..kem import IdentityString
-from ..kem.codec import SCHEME_ID_ML_KEM, SCHEME_REFERENCE
 from ..kem.errors import DecodeError
-
-# scheme ids that may legitimately appear in an ibe_identity_auth extension;
-# the ephemeral-KEM codec prefix is internal and never negotiated
-EXTENSION_SCHEME_IDS = frozenset({SCHEME_ID_ML_KEM, SCHEME_REFERENCE})
 
 
 class HandshakeType(IntEnum):
@@ -169,8 +164,6 @@ class IbeIdentityAuth:
         reader.expect_end("ibe_identity_auth")
         if not body:
             raise DecodeError("empty encapsulated_identity")
-        if scheme_id not in EXTENSION_SCHEME_IDS:
-            raise DecodeError(f"unknown ibe scheme id 0x{scheme_id:04x}")
         return cls(scheme_id, body)
 
 

@@ -5,10 +5,12 @@ shares, carry their Z_q coefficients at params.k bits each: one little-endian
 bit stream, padded with zero bits to the next byte (the shape of FIPS 203's
 ByteEncode_d, lossless). Master public keys and identity private keys keep 4
 little-endian bytes per Z_q element. Every blob is prefixed with the 32-byte
-params_hash it is bound to and a 2-byte scheme id. Scheme id 0x0001 is
-reserved for the standard-track construction and is accepted by the codec but
-cannot be instantiated; the reference instantiation registers in the
-experimental range as 0x7001.
+params_hash it is bound to and a 2-byte scheme id. Each decoder refuses
+any id but the one it expects, and the handshake decoders any hash or
+parameters but the receiver's own, so no peer byte is parsed as parameters.
+Scheme id 0x0001 is reserved for the standard-track construction and cannot
+be instantiated; the reference instantiation registers in the experimental
+range as 0x7001.
 """
 
 from __future__ import annotations
@@ -34,15 +36,15 @@ from .scheme import (
 SCHEME_ID_ML_KEM = 0x0001      # reserved; not implemented here
 SCHEME_REFERENCE = 0x7001      # gadget-trapdoor desk instantiation
 SCHEME_EPHEMERAL = 0x7002      # unauthenticated dual-Regev share
-KNOWN_SCHEME_IDS = frozenset({SCHEME_ID_ML_KEM, SCHEME_REFERENCE, SCHEME_EPHEMERAL})
 
 
-def require_reference_scheme(scheme_id: int) -> None:
-    if scheme_id == SCHEME_REFERENCE:
-        return
+def require_negotiable_scheme(scheme_id: int) -> None:
+    """Refuse an identity-KEM scheme a peer offers unless it is the one run
+    here: the reserved standard-track id is unsupported, any other malformed."""
     if scheme_id == SCHEME_ID_ML_KEM:
-        raise UnsupportedScheme("scheme 0x0001 is reserved and not implemented")
-    raise UnsupportedScheme(f"unknown scheme id 0x{scheme_id:04x}")
+        raise UnsupportedScheme("scheme 0x0001 is reserved and not implemented here")
+    if scheme_id != SCHEME_REFERENCE:
+        raise DecodeError(f"unknown ibe scheme id 0x{scheme_id:04x}")
 
 
 def pack_vec(values: np.ndarray) -> bytes:
@@ -77,7 +79,7 @@ def _bit_layout(count: int, k: int) -> tuple[np.ndarray, ...]:
     (KemParams keeps q < 2^32, so k <= 32 and every word but the stream's
     last has one). Only a last one can run past its word's top, and its
     value >> back[w] is the part that lands in the next word (0 when nothing
-    does). Sizes come from decoded headers, so the cache is small and fixed.
+    does). Sizes come from the receiver's parameters, so the cache is small.
     """
     pos = np.arange(count, dtype=np.uint64) * np.uint64(k)
     word = (pos >> np.uint64(6)).astype(np.intp)
@@ -138,13 +140,14 @@ def _prefix(params_hash: bytes, scheme_id: int) -> bytes:
     return params_hash + struct.pack("!H", scheme_id)
 
 
-def _split_prefix(data: bytes, what: str) -> tuple[bytes, int, bytes]:
+def _split_prefix(data: bytes, what: str, scheme_id: int) -> tuple[bytes, bytes]:
+    """(params_hash, body) of a blob that must carry scheme_id."""
     if len(data) < 34:
         raise DecodeError(f"{what}: truncated prefix")
-    scheme_id = struct.unpack("!H", data[32:34])[0]
-    if scheme_id not in KNOWN_SCHEME_IDS:
-        raise DecodeError(f"{what}: unknown scheme id 0x{scheme_id:04x}")
-    return data[:32], scheme_id, data[34:]
+    (found,) = struct.unpack("!H", data[32:34])
+    if found != scheme_id:
+        raise DecodeError(f"{what}: scheme id 0x{found:04x}, expected 0x{scheme_id:04x}")
+    return data[:32], data[34:]
 
 
 def ciphertext_size(params: KemParams) -> int:
@@ -163,11 +166,14 @@ def encode_ciphertext(ct: IdKemCiphertext, params_hash: bytes,
                                                          ct.params.q)
 
 
-def decode_ciphertext(data: bytes, params: KemParams) -> tuple[bytes, int, IdKemCiphertext]:
-    params_hash, scheme_id, body = _split_prefix(data, "ciphertext")
+def decode_ciphertext(data: bytes, params: KemParams, params_hash: bytes,
+                      scheme_id: int) -> IdKemCiphertext:
+    """The ciphertext in data, which must be bound to params_hash under scheme_id."""
+    bound, body = _split_prefix(data, "ciphertext", scheme_id)
+    if bound != params_hash:
+        raise DecodeError("ciphertext: bound to another params_hash")
     flat = unpack_coeffs(body, params.m + params.ell, params.q, "ciphertext")
-    ct = IdKemCiphertext(params=params, c0=flat[: params.m], c1=flat[params.m:])
-    return params_hash, scheme_id, ct
+    return IdKemCiphertext(params=params, c0=flat[: params.m], c1=flat[params.m:])
 
 
 def encode_master_public(mpk: MasterPublicKey) -> bytes:
@@ -179,8 +185,7 @@ def encode_master_public(mpk: MasterPublicKey) -> bytes:
 
 
 def decode_master_public(data: bytes) -> MasterPublicKey:
-    params_hash, scheme_id, body = _split_prefix(data, "master public key")
-    require_reference_scheme(scheme_id)
+    params_hash, body = _split_prefix(data, "master public key", SCHEME_REFERENCE)
     params, consumed = KemParams.from_header(body)
     flat = unpack_vec(body[consumed:], params.n * params.m, params.q, "master matrix")
     A = flat.reshape(params.n, params.m)
@@ -205,8 +210,7 @@ def encode_private_key(sk: IdentityPrivateKey) -> bytes:
 
 
 def decode_private_key(data: bytes) -> IdentityPrivateKey:
-    params_hash, scheme_id, body = _split_prefix(data, "identity private key")
-    require_reference_scheme(scheme_id)
+    params_hash, body = _split_prefix(data, "identity private key", SCHEME_REFERENCE)
     params, consumed = KemParams.from_header(body)
     body = body[consumed:]
     if len(body) < 2:
@@ -242,14 +246,14 @@ def encode_eph_public(pub: EphemeralPublicKey) -> bytes:
     )
 
 
-def decode_eph_public(data: bytes) -> EphemeralPublicKey:
-    params_hash, scheme_id, body = _split_prefix(data, "ephemeral public key")
-    if scheme_id != SCHEME_EPHEMERAL:
-        raise DecodeError("ephemeral public key: wrong scheme id")
-    params, consumed = KemParams.from_header(body)
-    if params_hash != eph_params_hash(params):
-        raise DecodeError("ephemeral public key: params_hash mismatch")
-    body = body[consumed:]
+def decode_eph_public(data: bytes, params: KemParams) -> EphemeralPublicKey:
+    """The share in data, which must name exactly params: a receiver never
+    sizes a matrix from a header the peer wrote."""
+    bound, body = _split_prefix(data, "ephemeral public key", SCHEME_EPHEMERAL)
+    header = params.header_bytes()
+    if bound != eph_params_hash(params) or body[: len(header)] != header:
+        raise DecodeError("ephemeral public key: parameters other than the receiver's")
+    body = body[len(header):]
     if len(body) < 32:
         raise DecodeError("ephemeral public key: truncated matrix seed")
     seed_a = body[:32]

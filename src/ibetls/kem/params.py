@@ -8,7 +8,6 @@ cryptographically meaningful.
 
 from __future__ import annotations
 
-import functools
 import struct
 import warnings
 from dataclasses import dataclass
@@ -95,7 +94,9 @@ class KemParams:
             raise InvalidParams(
                 "correctness margin violated: m*beta*eta + eta must be < q/4"
             )
-        warnings.warn(NOT_SECURE_BANNER, ToyParametersWarning, stacklevel=2)
+        # 3 skips this method and the generated __init__ (file "<string>"),
+        # so the warning names the line that built the parameters.
+        warnings.warn(NOT_SECURE_BANNER, ToyParametersWarning, stacklevel=3)
 
     @classmethod
     def create(
@@ -129,21 +130,16 @@ class KemParams:
 
     @classmethod
     def from_header(cls, data: bytes) -> tuple["KemParams", int]:
-        """Parse a header produced by :meth:`header_bytes`; returns (params, bytes consumed)."""
+        """Parse a header produced by :meth:`header_bytes`; returns (params, bytes consumed).
+
+        Only blobs at rest carry one to parse: a master public key or an
+        issued key. A peer's share must match the receiver's own header."""
         if len(data) < 5 + 32 + 2 or data[:5] != b"IBEK1":
             raise InvalidParams("bad parameter header")
         (ds_len,) = struct.unpack("<H", data[37:39])
         end = 39 + ds_len
         if len(data) < end:
             raise InvalidParams("truncated parameter header")
-        return _params_of_header(bytes(data[:end])), end
-
-
-@functools.lru_cache(maxsize=8)
-def _params_of_header(header: bytes) -> KemParams:
-    """The parameter set one exact header names. Only successful parses are
-    cached, so a header that fails KemParams' checks fails on every decode,
-    and a repeated header skips the primality test."""
-    n, k, m_bar, m, q, ell, beta, eta = struct.unpack("<8I", header[5:37])
-    return KemParams(n=n, k=k, m_bar=m_bar, m=m, q=q, ell=ell, beta=beta, eta=eta,
-                     domain_sep=header[39:])
+        n, k, m_bar, m, q, ell, beta, eta = struct.unpack("<8I", data[5:37])
+        return cls(n=n, k=k, m_bar=m_bar, m=m, q=q, ell=ell, beta=beta, eta=eta,
+                   domain_sep=bytes(data[39:end])), end

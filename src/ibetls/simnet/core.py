@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import base64
 import datetime
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..handshake import ClientSession, ServerSession
 from ..kem import (
@@ -22,8 +20,6 @@ from ..kem import (
     IdentityString,
     MasterPublicKey,
     decode_private_key,
-    encode_master_public,
-    encode_private_key,
 )
 from ..tpkg import ApiServer, IssuerPolicy, ShareSet, TpkgService
 from .transport import Connection, WireCapture, establish
@@ -52,23 +48,9 @@ class SimNode:
     name: str
     role: str
     keys: dict[tuple[str, str], IdentityPrivateKey] = field(default_factory=dict)
-    secret_store: dict[str, dict] = field(default_factory=dict)
-    secret_dir: Path | None = None
 
-    def hold_key(self, domain: str, key: IdentityPrivateKey, mpk: MasterPublicKey) -> None:
+    def hold_key(self, domain: str, key: IdentityPrivateKey) -> None:
         self.keys[(domain, key.identity.base)] = key
-        manifest = {
-            "id": base64.b64encode(key.identity.canonical.encode()).decode(),
-            "secret-key": base64.b64encode(encode_private_key(key)).decode(),
-            "master-public-key": base64.b64encode(encode_master_public(mpk)).decode(),
-        }
-        name = f"identity-key-{key.identity.base.replace(':', '-').replace('.', '-')}"
-        self.secret_store[name] = manifest
-        if self.secret_dir is not None:
-            self.secret_dir.mkdir(parents=True, exist_ok=True)
-            (self.secret_dir / f"{name}.json").write_text(
-                json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-            )
 
     def key_in(self, domain: str, base: str) -> IdentityPrivateKey | None:
         return self.keys.get((domain, base))
@@ -116,13 +98,13 @@ class TrustDomainSim:
                   principal: str) -> IdentityPrivateKey:
         """Issue identity's key out of band under a quorum; node holds it."""
         key = self.service.issue_direct(identity, self.quorum(), principal)
-        node.hold_key(self.name, key, self.mpk)
+        node.hold_key(self.name, key)
         return key
 
     def install(self, node: SimNode, delivery: dict) -> IdentityPrivateKey:
         """node holds the key that a key-delivery document carries."""
         key = decode_private_key(base64.b64decode(delivery["privateKey"]))
-        node.hold_key(self.name, key, self.mpk)
+        node.hold_key(self.name, key)
         return key
 
     def revoke(self, base: str) -> None:

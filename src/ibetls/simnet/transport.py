@@ -94,34 +94,21 @@ class Connection:
 
 def establish(client: ClientSession, server: ServerSession,
               capture: WireCapture | None = None) -> Connection:
-    """Drive both state machines to completion (or abort) over a lossless pipe."""
-    capture = capture if capture is not None else WireCapture()
-    to_server = list(client.client_start())
-    for rec in to_server:
-        capture.add("client", rec)
-    to_client: list[bytes] = []
-    while to_server or to_client:
-        next_to_client: list[bytes] = []
-        for rec in to_server:
-            if _finished(server):
-                continue  # dropped on the floor; already captured
-            out = server.receive_record(rec)
-            for item in out:
-                capture.add("server", item)
-            next_to_client.extend(out)
-        to_server = []
-        to_client.extend(next_to_client)
+    """Drive both state machines to completion (or abort) over a lossless pipe.
 
-        next_to_server: list[bytes] = []
-        for rec in to_client:
-            if _finished(client):
-                continue
-            out = client.receive_record(rec)
-            for item in out:
-                capture.add("client", item)
-            next_to_server.extend(out)
-        to_client = []
-        to_server.extend(next_to_server)
+    The exchange alternates: each flight is one side's whole answer to the
+    other side's last flight. Every record is captured as it is delivered;
+    a session that has finished drops what it is sent."""
+    capture = capture if capture is not None else WireCapture()
+    sender, receiver = client, server
+    flight = client.client_start()
+    while flight:
+        replies: list[bytes] = []
+        for rec in flight:
+            capture.add(sender.role, rec)
+            if not _finished(receiver):
+                replies.extend(receiver.receive_record(rec))
+        sender, receiver, flight = receiver, sender, replies
     return Connection(client=client, server=server, capture=capture)
 
 

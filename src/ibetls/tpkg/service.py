@@ -247,14 +247,12 @@ class TpkgService:
 
     def __init__(
         self,
-        params: KemParams,
         mpk: MasterPublicKey,
         policy: IssuerPolicy,
         registry: Registry,
         authenticator=None,
         clock=None,
     ) -> None:
-        self.params = params
         self.mpk = mpk
         self.policy = policy
         self.registry = registry
@@ -294,7 +292,7 @@ class TpkgService:
         mpk, msk = setup(params, master_seed)
         msk.zeroize()
         share_set = shamir.split(master_seed, n_nodes, threshold, domain, stream.read(32))
-        service = cls(params=params, mpk=mpk, policy=policy, registry=Registry(domain),
+        service = cls(mpk=mpk, policy=policy, registry=Registry(domain),
                       authenticator=authenticator, clock=clock)
         service.registry.append(
             identity=f"{domain}/genesis",

@@ -39,7 +39,7 @@ import tempfile
 from pathlib import Path
 
 from ..kem import IdentityString, decode_master_public, encode_master_public
-from ..kem.errors import MalformedIdentity
+from ..kem.errors import KemError, MalformedIdentity
 from .registry import STATUS_REVOKED, Journal, Registry, RegistryCorrupt, json_line
 from .service import IdentityRequest, IssuerPolicy, TpkgService
 from .shamir import Share, ShareSet
@@ -100,7 +100,10 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
     if (directory / "requests.json").exists():
         raise LegacyLayout(f"{directory / 'requests.json'} is from an older layout "
                            "that this version does not read")
-    mpk = decode_master_public((directory / "mpk.bin").read_bytes())
+    try:
+        mpk = decode_master_public((directory / "mpk.bin").read_bytes())
+    except KemError as exc:
+        raise RegistryCorrupt(f"{directory / 'mpk.bin'}: {exc}") from None
     policy = IssuerPolicy.from_dict(json.loads((directory / "policy.json").read_text()))
     registry = Registry.load(policy.trust_domain, directory / "registry.jsonl")
     # A revocation is durable once its registry record is: policy.json may
@@ -112,7 +115,7 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
     except (AttributeError, MalformedIdentity) as exc:
         raise RegistryCorrupt(f"{directory / 'registry.jsonl'}: bad revoked identity: "
                               f"{exc!r}") from None
-    service = TpkgService(params=mpk.params, mpk=mpk, policy=policy, registry=registry,
+    service = TpkgService(mpk=mpk, policy=policy, registry=registry,
                           authenticator=authenticator, clock=clock)
     journal = Journal(directory / "requests.jsonl")
     docs, tail = journal.read()

@@ -1,20 +1,29 @@
 import argparse
 import json
+import os
 import socket
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 import ibetls.cli
 from ibetls.cli import CliConfig, main
+from ibetls.kem import NOT_SECURE_BANNER
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reasons(err: str) -> list[str]:
+    """err's lines without the not-secure banner."""
+    return [line for line in err.splitlines() if not line.startswith("! ")]
 
 
 @pytest.fixture()
@@ -131,7 +140,7 @@ def test_concurrent_writer_exits_5_and_leaves_the_home_intact(home, capsys, monk
                                 "--identity", "kubelet:node-01.20250101",
                                 "--subject", "node-01", "--groups", "system:bootstrappers"],
                                capsys)
-    assert code == 5 and err.startswith("CONFLICT") and len(err.splitlines()) == 1, err
+    assert code == 5 and reasons(err)[0].startswith("CONFLICT") and len(reasons(err)) == 1, err
     assert (directory / "requests.jsonl").read_bytes() == before
     code, out, _ = run_cli(["--home", str(home), "registry-verify", "--domain",
                             "control-plane"], capsys)
@@ -146,7 +155,8 @@ def test_torn_or_broken_registry_exits_5_everywhere(home, capsys):
     for command in ("registry-verify", "id-list"):
         code, _, err = run_cli(["--home", str(home), command, "--domain", "control-plane"],
                                capsys)
-        assert code == 5 and err.startswith("CORRUPT") and "Traceback" not in err, command
+        assert code == 5 and reasons(err)[0].startswith("CORRUPT") and "Traceback" not in err, \
+            command
 
     # an edit in the middle of an otherwise complete chain
     path.write_bytes(intact)
@@ -168,7 +178,7 @@ def test_home_with_old_requests_file_refused(home, capsys):
     code, out, err = run_cli(["--home", str(home), "id-list", "--domain", "control-plane"],
                              capsys)
     assert code == 2 and out == ""
-    assert "requests.json" in err and len(err.strip().splitlines()) == 1
+    assert "requests.json" in err and len(reasons(err)) == 1
 
 
 # Every failure ends with its documented exit code and one stderr line (the
@@ -196,9 +206,41 @@ def test_bad_input_exits_with_its_code_and_one_line(home, tmp_path, capsys, argv
                                            encoding="utf-8")
     argv = [arg.format(tmp=tmp_path, closed_port=free_port()) for arg in argv]
     code, _, err = run_cli(["--home", str(home), *argv], capsys)
-    reasons = [line for line in err.splitlines() if not line.startswith("! ")]
-    assert code == expected and len(reasons) == 1 and "Traceback" not in err, err
+    assert code == expected and len(reasons(err)) == 1 and "Traceback" not in err, err
     assert not (home / "domains" / "other").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tpkg-setup", "--domain", "other", "--threshold", "5"],
+    ["id-request", "--domain", "control-plane", "--identity", "no-epoch"],
+    ["id-revoke", "--domain", "control-plane", "--identity", "kubelet:node-01"],
+    ["epoch-bump", "--domain", "control-plane", "--epoch", "notanepoch"],
+], ids=["threshold-above-nodes", "malformed-request-identity", "malformed-revoke-identity",
+        "malformed-epoch"])
+def test_failing_command_writes_the_banner_and_one_reason(home, capsys, argv):
+    # A separate interpreter, so no test-run warning filter hides a stray line.
+    setup_domain(home, capsys)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(ibetls.cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "ibetls.cli", "--home", str(home), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    lines = done.stderr.splitlines()
+    assert done.returncode == 2 and len(lines) == 2, done.stderr
+    assert lines[0] == f"! {NOT_SECURE_BANNER}" and not lines[1].startswith("! ")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:40] + bytes([blob[40] ^ 1]) + blob[41:],       # parameter header
+    lambda blob: blob[:5000] + bytes([blob[5000] ^ 1]) + blob[5001:],  # master matrix
+    lambda blob: blob[:-7],
+], ids=["flipped-header-byte", "flipped-matrix-byte", "truncated"])
+def test_undecodable_master_public_key_exits_5(home, capsys, damage):
+    path = setup_domain(home, capsys) / "mpk.bin"
+    path.write_bytes(damage(path.read_bytes()))
+    code, out, err = run_cli(["--home", str(home), "id-list", "--domain", "control-plane"],
+                             capsys)
+    assert code == 5 and out == "" and "Traceback" not in err
+    assert len(reasons(err)) == 1 and reasons(err)[0].startswith("CORRUPT: "), err
 
 
 def test_revoke_then_request_denied(home, capsys):

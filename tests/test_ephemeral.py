@@ -52,7 +52,7 @@ def test_public_share_has_fixed_length(desk):
 
 def test_public_share_codec_round_trip(desk):
     keypair = eph_generate(desk, seed_of(6))
-    back = decode_eph_public(encode_eph_public(keypair.public))
+    back = decode_eph_public(encode_eph_public(keypair.public), desk)
     assert back.seed_a == keypair.public.seed_a
     assert np.array_equal(back.U, keypair.public.U)
     assert back.binding_hash() == keypair.public.binding_hash()
@@ -76,7 +76,7 @@ def test_eph_decaps_rejects_out_of_range(desk):
 
 def test_public_matrix_expanded_lazily_once_per_key(desk):
     keypair = eph_generate(desk, seed_of(13))
-    public = decode_eph_public(encode_eph_public(keypair.public))
+    public = decode_eph_public(encode_eph_public(keypair.public), desk)
     # Decoding a peer's share must not expand the matrix it names.
     assert "A" not in vars(public)
     eph_encaps(public, seed_of(14))

@@ -250,36 +250,89 @@ def test_tamper_fuzz_sample(mpk, server_identity, server_key, client_identity, c
         )
 
 
-def test_reserved_scheme_offer_gets_unsupported_scheme_alert(mpk, server_identity,
-                                                             server_key):
-    # A coherent 0x0001 offer (extension and ciphertext prefix agree) is the
-    # one case answered with unsupported_scheme rather than decode_error.
+def _offer_scheme(client, extension_id: int, prefix_id: int) -> bytes:
+    """client's first record with its ibe_identity_auth extension's scheme id
+    set to extension_id and its ciphertext prefix's scheme id to prefix_id."""
     from ibetls.handshake.wire import (
         Extension,
         decode_client_hello,
         encode_client_hello,
-        record,
-        split_record,
         unframe,
     )
 
-    client, server = make_pair(mpk, server_identity, server_key, seed=436)
     _, payload = split_record(client.client_start()[0])
     _, body = unframe(payload)
     hello = decode_client_hello(body)
     auth = hello.extensions[0]
     data = bytearray(auth.extension_data)
-    data[0:2] = b"\x00\x01"        # extension ibe_scheme_id
-    data[36:38] = b"\x00\x01"      # ciphertext prefix: after u16 length + 32-byte hash
+    data[0:2] = extension_id.to_bytes(2, "big")
+    data[36:38] = prefix_id.to_bytes(2, "big")  # after u16 length + 32-byte hash
     doctored = type(hello)(
         random=hello.random, eph_share=hello.eph_share,
         extensions=[Extension(auth.extension_type, bytes(data))] + hello.extensions[1:],
     )
-    out = server.receive_record(record(ContentType.HANDSHAKE,
-                                       encode_client_hello(doctored)))
+    return record(ContentType.HANDSHAKE, encode_client_hello(doctored))
+
+
+def test_reserved_scheme_offer_gets_unsupported_scheme_alert(mpk, server_identity,
+                                                             server_key):
+    # A coherent 0x0001 offer (extension and ciphertext prefix agree) is the
+    # one case answered with unsupported_scheme rather than decode_error.
+    client, server = make_pair(mpk, server_identity, server_key, seed=436)
+    out = server.receive_record(_offer_scheme(client, 0x0001, 0x0001))
     assert server.state is State.ABORTED
     assert server.alert_sent == AlertCode.UNSUPPORTED_SCHEME
     assert out and out[0][0] == ContentType.ALERT
+
+
+SCHEME_IDS = (0x7001, 0x0001, 0x7002, 0xBEEF)
+
+
+@pytest.mark.parametrize("extension_id", SCHEME_IDS, ids=lambda i: f"ext{i:04x}")
+@pytest.mark.parametrize("prefix_id", SCHEME_IDS, ids=lambda i: f"ct{i:04x}")
+def test_scheme_id_alert_matrix(mpk, server_identity, server_key, extension_id, prefix_id):
+    # Only the reference scheme is served; a coherent 0x0001 offer is
+    # unsupported, and any other id or disagreement is malformed.
+    client, server = make_pair(mpk, server_identity, server_key, seed=437)
+    server.receive_record(_offer_scheme(client, extension_id, prefix_id))
+    if extension_id == prefix_id == 0x7001:
+        expected = None
+    elif extension_id == prefix_id == 0x0001:
+        expected = AlertCode.UNSUPPORTED_SCHEME
+    else:
+        expected = AlertCode.DECODE_ERROR
+    assert server.alert_sent == expected
+    assert (server.state is State.ABORTED) == (expected is not None)
+
+
+def test_server_hello_share_bound_to_another_hash_gets_decode_error(mpk, server_identity,
+                                                                    server_key):
+    from ibetls.handshake.wire import decode_server_hello, encode_server_hello, unframe
+
+    client, server = make_pair(mpk, server_identity, server_key, seed=438)
+    server_hello, *rest = server.receive_record(client.client_start()[0])
+    _, payload = split_record(server_hello)
+    hello = decode_server_hello(unframe(payload)[1])
+    foreign = bytes([hello.eph_ciphertext[0] ^ 1]) + hello.eph_ciphertext[1:]
+    doctored = type(hello)(random=hello.random, eph_ciphertext=foreign,
+                           extensions=hello.extensions)
+    for rec in [record(ContentType.HANDSHAKE, encode_server_hello(doctored)), *rest]:
+        if client.state is State.ABORTED:
+            break
+        client.receive_record(rec)
+    assert client.alert_sent == AlertCode.DECODE_ERROR
+
+
+def test_handshake_parses_no_parameter_header(monkeypatch, mpk, server_identity, server_key,
+                                              client_identity, client_key):
+    # Both sides hold their parameters already; no peer byte is parsed as them.
+    def refuse(cls, data):
+        raise AssertionError("a parameter header was parsed during the handshake")
+
+    monkeypatch.setattr(KemParams, "from_header", classmethod(refuse))
+    client, server = make_pair(mpk, server_identity, server_key,
+                               client_identity, client_key, mutual=True, seed=439)
+    assert establish(client, server).ok
 
 
 def test_replayed_client_hello_cannot_finish(mpk, server_identity, server_key,

@@ -25,7 +25,7 @@ from ibetls.kem import (
     encode_private_key,
     extract,
     gadget_matrix,
-    require_reference_scheme,
+    require_negotiable_scheme,
     setup,
 )
 from ibetls.kem.sampling import HashStream, limb_bits, matmul_mod
@@ -93,7 +93,6 @@ def test_float64_bound_rejected():
 def test_bad_header_still_refused_after_a_good_one_is_cached(desk):
     good = desk.header_bytes()
     assert KemParams.from_header(good + b"tail") == (desk, len(good))
-    assert KemParams.from_header(good)[0] is KemParams.from_header(good)[0]
     # the same header with a composite q, then with a broken magic
     fields = list(struct.unpack("<8I", good[5:37]))
     fields[4] = desk.q + 1
@@ -345,11 +344,14 @@ def test_domain_separation_of_shared_secret(mpk):
 def test_ciphertext_codec_round_trip(desk, mpk, server_identity):
     ct, _ = encaps(mpk, server_identity, seed_of(11))
     blob = encode_ciphertext(ct, mpk.params_hash)
-    ph, scheme, back = decode_ciphertext(blob, desk)
-    assert ph == mpk.params_hash and scheme == 0x7001
+    back = decode_ciphertext(blob, desk, mpk.params_hash, 0x7001)
     assert np.array_equal(back.c0, ct.c0) and np.array_equal(back.c1, ct.c1)
     with pytest.raises(DecodeError):
-        decode_ciphertext(blob[:-4], desk)
+        decode_ciphertext(blob[:-4], desk, mpk.params_hash, 0x7001)
+    # a prefix other than the expected (params_hash, scheme id)
+    for params_hash, scheme_id in ((bytes(32), 0x7001), (mpk.params_hash, 0x7002)):
+        with pytest.raises(DecodeError):
+            decode_ciphertext(blob, desk, params_hash, scheme_id)
 
 
 def test_master_public_codec_round_trip(mpk):
@@ -405,12 +407,13 @@ def test_private_key_decode_rejects_bad_identity(server_key, offset, byte):
 def test_reserved_scheme_id_accepted_by_codec_not_instantiable(desk, mpk, server_identity):
     ct, _ = encaps(mpk, server_identity, seed_of(12))
     blob = encode_ciphertext(ct, mpk.params_hash, scheme_id=0x0001)
-    _, scheme, _ = decode_ciphertext(blob, desk)
-    assert scheme == 0x0001
+    decode_ciphertext(blob, desk, mpk.params_hash, 0x0001)
     with pytest.raises(UnsupportedScheme):
-        require_reference_scheme(scheme)
-    with pytest.raises(UnsupportedScheme):
-        require_reference_scheme(0xBEEF)
+        require_negotiable_scheme(0x0001)
+    require_negotiable_scheme(0x7001)
+    for scheme_id in (0x7002, 0xBEEF):
+        with pytest.raises(DecodeError):
+            require_negotiable_scheme(scheme_id)
 
 
 def test_fixtures_share_one_master(mpk):

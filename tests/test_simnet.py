@@ -79,24 +79,6 @@ def test_tokens_validate_and_reject_forgeries():
 # ---------------------------------------------------------------------------
 
 
-def test_secret_file_backend(tmp_path, desk, mpk, msk):
-    import json
-
-    from ibetls.kem import IdentityString, extract
-    from ibetls.simnet import SimNode
-
-    node = SimNode(name="svc-a", role="workload", secret_dir=tmp_path)
-    key = extract(msk, mpk, IdentityString.parse("prod.payments.checkout-api.20250101"))
-    node.hold_key("apps", key, mpk)
-    files = list(tmp_path.glob("identity-key-*.json"))
-    assert len(files) == 1
-    manifest = json.loads(files[0].read_text())
-    assert set(manifest) == {"id", "secret-key", "master-public-key"}
-    import base64
-
-    assert base64.b64decode(manifest["id"]).decode() == "prod.payments.checkout-api.20250101"
-
-
 def test_kubelet_bootstrap_full_flow(k8s):
     report = k8s.bootstrap_kubelet("node-01")
     assert report["issued"] and report["handshake"] == "complete"
@@ -104,10 +86,6 @@ def test_kubelet_bootstrap_full_flow(k8s):
     # subsequent connections are mutual IBE-TLS
     connect = k8s.connect("kubelet-node-01", "kube-apiserver")
     assert connect.ok
-
-    node = k8s.nodes["kubelet-node-01"]
-    manifest = next(iter(node.secret_store.values()))
-    assert set(manifest) == {"id", "secret-key", "master-public-key"}
 
 
 def test_bootstrap_token_cannot_request_other_identities(k8s):

@@ -108,7 +108,7 @@ def test_quorum_reconstruct_requires_threshold(domain):
     # any two shares re-derive a master that matches the published mpk
     for pair in ([0, 1], [1, 2], [0, 2]):
         with service.reconstructed_master([shares.shares[i] for i in pair]) as msk:
-            assert np.array_equal(_trapdoor_public(service.params, msk.a_bar, msk.R),
+            assert np.array_equal(_trapdoor_public(service.mpk.params, msk.a_bar, msk.R),
                                   service.mpk.A)
 
 
@@ -231,7 +231,7 @@ def test_extract_and_deliver_key_verifies(domain):
     delivery = service.extract_and_deliver(request.name, list(shares.shares[1:3]))
     sk = delivery.private_key
     U = derive_public(service.mpk, delivery.identity).U
-    prod = (service.mpk.A.astype(np.float64) @ sk.X.astype(np.float64)).astype(np.int64) % service.params.q
+    prod = (service.mpk.A.astype(np.float64) @ sk.X.astype(np.float64)).astype(np.int64) % service.mpk.params.q
     assert np.array_equal(prod, U)
     assert delivery.expiration == fixed_clock() + datetime.timedelta(seconds=86400)
     # one-shot issuance
@@ -369,7 +369,7 @@ def test_domain_save_load_round_trip(tmp_path, domain):
     assert reloaded.registry.verify() is None
     quorum = load_readable_shares(tmp_path)[:2]
     with reloaded.reconstructed_master(quorum) as msk:
-        assert np.array_equal(_trapdoor_public(reloaded.params, msk.a_bar, msk.R),
+        assert np.array_equal(_trapdoor_public(reloaded.mpk.params, msk.a_bar, msk.R),
                               reloaded.mpk.A)
 
 

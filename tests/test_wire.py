@@ -54,12 +54,12 @@ def test_identity_auth_exact_bytes():
     assert IbeIdentityAuth.from_extension(ext) == auth
 
 
-def test_identity_auth_rejects_unknown_scheme_and_empty_body():
-    ext = Extension(65280, bytes.fromhex("beef0002aabb"))
-    with pytest.raises(DecodeError):
-        IbeIdentityAuth.from_extension(ext)
+def test_identity_auth_rejects_empty_body():
+    # the scheme id is judged by the session; see test_handshake's alert matrix
     with pytest.raises(ValueError):
         IbeIdentityAuth(0x7001, b"").to_extension()
+    with pytest.raises(DecodeError):
+        IbeIdentityAuth.from_extension(Extension(65280, bytes.fromhex("70010000")))
 
 
 def test_identity_extension_round_trips_email_form():
