@@ -101,6 +101,10 @@ def message_name(msg_type: int, sender_role: str) -> str:
     return base
 
 
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 class _SessionBase:
     role = "base"
     # Waiting state -> (content type the record must carry, handshake type ->
@@ -122,6 +126,7 @@ class _SessionBase:
         self.secrets: dict[str, bytes | None] = {"eph": None, "ss_s": None, "ss_c": None}
         self.alert_sent: int | None = None
         self.alert_received: int | None = None
+        self.abort_reason: str | None = None  # why this side sent alert_sent
         self.ops = {"encaps": 0, "decaps": 0, "sign": 0, "verify": 0, "pubkey_derive": 0}
         self.message_log: list[tuple[str, str, int]] = []  # (direction, name, wire length)
         self.auth_bytes = 0
@@ -144,9 +149,11 @@ class _SessionBase:
     def transcript_hash(self) -> bytes:
         return self.transcript.copy().digest()
 
-    def _abort(self, code: int) -> list[bytes]:
+    def _abort(self, code: int, reason: str) -> list[bytes]:
+        """Abort with alert code; reason names what failed, never a secret."""
         self.state = State.ABORTED
         self.alert_sent = int(code)
+        self.abort_reason = reason
         return [alert_record(code)]
 
     def _directions(self, client_secret: bytes,
@@ -186,14 +193,14 @@ class _SessionBase:
             raise InvalidState("session is finished")
         try:
             return self._dispatch(rec)
-        except RecordAuthError:
+        except RecordAuthError as exc:
             # Wrong traffic keys mean the peer derived different secrets: an
             # authentication failure, not a parsing problem.
-            return self._abort(AlertCode.IBE_AUTH_FAILURE)
-        except (DecodeError, MalformedIdentity):
-            return self._abort(AlertCode.DECODE_ERROR)
-        except UnsupportedScheme:
-            return self._abort(AlertCode.UNSUPPORTED_SCHEME)
+            return self._abort(AlertCode.IBE_AUTH_FAILURE, _reason(exc))
+        except (DecodeError, MalformedIdentity) as exc:
+            return self._abort(AlertCode.DECODE_ERROR, _reason(exc))
+        except UnsupportedScheme as exc:
+            return self._abort(AlertCode.UNSUPPORTED_SCHEME, _reason(exc))
 
     def _dispatch(self, rec: bytes) -> list[bytes]:
         content_type, payload = split_record(rec)
@@ -229,9 +236,8 @@ class _SessionBase:
             raise InvalidState("cannot receive application data before Complete")
         try:
             content, content_type = self._app_recv.open(rec)
-        except RecordAuthError:
-            self.state = State.ABORTED
-            self.alert_sent = int(AlertCode.IBE_AUTH_FAILURE)
+        except RecordAuthError as exc:
+            self._abort(AlertCode.IBE_AUTH_FAILURE, _reason(exc))
             raise
         if content_type != ContentType.APPLICATION_DATA:
             raise RecordAuthError("unexpected inner content type")
@@ -331,7 +337,8 @@ class ClientSession(_SessionBase):
         self._got_hrr = True
         self._absorb(framed, "recv")
         if self.own_identity is None or self.own_key is None:
-            return self._abort(AlertCode.IBE_AUTH_FAILURE)
+            return self._abort(AlertCode.IBE_AUTH_FAILURE,
+                               "HelloRetryRequest asks for a client key this client lacks")
         # Resend the ClientHello with the requested identity attached; the
         # ephemeral share and ciphertext are unchanged within this handshake.
         self.mutual = True
@@ -380,7 +387,7 @@ class ClientSession(_SessionBase):
         # MAC covers the transcript through EncryptedExtensions.
         if not verify_finished(self.schedule.server_finished_key, self.transcript_hash(),
                                finished.verify_data):
-            return self._abort(AlertCode.IBE_AUTH_FAILURE)
+            return self._abort(AlertCode.IBE_AUTH_FAILURE, "server Finished does not verify")
         self._absorb(framed, "recv")
         th2 = self.transcript_hash()
         self.schedule.derive_application(th2)
@@ -446,7 +453,8 @@ class ServerSession(_SessionBase):
             self.client_identity = IbeIdentity.from_extension(identity_ext).parse()
             if (self.expected_peer_identity is not None
                     and self.client_identity != self.expected_peer_identity):
-                return self._abort(AlertCode.IBE_AUTH_FAILURE)
+                return self._abort(AlertCode.IBE_AUTH_FAILURE,
+                                   "client identity is not the expected peer")
 
         ss_s = decaps(self.own_key, ct_s)
         self.ops["decaps"] += 1
@@ -493,7 +501,7 @@ class ServerSession(_SessionBase):
         finished = decode_finished(body)
         if not verify_finished(self.schedule.client_finished_key, self.schedule.th2,
                                finished.verify_data):
-            return self._abort(AlertCode.IBE_AUTH_FAILURE)
+            return self._abort(AlertCode.IBE_AUTH_FAILURE, "client Finished does not verify")
         self._absorb(framed, "recv")
         self._complete()
         return []

@@ -71,8 +71,9 @@ class HashStream:
         return self.uniform_mod(count, span) - bound
 
     def signs(self, count: int) -> np.ndarray:
-        """Uniform values in {-1, +1}."""
-        return 2 * self.bits(count) - 1
+        """Uniform values in {-1, +1}, as int8."""
+        raw = np.frombuffer(self.read((count + 7) // 8), dtype=np.uint8)
+        return 2 * np.unpackbits(raw, bitorder="little")[:count].view(np.int8) - 1
 
 
 @functools.lru_cache(maxsize=8)

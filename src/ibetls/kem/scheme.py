@@ -31,10 +31,12 @@ def gadget_matrix(params: KemParams) -> np.ndarray:
 
 
 def gadget_decompose(params: KemParams, values: np.ndarray) -> np.ndarray:
-    """Binary z with G @ z == values (mod q); values shape (n, cols) -> (n*k, cols)."""
-    shifts = np.arange(params.k, dtype=np.int64)
-    bits = (values[:, None, :] >> shifts[None, :, None]) & 1
-    return bits.reshape(params.n * params.k, values.shape[1])
+    """Binary z with G @ z == values (mod q), as uint8; values in [0, q), shape
+    (n, cols) -> (n*k, cols), row i*k + b holding bit b of values' row i."""
+    n, cols = values.shape
+    bits = np.unpackbits(values.astype("<u4").view(np.uint8), bitorder="little")
+    bits = bits.reshape(n, cols, 32)[:, :, : params.k]
+    return bits.transpose(0, 2, 1).reshape(n * params.k, cols)
 
 
 def _trapdoor_public(params: KemParams, a_bar: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -111,6 +113,38 @@ def preimage_dtype(params: KemParams) -> np.dtype:
     return np.min_scalar_type(-params.beta)
 
 
+class _Replay(HashStream):
+    """A stream that hands back bytes already read from stream, then goes on
+    reading stream itself."""
+
+    def __init__(self, prefix: bytes, stream: HashStream) -> None:
+        self._prefix, self._stream = memoryview(prefix), stream
+
+    def read(self, n: int) -> bytes:
+        head, self._prefix = self._prefix[:n], self._prefix[n:]
+        return bytes(head) + self._stream.read(n - len(head))
+
+
+def _shuffle_picks(stream: HashStream, rows: int, w: int, steps: int) -> np.ndarray:
+    """Row j is stream.uniform_mod(rows, w - j), for j < steps, as int32.
+
+    The stream is left where steps such calls in sequence leave it. Each call
+    reads a window of rows + 8 words and keeps the first rows words below its
+    rejection limit, so all windows are read in one call. When every window
+    keeps its first rows words, they are reduced in one pass. Otherwise (about
+    1 derivation in 345 at desk parameters) the windows go back through
+    uniform_mod itself, which also makes the extra draw of a window with more
+    than 8 rejected words.
+    """
+    mods = np.arange(w, w - steps, -1, dtype=np.int64)
+    words = stream.read(4 * steps * (rows + 8))
+    head = np.frombuffer(words, dtype="<u4").reshape(steps, rows + 8)[:, :rows]
+    if (head < (2**32 // mods * mods)[:, None]).all():
+        return (head % mods[:, None].astype(np.uint32)).astype(np.int32)
+    replay = _Replay(words, stream)
+    return np.array([replay.uniform_mod(rows, int(mod)) for mod in mods], dtype=np.int32)
+
+
 def _master_secret(params: KemParams, seed: bytes) -> tuple[np.ndarray, np.ndarray]:
     """(a_bar, R) from a 32-byte seed: the only sampler of the master key."""
     if len(seed) != 32:
@@ -122,17 +156,21 @@ def _master_secret(params: KemParams, seed: bytes) -> tuple[np.ndarray, np.ndarr
 
     # Trapdoor rows have a fixed support of beta-1 signed entries, drawn by a
     # partial Fisher-Yates shuffle of the columns run on every row at once:
-    # step j swaps column j with one of columns j..w-1 of that row.
+    # step j swaps position j of row r with position j + picks[j, r]. The
+    # table is transposed and flat, table[c*rows + r] being the column at
+    # position c of row r, so a step is one gather and one scatter at its
+    # picks and one contiguous copy of position j of every row.
     weight = params.trapdoor_row_weight
-    perm = np.tile(np.arange(w, dtype=np.int32), (rows, 1))
-    row = np.arange(rows)
-    for j in range(weight):
-        pick = j + stream.uniform_mod(rows, w - j)
-        chosen = perm[row, pick]
-        perm[row, pick] = perm[:, j]
-        perm[:, j] = chosen
+    table = np.repeat(np.arange(w, dtype=np.min_scalar_type(w)), rows)
+    support = table[: weight * rows].reshape(weight, rows)
+    picks = _shuffle_picks(stream, rows, w, weight)
+    for here, there in zip(support, picks * rows + np.arange(weight * rows).reshape(weight, rows)):
+        chosen = table[there]
+        table[there] = here
+        here[:] = chosen
     R = np.zeros((rows, w), dtype=np.int8)
-    R[row[:, None], perm[:, :weight]] = stream.signs(rows * weight).reshape(rows, weight)
+    R.reshape(-1)[support + np.arange(0, rows * w, w)] = \
+        stream.signs(rows * weight).reshape(rows, weight).T
     return a_bar, R
 
 
@@ -190,9 +228,9 @@ def extract(
 
     U = derive_public(mpk, identity).U
     Z = gadget_decompose(p, U)
-    dtype = preimage_dtype(p)
-    X = np.concatenate([(msk.R.astype(np.float32) @ Z.astype(np.float32)).astype(dtype),
-                        Z.astype(dtype)])
+    X = np.empty((p.m, p.ell), dtype=preimage_dtype(p))
+    X[: p.m_bar] = msk.R.astype(np.float32) @ Z.astype(np.float32)
+    X[p.m_bar :] = Z
     # Postcondition checks are cheap relative to the trapdoor product.
     if int(np.abs(X).max()) > p.beta:
         raise AssertionError("preimage norm exceeded beta")

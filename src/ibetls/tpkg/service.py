@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import datetime
 import fnmatch
+import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -218,7 +219,7 @@ class IssuerPolicy:
 class KeyDelivery:
     identity: IdentityString
     private_key: IdentityPrivateKey
-    mpk: MasterPublicKey
+    mpk_b64: str  # the issuer's encoded master public key, in base64
     expiration: datetime.datetime
 
     def to_json_dict(self) -> dict:
@@ -226,7 +227,7 @@ class KeyDelivery:
         return {
             "identity": self.identity.canonical,
             "privateKey": base64.b64encode(encode_private_key(self.private_key)).decode(),
-            "mpk": base64.b64encode(encode_master_public(self.mpk)).decode(),
+            "mpk": self.mpk_b64,
             "expiration": self.expiration.strftime(TIME_FORMAT),
         }
 
@@ -305,6 +306,12 @@ class TpkgService:
 
     def _now_iso(self) -> str:
         return self.clock().strftime(TIME_FORMAT)
+
+    @functools.cached_property
+    def mpk_b64(self) -> str:
+        """mpk as every key delivery carries it; encoded on the first delivery
+        only, since mpk is set once, in __init__."""
+        return base64.b64encode(encode_master_public(self.mpk)).decode()
 
     # -- quorum reconstruction -------------------------------------------------
 
@@ -435,7 +442,7 @@ class TpkgService:
             self._record(request, RequestStatus.ISSUED)
             expiration = _expiry(request, self.registry.records[-1])
         return KeyDelivery(identity=identity, private_key=private_key,
-                           mpk=self.mpk, expiration=expiration)
+                           mpk_b64=self.mpk_b64, expiration=expiration)
 
     def issue_direct(self, identity: IdentityString, shares: list[Share],
                      principal: str) -> IdentityPrivateKey:

@@ -2,7 +2,7 @@
 
 domain-dir/
     mpk.bin            master public key (the trust anchor)
-    policy.json        issuer policy, replaced whole on change
+    policy.json        issuer policy, replaced whole when it changes
     registry.jsonl     append-only hash chain
     requests.jsonl     append-only request journal: one IdentityRequest
                        document per transition, the last line per name wins
@@ -90,9 +90,19 @@ def start_journal(path: Path, items) -> Journal:
 
 
 def save_state(directory: Path, service: TpkgService) -> None:
-    """Persist the policy; requests and registry records are appended as they happen."""
-    replace_file(Path(directory) / "policy.json",
-                 (json.dumps(service.policy.to_dict(), indent=2) + "\n").encode())
+    """Persist the policy; requests and registry records are appended as they happen.
+
+    policy.json is replaced only when its bytes change, and most requests
+    leave the policy as it was.
+    """
+    path = Path(directory) / "policy.json"
+    data = (json.dumps(service.policy.to_dict(), indent=2) + "\n").encode()
+    try:
+        if path.read_bytes() == data:
+            return
+    except OSError:
+        pass
+    replace_file(path, data)
 
 
 def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:

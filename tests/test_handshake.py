@@ -220,6 +220,30 @@ def test_server_pinned_client_identity(mpk, server_identity, server_key,
     assert server.alert_sent == AlertCode.IBE_AUTH_FAILURE
 
 
+def test_abort_keeps_its_reason(mpk, msk, server_identity, server_key,
+                                client_identity, client_key):
+    # decode_error: a ClientHello cut short inside a well-formed record
+    client, server = make_pair(mpk, server_identity, server_key, seed=440)
+    _, payload = split_record(client.client_start()[0])
+    assert server.receive_record(record(ContentType.HANDSHAKE, payload[:60])) \
+        == [alert_record(AlertCode.DECODE_ERROR)]
+    assert server.abort_reason.startswith("DecodeError: truncated")
+
+    # ibe_auth_failure: an impostor server holds another identity's key, so
+    # the client cannot open its encrypted flight
+    impostor_key = extract(msk, mpk, IdentityString.parse("front-proxy.20250101"))
+    client, server = make_pair(mpk, server_identity, impostor_key,
+                               client_identity, client_key, mutual=True, seed=442)
+    establish(client, server)
+    assert client.alert_sent == AlertCode.IBE_AUTH_FAILURE
+    assert client.abort_reason == "RecordAuthError: record authentication failed"
+    assert server.alert_received == AlertCode.IBE_AUTH_FAILURE
+    assert server.abort_reason is None
+    held = [s for side in (client, server) for s in side.secrets.values() if s is not None]
+    assert held and not any(s.hex() in client.abort_reason or repr(s) in client.abort_reason
+                            for s in held)
+
+
 def test_tamper_fuzz_sample(mpk, server_identity, server_key, client_identity, client_key):
     rng = random.Random(1234)
     for trial in range(40):

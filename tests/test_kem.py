@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ibetls.kem import (
     DecodeError,
@@ -33,8 +34,10 @@ from ibetls.kem.scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
     MasterSecretKey,
+    _shuffle_picks,
     _syndrome_matrix,
     _trapdoor_public,
+    gadget_decompose,
     shared_secret_kdf,
 )
 
@@ -143,10 +146,22 @@ def test_trapdoor_row_weight_fixed(desk, msk):
     assert set(np.unique(msk.R).tolist()) <= {-1, 0, 1}
 
 
-def test_trapdoor_matches_fisher_yates_replay(desk, msk):
+# A desk seed whose shuffle draws hold a rejected word among the words kept
+# (window 57, word 213), so that setup replays its windows through uniform_mod.
+REJECTING_SEED = (171).to_bytes(32, "big")
+
+
+def test_trapdoor_matches_fisher_yates_replay(desk, monkeypatch):
     # setup shuffles every row at once; replay the same stream one row at a
-    # time with a plain-Python partial Fisher-Yates shuffle.
-    stream = HashStream(SETUP_SEED, b"setup.v3")
+    # time with a plain-Python partial Fisher-Yates shuffle. REJECTING_SEED
+    # takes setup's replay through uniform_mod, SETUP_SEED its common case.
+    for seed, replayed in [(SETUP_SEED, False), (REJECTING_SEED, True)]:
+        with monkeypatch.context() as patch:
+            _check_trapdoor_against_replay(desk, patch, seed, replayed)
+
+
+def _check_trapdoor_against_replay(desk, monkeypatch, seed, replayed):
+    stream = HashStream(seed, b"setup.v3")
     stream.uniform_mod(desk.n * desk.m_bar, desk.q)  # a_bar
     w, weight = desk.n * desk.k, desk.trapdoor_row_weight
     picks = [stream.uniform_mod(desk.m_bar, w - j).tolist() for j in range(weight)]
@@ -161,8 +176,82 @@ def test_trapdoor_matches_fisher_yates_replay(desk, msk):
         for j in range(weight):
             entries[columns[j]] = signs[row * weight + j]
         expected.append(entries)
+    draws = record_uniform_mod(monkeypatch)
+    _, msk = setup(desk, seed)
     assert msk.R.dtype == np.int8
     assert msk.R.tolist() == expected
+    # a_bar is one draw; a replay adds one per shuffle step
+    assert len(draws) == 1 + weight * replayed
+
+
+def record_uniform_mod(monkeypatch) -> list[int]:
+    """The modulus of every HashStream.uniform_mod call from now on."""
+    calls = []
+    uniform_mod = HashStream.uniform_mod
+
+    def recording(self, count, modulus):
+        calls.append(modulus)
+        return uniform_mod(self, count, modulus)
+
+    monkeypatch.setattr(HashStream, "uniform_mod", recording)
+    return calls
+
+
+class CraftedStream(HashStream):
+    """Serves the given 32-bit words in order, then zero words."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.data = np.asarray(words, dtype="<u4").tobytes()
+        self.position = 0
+
+    def read(self, n: int) -> bytes:
+        chunk = self.data[self.position : self.position + n].ljust(n, b"\0")
+        self.position += n
+        return chunk
+
+
+@pytest.mark.parametrize("rejected, replayed", [
+    ([], False),
+    ([3 * 648], True),             # first word of window 3
+    ([3 * 648 + 639], True),       # last word window 3 keeps
+    ([5 * 648 + 647], False),      # last word of window 5, read but never kept
+    ([2 * 648 + i for i in range(9)], True),  # 9 in window 2: an extra draw
+], ids=["none", "window-start", "last-kept", "window-end", "nine-in-one-window"])
+def test_shuffle_picks_read_what_sequential_draws_read(desk, monkeypatch, rejected, replayed):
+    # Windows are rows + 8 = 648 words at desk size; 0xFFFFFFFF is above the
+    # rejection limit of every modulus the shuffle draws under.
+    rows, w, steps = desk.m_bar, desk.n * desk.k, desk.trapdoor_row_weight
+    words = HashStream(SETUP_SEED, b"crafted").u32(steps * (rows + 8) + 64) >> 1
+    words[rejected] = 0xFFFFFFFF
+    reference = CraftedStream(words)
+    expected = [reference.uniform_mod(rows, w - j) for j in range(steps)]
+
+    calls = record_uniform_mod(monkeypatch)
+    stream = CraftedStream(words)
+    picks = _shuffle_picks(stream, rows, w, steps)
+    assert picks.dtype == np.int32
+    assert picks.tolist() == [draw.tolist() for draw in expected]
+    assert stream.position == reference.position
+    assert bool(calls) == replayed
+
+
+DESK = KemParams.desk()
+COEFFICIENTS = st.integers(0, DESK.q - 1) | st.just(DESK.q - 1)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(values=st.sampled_from([(DESK.n, DESK.ell), (DESK.n, 1)]).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=COEFFICIENTS, fill=COEFFICIENTS)))
+@example(values=np.full((DESK.n, DESK.ell), DESK.q - 1, dtype=np.int64))
+@example(values=np.arange(DESK.q - DESK.n, DESK.q, dtype=np.int64).reshape(DESK.n, 1))
+def test_gadget_decompose_matches_shift_formula(desk, values):
+    cols = values.shape[1]
+    z = gadget_decompose(desk, values)
+    shifts = np.arange(desk.k)[None, :, None]
+    expected = ((values[:, None, :] >> shifts) & 1).reshape(desk.n * desk.k, cols)
+    assert z.dtype == np.uint8
+    assert np.array_equal(z, expected)
+    assert np.array_equal((gadget_matrix(desk) @ z) % desk.q, values)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,36 @@ def test_save_state_writes_only_the_policy(tmp_path, desk):
     assert {name for name in before if before[name] != after[name]} == {"policy.json"}
 
 
+def test_save_state_leaves_an_unchanged_policy_untouched(tmp_path, desk, monkeypatch):
+    service, _ = new_domain(desk, tmp_path)
+    service.submit_request(NODE, ("client",), 3600, b"bootstrap-node-01")
+    policy = tmp_path / "policy.json"
+    before = policy.stat()
+    replaced = []
+    monkeypatch.setattr(ibetls.tpkg.storage, "replace_file",
+                        lambda path, data: replaced.append(path))
+    save_state(tmp_path, service)
+    after = policy.stat()
+    assert replaced == []
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+@pytest.mark.parametrize("damage", ["garbled", "truncated", "missing"])
+def test_save_state_replaces_a_damaged_policy(tmp_path, desk, damage):
+    service, _ = new_domain(desk, tmp_path)
+    policy = tmp_path / "policy.json"
+    good = policy.read_bytes()
+    if damage == "garbled":
+        policy.write_bytes(good.replace(b"20250101", b"20250102"))
+    elif damage == "truncated":
+        policy.write_bytes(good[: len(good) // 2])
+    else:
+        policy.unlink()
+    save_state(tmp_path, service)
+    assert policy.read_bytes() == good
+    assert reload(tmp_path).policy.to_dict() == service.policy.to_dict()
+
+
 # Each op is (kind, request index); indexes past the end pick the last request.
 OPS = st.lists(st.tuples(st.sampled_from(["auto", "manual", "approve", "deny", "issue"]),
                          st.integers(0, 7)), max_size=8)
