@@ -1,8 +1,9 @@
 """Operator command surface.
 
 Exit codes: 0 success, 2 usage/config error, 3 policy denial,
-4 handshake or scenario failure, or an unreachable --remote endpoint,
-5 registry corruption, or a registry or request journal that another writer
+4 handshake or scenario failure, or a --remote endpoint that is unreachable
+or sends a message longer than the transport accepts, 5 registry corruption,
+or a registry or request journal that another writer
 changed since this command read it (nothing was written; retry). A command
 that fails says why in one stderr line; FAILURES maps each exception to its
 code.
@@ -35,6 +36,7 @@ from .simnet import (
     DEMO_5G_SCRIPT,
     DEMO_K8S_SCRIPT,
     KubernetesSim,
+    MessageTooLarge,
     RecordStream,
     TokenAuthority,
     client_handshake_over_stream,
@@ -82,6 +84,7 @@ FAILURES = (
     (RegistryCorrupt, EXIT_REGISTRY, "CORRUPT: {}"),
     (TpkgError, EXIT_POLICY, "denied: {}"),
     (RemoteUnreachable, EXIT_HANDSHAKE, "unreachable: {}"),
+    (MessageTooLarge, EXIT_HANDSHAKE, "refused: {}"),
     (LegacyLayout, EXIT_USAGE, "{}"),
     ((MalformedIdentity, ValueError, OSError), EXIT_USAGE, "error: {}"),
 )

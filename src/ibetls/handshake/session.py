@@ -14,8 +14,10 @@ from enum import Enum, auto
 
 from ..kem import (
     EphemeralKeyPair,
+    EphemeralPublicKey,
     IdentityPrivateKey,
     IdentityString,
+    IdKemCiphertext,
     MasterPublicKey,
     decaps,
     encaps,
@@ -339,20 +341,17 @@ class ClientSession(_SessionBase):
         if self.own_identity is None or self.own_key is None:
             return self._abort(AlertCode.IBE_AUTH_FAILURE,
                                "HelloRetryRequest asks for a client key this client lacks")
-        # Resend the ClientHello with the requested identity attached; the
-        # ephemeral share and ciphertext are unchanged within this handshake.
+        # The server holds the share and ciphertext of the first ClientHello
+        # for this session, so the retry carries only what it asked for: the
+        # same random, an empty share and the identity (unlike RFC 8446
+        # §4.1.2, whose stateless server needs a full copy).
         self.mutual = True
-        extensions = [
-            ext for ext in self._client_hello.extensions
-            if ext.extension_type != EXT_IBE_IDENTITY
-        ]
-        extensions.append(IbeIdentity.of(self.own_identity).to_extension())
-        self._client_hello = ClientHello(
+        retry = ClientHello(
             random=self._client_hello.random,
-            eph_share=self._client_hello.eph_share,
-            extensions=extensions,
+            eph_share=b"",
+            extensions=[IbeIdentity.of(self.own_identity).to_extension()],
         )
-        framed2 = encode_client_hello(self._client_hello)
+        framed2 = encode_client_hello(retry)
         self._absorb(framed2, "send")
         return [record(ContentType.HANDSHAKE, framed2)]
 
@@ -429,19 +428,26 @@ class ServerSession(_SessionBase):
         self.mutual = mutual  # require and verify a client identity
         self.expected_peer_identity = expected_peer_identity
         self.client_identity: IdentityString | None = None
-        self._sent_hrr = False
+        # (random, ct_s, eph_public) of a ClientHello answered with
+        # HelloRetryRequest; the retry is checked against it and reuses it.
+        self._first_hello: tuple[bytes, IdKemCiphertext, EphemeralPublicKey] | None = None
         self.state = State.WAIT_CLIENT_HELLO
 
     def _handle_client_hello(self, framed: bytes, body: bytes) -> list[bytes]:
         hello = decode_client_hello(body)
-        ct_s = self._parse_identity_auth(hello.extensions, required=True)
-        eph_public = decode_eph_public(hello.eph_share, self.params)
-
-        identity_ext = find_extension(hello.extensions, EXT_IBE_IDENTITY)
+        if self._first_hello is not None:
+            random, ct_s, eph_public = self._first_hello
+            if (hello.random != random or hello.eph_share
+                    or [ext.extension_type for ext in hello.extensions] != [EXT_IBE_IDENTITY]):
+                raise DecodeError("a retried ClientHello carries its first random, "
+                                  "no share and only ibe_identity")
+            identity_ext = hello.extensions[0]
+        else:
+            ct_s = self._parse_identity_auth(hello.extensions, required=True)
+            eph_public = decode_eph_public(hello.eph_share, self.params)
+            identity_ext = find_extension(hello.extensions, EXT_IBE_IDENTITY)
         if self.mutual and identity_ext is None:
-            if self._sent_hrr:
-                raise DecodeError("client identity still missing after retry")
-            self._sent_hrr = True
+            self._first_hello = (hello.random, ct_s, eph_public)
             self._absorb(framed, "recv")
             hrr = HelloRetryRequest(random=self._rng.read(32))
             framed_hrr = encode_hello_retry_request(hrr)

@@ -21,6 +21,7 @@ from .profiles import component_identity, k8s_identity, nf_identity
 from .scenarios import DEMO_5G_SCRIPT, DEMO_K8S_SCRIPT, TranscriptLog, run_scenario, seed_bytes
 from .transport import (
     Connection,
+    MessageTooLarge,
     RecordStream,
     WireCapture,
     app_recv_chunk,
@@ -57,6 +58,7 @@ __all__ = [
     "DEMO_K8S_SCRIPT",
     "DEMO_5G_SCRIPT",
     "Connection",
+    "MessageTooLarge",
     "WireCapture",
     "RecordStream",
     "establish",

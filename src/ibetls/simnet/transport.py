@@ -18,6 +18,14 @@ from ..handshake.session import ClientSession, ServerSession, State
 from ..handshake.wire import ContentType, split_record
 
 MAX_APP_CHUNK = 60_000  # keep sealed records under the 16-bit record length
+# The longest application message a receiver buffers. The longest the program
+# sends is a key-delivery response of about 1.74 MB; app_data echoes up to
+# 1 MiB. A longer declared length is refused before any of its body is read.
+MAX_APP_MESSAGE = 4 << 20
+
+
+class MessageTooLarge(Exception):
+    """The peer declared an application message longer than MAX_APP_MESSAGE."""
 
 
 @dataclass(frozen=True)
@@ -127,17 +135,20 @@ def app_send(session, payload: bytes) -> list[bytes]:
 
 class _Reassembler:
     def __init__(self) -> None:
-        self.buffer = b""
+        self.buffer = bytearray()
 
     def push(self, chunk: bytes) -> bytes | None:
         self.buffer += chunk
         if len(self.buffer) < 4:
             return None
-        (length,) = struct.unpack("!I", self.buffer[:4])
+        (length,) = struct.unpack_from("!I", self.buffer)
+        if length > MAX_APP_MESSAGE:
+            raise MessageTooLarge(f"peer declared a {length}-byte message; "
+                                  f"at most {MAX_APP_MESSAGE} bytes are accepted")
         if len(self.buffer) < 4 + length:
             return None
-        message = self.buffer[4 : 4 + length]
-        self.buffer = self.buffer[4 + length :]
+        message = bytes(self.buffer[4 : 4 + length])
+        del self.buffer[: 4 + length]
         return message
 
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import json
 import os
 import socket
@@ -546,3 +547,91 @@ def test_serve_answers_malformed_body_with_400_and_keeps_serving(home, capsys):
     assert code == 0
     assert json.loads(out)["status"] == 201
     assert server_result.get("code") == 0
+
+
+def test_serve_refuses_an_over_cap_message_and_answers_the_client_queued_behind_it(
+        home, capsys):
+    import struct
+
+    from ibetls.handshake import ClientSession
+    from ibetls.simnet import (
+        RecordStream,
+        client_handshake_over_stream,
+        component_identity,
+        stream_recv_message,
+        stream_send_message,
+    )
+    from ibetls.simnet.transport import MAX_APP_MESSAGE
+    from ibetls.tpkg import load_domain
+
+    directory = setup_domain(home, capsys)
+    service = load_domain(directory)
+    endpoint = component_identity("tpkg-register", service.policy.current_epoch)
+    port = free_port()
+    thread, server_result = serve_in_thread(home, port, 2)
+    first = RecordStream(connect(port))
+    try:
+        session = ClientSession(service.mpk, endpoint, bytes(32))
+        assert client_handshake_over_stream(session, first)
+        # A second client connects while the first holds the serial loop.
+        second = RecordStream(connect(port))
+        first.send(session.seal_app(struct.pack("!I", MAX_APP_MESSAGE + 1)))
+        assert first.recv() is None  # closed, with no reply and no body read
+    finally:
+        first.close()
+    try:
+        queued = ClientSession(service.mpk, endpoint, bytes(31) + b"\x01")
+        assert client_handshake_over_stream(queued, second)
+        stream_send_message(queued, second, b"[1, 2]")
+        response = json.loads(stream_recv_message(queued, second).decode())
+    finally:
+        second.close()
+    thread.join(timeout=30)
+    assert not thread.is_alive() and server_result.get("code") == 0
+    assert response["status"] == 400
+    assert "MessageTooLarge" in capsys.readouterr().err
+
+
+def test_remote_request_refuses_an_over_cap_reply(home, capsys):
+    import struct
+
+    from ibetls.handshake import ServerSession
+    from ibetls.simnet import (
+        RecordStream,
+        component_identity,
+        server_handshake_over_stream,
+        stream_recv_message,
+    )
+    from ibetls.simnet.transport import MAX_APP_MESSAGE
+    from ibetls.tpkg import load_domain, load_readable_shares
+
+    directory = setup_domain(home, capsys)
+    service = load_domain(directory)
+    endpoint = component_identity("tpkg-register", service.policy.current_epoch)
+    key = service.issue_direct(endpoint, load_readable_shares(directory)[:2], "operator")
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def endpoint_declaring_too_much():
+        conn, _ = listener.accept()
+        stream = RecordStream(conn)
+        with contextlib.closing(stream):
+            session = ServerSession(service.mpk, endpoint, key, bytes(32))
+            if server_handshake_over_stream(session, stream):
+                stream_recv_message(session, stream)
+                stream.send(session.seal_app(struct.pack("!I", MAX_APP_MESSAGE + 1)))
+                stream.recv()  # until the client hangs up
+
+    thread = threading.Thread(target=endpoint_declaring_too_much, daemon=True)
+    thread.start()
+    with listener:
+        code, _, err = run_cli([
+            "--home", str(home), "id-request", "--domain", "control-plane",
+            "--identity", "kubelet:node-05.20250101", "--subject", "node-05",
+            "--groups", "system:bootstrappers", "--remote", f"127.0.0.1:{port}",
+        ], capsys)
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert code == 4 and "Traceback" not in err
+    assert reasons(err) == [f"refused: peer declared a {MAX_APP_MESSAGE + 1}-byte message; "
+                            f"at most {MAX_APP_MESSAGE} bytes are accepted"]

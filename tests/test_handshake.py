@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +21,20 @@ from ibetls.handshake import (
     record,
     split_record,
 )
-from ibetls.handshake.wire import encode_encrypted_extensions, encode_finished
+from ibetls.handshake.wire import (
+    EXT_IBE_IDENTITY,
+    Extension,
+    decode_client_hello,
+    encode_client_hello,
+    encode_encrypted_extensions,
+    encode_finished,
+    unframe,
+)
 from ibetls.kem import (
     EphemeralKeyReuse,
     IdentityString,
     KemParams,
+    ciphertext_size,
     eph_generate,
     extract,
     setup,
@@ -106,10 +116,13 @@ def test_hello_retry_request_path(mpk, server_identity, server_key,
     assert "HelloRetryRequest" in names
     assert client.transcript_hash() == server.transcript_hash()
     assert client.application_traffic_secrets == server.application_traffic_secrets
-    # both ClientHello flights are in the transcript on both sides
-    ch_client = [n for d, n, _ in client.message_log if n == "ClientHello"]
-    ch_server = [n for d, n, _ in server.message_log if n == "ClientHello"]
-    assert len(ch_client) == 2 and len(ch_server) == 2
+    # both ClientHello flights are in the transcript on both sides; the retry
+    # carries the random, an empty share and the identity extension only
+    retry = 4 + 32 + 3 + 2 + 4 + 2 + len(client_identity.canonical.encode())
+    for side in (client, server):
+        hellos = [length for _, name, length in side.message_log if name == "ClientHello"]
+        assert len(hellos) == 2 and hellos[1] == retry
+    assert client.auth_bytes == server.auth_bytes == 8 + ciphertext_size(mpk.params)
 
 
 def test_message_set_is_certificate_free(mpk, server_identity, server_key,
@@ -488,6 +501,56 @@ def test_second_hrr_aborts(mpk, server_identity, server_key, client_identity,
     replies = client.receive_record(hrr)
     assert client.state is State.ABORTED
     assert client.alert_sent == AlertCode.DECODE_ERROR
+
+
+def _retry_after_hrr(mpk, server_identity, server_key, client_identity, client_key, seed):
+    """A server that has answered with HelloRetryRequest, the client's first
+    ClientHello and its honest retry, both decoded."""
+    client, server = make_pair(mpk, server_identity, server_key, client_identity, client_key,
+                               mutual=True, seed=seed, offer_identity=False)
+    (first,) = client.client_start()
+    (hrr,) = server.receive_record(first)
+    (retry,) = client.receive_record(hrr)
+    hellos = [decode_client_hello(unframe(split_record(rec)[1])[1]) for rec in (first, retry)]
+    return server, *hellos
+
+
+# (first ClientHello, honest retry) -> a retry the server must refuse
+RETRY_EDITS = {
+    "full_copy": lambda first, retry: replace(first,  # the form retries took before
+                                              extensions=first.extensions + retry.extensions),
+    "with_share": lambda first, retry: replace(retry, eph_share=first.eph_share),
+    "with_auth": lambda first, retry: replace(retry,
+                                              extensions=first.extensions + retry.extensions),
+    "other_random": lambda first, retry: replace(retry, random=bytes(32)),
+    "no_identity": lambda first, retry: replace(retry, extensions=[]),
+    "extra_extension": lambda first, retry: replace(
+        retry, extensions=retry.extensions + [Extension(EXT_IBE_IDENTITY + 1, b"")]),
+    "twice_the_identity": lambda first, retry: replace(retry, extensions=retry.extensions * 2),
+}
+
+
+@pytest.mark.parametrize("case", RETRY_EDITS)
+def test_retry_other_than_the_short_form_gets_decode_error(case, mpk, server_identity,
+                                                          server_key, client_identity,
+                                                          client_key):
+    server, first, retry = _retry_after_hrr(mpk, server_identity, server_key,
+                                            client_identity, client_key, seed=535)
+    doctored = encode_client_hello(RETRY_EDITS[case](first, retry))
+    out = server.receive_record(record(ContentType.HANDSHAKE, doctored))
+    assert out == [alert_record(AlertCode.DECODE_ERROR)]
+    assert server.state is State.ABORTED and server.client_identity is None
+
+
+def test_short_retry_as_a_first_client_hello_gets_decode_error(
+        mpk, server_identity, server_key, client_identity, client_key):
+    _, _, retry = _retry_after_hrr(mpk, server_identity, server_key,
+                                   client_identity, client_key, seed=537)
+    for mutual in (False, True):
+        fresh = ServerSession(mpk, server_identity, server_key, seed_of(539), mutual=mutual)
+        out = fresh.receive_record(record(ContentType.HANDSHAKE, encode_client_hello(retry)))
+        assert out == [alert_record(AlertCode.DECODE_ERROR)]
+        assert fresh.abort_reason == "DecodeError: missing ibe_identity_auth extension"
 
 
 def test_receive_after_completion_rejected(mpk, server_identity, server_key):

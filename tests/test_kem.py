@@ -346,6 +346,39 @@ def test_three_issued_keys_recover_the_trapdoor(desk, mpk, msk):
     assert decaps(forged, ct) == ss
 
 
+def test_decaps_outputs_reveal_the_secret_half_of_a_key(desk, mpk, client_key):
+    # decaps is CPA-only dual-Regev decryption, so its output is an oracle
+    # (README, "Decapsulation oracle"). With c0 = e_j, c1 zero but for
+    # c1_i = q//4 + t, the mask is c1 - X[j] and only bit i can be set: it is
+    # exactly when X[j, i] < t. Anyone who can compute both candidate secrets
+    # from public values reads X[j, i] by a binary search over t.
+    identity, X = client_key.identity, client_key.X
+    no_bit = shared_secret_kdf(np.zeros(desk.ell, dtype=np.int64), identity, mpk.params_hash)
+    rows, cols = np.random.default_rng(1601).integers(0, [[desk.m_bar], [desk.ell]], (2, 16))
+    recovered = []
+    for j, i in zip(rows, cols):
+        c0 = np.zeros(desk.m, dtype=np.int64)
+        c0[j] = 1
+        bit_i = np.zeros(desk.ell, dtype=np.int64)
+        bit_i[i] = 1
+        one_hot = shared_secret_kdf(bit_i, identity, mpk.params_hash)
+        low, high, probes = -desk.beta, desk.beta, 0  # X[j, i] in [low, high]
+        while low < high:
+            t = (low + high + 1) // 2
+            c1 = np.zeros(desk.ell, dtype=np.int64)
+            c1[i] = desk.q // 4 + t
+            probes += 1
+            secret = decaps(client_key, IdKemCiphertext(params=desk, c0=c0, c1=c1))
+            assert secret in (one_hot, no_bit)
+            if secret == one_hot:
+                high = t - 1  # X[j, i] < t
+            else:
+                low = t
+        assert probes <= 8
+        recovered.append(low)
+    assert recovered == X[rows, cols].tolist() and len(set(recovered)) > 1
+
+
 # ---------------------------------------------------------------------------
 # encaps / decaps
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibetls.handshake import ClientSession, ServerSession, State
 from ibetls.kem import MalformedIdentity
@@ -342,6 +344,60 @@ def test_record_stream_sets_nodelay_on_tcp_only():
     with left, right:
         RecordStream(left).send(b"\x17\x00\x02hi")
         assert RecordStream(right).recv() == b"\x17\x00\x02hi"
+
+
+def test_over_cap_message_refused_before_its_body_is_read(mpk, server_identity, server_key):
+    import socket
+    import struct
+
+    from ibetls.simnet import MessageTooLarge, RecordStream, stream_recv_message
+    from ibetls.simnet.transport import MAX_APP_MESSAGE
+
+    conn = establish(ClientSession(mpk, server_identity, seed_of(810)),
+                     ServerSession(mpk, server_identity, server_key, seed_of(811)))
+    assert conn.ok
+    header = conn.client.seal_app(struct.pack("!I", MAX_APP_MESSAGE + 1))
+    body = conn.client.seal_app(bytes(1000))
+    left, right = socket.socketpair()
+    with left, right:
+        right.settimeout(10)  # without the cap the receiver waits for the body
+        left.sendall(header + body)
+        with pytest.raises(MessageTooLarge):
+            stream_recv_message(conn.server, RecordStream(right))
+        right.setblocking(False)
+        assert right.recv(len(body) + 1) == body  # still unread
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(messages=st.lists(st.binary(max_size=200), min_size=1, max_size=4),
+       cuts=st.lists(st.integers(1, 4 * 204)))
+def test_reassembly_returns_each_message_however_its_records_split(messages, cuts):
+    import struct
+
+    from ibetls.simnet.transport import _Reassembler
+
+    stream = b"".join(struct.pack("!I", len(message)) + message for message in messages)
+    bounds = sorted({0, len(stream), *(cut for cut in cuts if cut < len(stream))})
+    reassembler = _Reassembler()
+    got = [reassembler.push(stream[a:b]) for a, b in zip(bounds, bounds[1:])]
+    # A record that ends two messages yields the second on the next push.
+    while (pending := reassembler.push(b"")) is not None:
+        got.append(pending)
+    assert [message for message in got if message is not None] == messages
+
+
+def test_reassembly_cap_is_checked_on_the_length_alone():
+    import struct
+
+    from ibetls.simnet import MessageTooLarge
+    from ibetls.simnet.transport import MAX_APP_MESSAGE, _Reassembler
+
+    assert _Reassembler().push(struct.pack("!I", MAX_APP_MESSAGE)) is None
+    too_long = struct.pack("!I", MAX_APP_MESSAGE + 1)
+    reassembler = _Reassembler()
+    assert reassembler.push(too_long[:3]) is None
+    with pytest.raises(MessageTooLarge):
+        reassembler.push(too_long[3:])
 
 
 def test_scenario_from_json_file(tmp_path):
