@@ -242,9 +242,8 @@ def cmd_id_list(args, config: CliConfig) -> int:
 
 
 def cmd_id_revoke(args, config: CliConfig) -> int:
-    directory, service, _ = _open_domain(args, config)
+    _, service, _ = _open_domain(args, config)
     service.revoke_identity(args.identity)
-    save_state(directory, service)
     print(f"revoked {IdentityString.parse(args.identity).base} (all epochs)")
     return EXIT_OK
 
@@ -425,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     list_p.add_argument("--domain", required=True)
     list_p.add_argument("--format", choices=["json", "table"], default="table")
 
-    revoke_p = sub.add_parser("id-revoke", help="blocklist an identity")
+    revoke_p = sub.add_parser("id-revoke", help="revoke an identity in every epoch")
     revoke_p.set_defaults(run=cmd_id_revoke)
     revoke_p.add_argument("--domain", required=True)
     revoke_p.add_argument("--identity", required=True)

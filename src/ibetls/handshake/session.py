@@ -292,7 +292,6 @@ class ClientSession(_SessionBase):
         own_key: IdentityPrivateKey | None = None,
         mutual: bool = False,
         offer_identity: bool = True,
-        eph_keypair: EphemeralKeyPair | None = None,
     ) -> None:
         super().__init__(mpk, rng_seed, own_key)
         if mutual and (own_key is None or own_identity is None):
@@ -303,16 +302,14 @@ class ClientSession(_SessionBase):
         # Sending the identity in cleartext leaks it to observers; suppressing
         # it defers disclosure until the server asks via HelloRetryRequest.
         self.offer_identity = offer_identity
-        self._eph = eph_keypair
+        self._eph: EphemeralKeyPair | None = None
         self._client_hello: ClientHello | None = None
         self._got_hrr = False
 
     def client_start(self) -> list[bytes]:
         if self.state is not State.START:
             raise InvalidState("client_start is only legal on a fresh session")
-        if self._eph is None:
-            self._eph = eph_generate(self.params, self._rng.read(32))
-        self._eph.consume()
+        self._eph = eph_generate(self.params, self._rng.read(32))
 
         ct_s, ss_s = encaps(self.mpk, self.expected_peer_identity, self._rng.read(32))
         self.ops["encaps"] += 1

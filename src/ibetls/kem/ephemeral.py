@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EphemeralKeyReuse
 from .params import KemParams
 from .sampling import HashStream, matmul_mod
 from .scheme import IdKemCiphertext, _decrypt_bits, _encrypt_bits, _kem_kdf
@@ -52,13 +51,6 @@ class EphemeralPublicKey:
 class EphemeralKeyPair:
     public: EphemeralPublicKey
     _x: np.ndarray = field(repr=False)  # (m, ell) int8 secret, entries in {-1, 0, 1}
-    _consumed: bool = field(default=False, repr=False)
-
-    def consume(self) -> None:
-        """One handshake per key pair; a second use is a protocol error."""
-        if self._consumed:
-            raise EphemeralKeyReuse("ephemeral key pair already used in a handshake")
-        self._consumed = True
 
     def erase(self) -> None:
         """Drop the secret share once the handshake secret is derived."""

@@ -20,7 +20,3 @@ class UnsupportedScheme(KemError):
 
 class DecodeError(KemError):
     """Serialized object is truncated, out of range, or inconsistent."""
-
-
-class EphemeralKeyReuse(KemError):
-    """An ephemeral key pair was offered to a second handshake."""

@@ -15,13 +15,6 @@ from dataclasses import dataclass, field
 from .kem.codec import ciphertext_size, eph_public_size
 from .simnet.transport import Connection
 
-REQUIRED_MESSAGES = frozenset({
-    "ClientHello", "ServerHello", "EncryptedExtensions",
-    "Finished (Server)", "Finished (Client)",
-})
-OPTIONAL_MESSAGES = frozenset({"HelloRetryRequest"})
-FORBIDDEN_MESSAGES = frozenset({"Certificate", "CertificateRequest", "CertificateVerify"})
-
 # Key + signature size estimates (KB) for signature families, as used to
 # motivate the certificate-side model.
 SIGNATURE_FAMILY_SIZES_KB = {
@@ -174,23 +167,3 @@ def render_table(report: dict) -> str:
     lines.append("")
     lines.append(report["note"])
     return "\n".join(lines)
-
-
-def assert_invariants(metrics: HandshakeMetrics) -> list[tuple[str, bool]]:
-    """Evaluate the table-level invariants; returns (name, passed) pairs."""
-    names = metrics.message_names()
-    checks = [
-        ("message-set", REQUIRED_MESSAGES <= names
-         and names <= REQUIRED_MESSAGES | OPTIONAL_MESSAGES),
-        ("no-certificate-messages", not (names & FORBIDDEN_MESSAGES)),
-        ("zero-signature-ops", metrics.ops["sign"] == 0 and metrics.ops["verify"] == 0),
-        ("auth-byte-formula", metrics.auth_bytes
-         == metrics.auth_extension_count * (4 + 2 + 2 + metrics.ciphertext_bytes)),
-    ]
-    if metrics.mutual:
-        checks.append(("kem-op-counts",
-                       metrics.ops["encaps"] == 3 and metrics.ops["decaps"] == 3))
-    else:
-        checks.append(("kem-op-counts",
-                       metrics.ops["encaps"] == 2 and metrics.ops["decaps"] == 2))
-    return checks

@@ -108,7 +108,7 @@ class TrustDomainSim:
         return key
 
     def revoke(self, base: str) -> None:
-        """Blocklist base in every epoch; recorded at the current one."""
+        """Revoke base in every epoch; recorded at the current one."""
         self.service.revoke_identity(f"{base}.{self.current_epoch}")
 
 

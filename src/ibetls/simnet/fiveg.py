@@ -229,9 +229,6 @@ class FiveGSim:
                                  refused=discovery["error"]["reason"])
         advertised = discovery["body"]["identity"]
         expected = IdentityString.parse(advertised)
-        if expected.epoch not in self.domain.service.policy.valid_epochs():
-            return ConnectReport(initiator, service, "5gc", refused="stale-epoch")
-
         responder_instance = expected.segments[2]
         responder = self.nodes.get(responder_instance)
         server_key = responder.serving_key("5gc") if responder else None

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from ..kem import KemParams
 from ..kem.sampling import HashStream
-from ..tpkg import IssuerPolicy, bearer_token, error_response, identity_request
+from ..tpkg import (STATUS_EXPIRED, STATUS_REVOKED, IssuerPolicy, bearer_token, error_response,
+                    identity_request)
 from .core import (GENESIS_EPOCH, ConnectReport, SimClock, SimNode, TrustDomainSim, request_key,
                    run_handshake)
 from .principals import PrincipalKind, TokenAuthority
@@ -218,11 +219,11 @@ class KubernetesSim:
             return ConnectReport(initiator, responder, domain_name,
                                  refused="missing-credential")
 
-        policy = domain.service.policy
         for identity in (server_key.identity, client_key.identity):
-            if identity.base in policy.blocklist:
+            status = domain.service.check_validity(identity)
+            if status == STATUS_REVOKED:
                 return ConnectReport(initiator, responder, domain_name, refused="revoked")
-            if identity.epoch not in policy.valid_epochs():
+            if status == STATUS_EXPIRED:
                 return ConnectReport(initiator, responder, domain_name,
                                      refused="stale-epoch")
 

@@ -89,12 +89,12 @@ class Connection:
         return json.loads(response.decode())
 
     def _carry(self, sender: str, source, sink, payload: bytes) -> bytes:
-        message = None
+        """Deliver every record of payload to sink; returns sink's next message."""
+        reassembler = _reassembler(sink)
         for rec in app_send(source, payload):
             self.capture.add(sender, rec)
-            got = app_recv_chunk(sink, rec)
-            if got is not None:
-                message = got
+            reassembler.buffer += sink.open_app(rec)
+        message = reassembler.pop()
         if message is None:
             raise RuntimeError(f"{sender} message not assembled")
         return message
@@ -134,11 +134,18 @@ def app_send(session, payload: bytes) -> list[bytes]:
 
 
 class _Reassembler:
+    """Length-prefixed messages from record payloads. One record can complete
+    more than one message, so what push does not return waits for pop."""
+
     def __init__(self) -> None:
         self.buffer = bytearray()
 
     def push(self, chunk: bytes) -> bytes | None:
         self.buffer += chunk
+        return self.pop()
+
+    def pop(self) -> bytes | None:
+        """The first complete message buffered, taken out; None if there is none."""
         if len(self.buffer) < 4:
             return None
         (length,) = struct.unpack_from("!I", self.buffer)
@@ -152,11 +159,16 @@ class _Reassembler:
         return message
 
 
-def app_recv_chunk(session, rec: bytes) -> bytes | None:
-    """Feed one application record; returns the full message once assembled."""
+def _reassembler(session) -> _Reassembler:
     if not hasattr(session, "_reassembler"):
         session._reassembler = _Reassembler()
-    return session._reassembler.push(session.open_app(rec))
+    return session._reassembler
+
+
+def app_recv_chunk(session, rec: bytes) -> bytes | None:
+    """Feed one application record; returns the first message it completes.
+    Any later message it completes stays buffered for the next receive."""
+    return _reassembler(session).push(session.open_app(rec))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +258,10 @@ def stream_send_message(session, stream: RecordStream, payload: bytes) -> None:
 
 
 def stream_recv_message(session, stream: RecordStream) -> bytes | None:
-    while True:
+    message = _reassembler(session).pop()  # completed by an earlier record
+    while message is None:
         rec = stream.recv()
         if rec is None:
             return None
         message = app_recv_chunk(session, rec)
-        if message is not None:
-            return message
+    return message

@@ -160,7 +160,6 @@ class IssuerPolicy:
     principal_template: str | None = None       # e.g. "kubelet:{subject}"
     approvers: frozenset[str] = frozenset()
     epoch_history: list[str] = field(default_factory=list)
-    blocklist: set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         _check_epoch(self.current_epoch)
@@ -195,7 +194,6 @@ class IssuerPolicy:
             "principalTemplate": self.principal_template,
             "approvers": sorted(self.approvers),
             "epochHistory": list(self.epoch_history),
-            "blocklist": sorted(self.blocklist),
         }
 
     @classmethod
@@ -211,7 +209,6 @@ class IssuerPolicy:
             principal_template=data.get("principalTemplate"),
             approvers=frozenset(data.get("approvers", [])),
             epoch_history=list(data.get("epochHistory", [])),
-            blocklist=set(data.get("blocklist", [])),
         )
 
 
@@ -257,6 +254,9 @@ class TpkgService:
         self.mpk = mpk
         self.policy = policy
         self.registry = registry
+        # The registry is the record of revocation; this is its index by base.
+        self.revoked = {IdentityString.parse(record.identity).base
+                        for record in registry.records if record.status == STATUS_REVOKED}
         self.authenticator = authenticator  # token bytes -> Principal | None
         self.clock = clock or _utcnow
         self.requests: dict[str, IdentityRequest] = {}
@@ -344,7 +344,7 @@ class TpkgService:
 
     def _check_policy(self, identity: IdentityString, usage: tuple[str, ...],
                       expiration_seconds: int) -> None:
-        if identity.base in self.policy.blocklist:
+        if identity.base in self.revoked:
             raise BlocklistedIdentity(f"{identity.base} is revoked")
         if not self.policy.matches_identity(identity):
             raise PolicyViolation(
@@ -433,7 +433,7 @@ class TpkgService:
             if request.status is not RequestStatus.APPROVED:
                 raise InvalidTransition(f"{name} is {request.status.value}, not Approved")
             identity = request.identity
-            if identity.base in self.policy.blocklist:
+            if identity.base in self.revoked:
                 raise BlocklistedIdentity(f"{identity.base} is revoked")
             if identity.epoch not in self.policy.valid_epochs():
                 raise EpochExpired(f"epoch {identity.epoch} is no longer valid")
@@ -466,7 +466,7 @@ class TpkgService:
         with self._write_lock:
             self.registry.append(identity.canonical, "operator", self._now_iso(),
                                  identity.epoch, STATUS_REVOKED)
-            self.policy.blocklist.add(identity.base)
+            self.revoked.add(identity.base)
 
     def epoch_increment(self, new_epoch: str | None = None) -> str:
         with self._write_lock:
@@ -485,7 +485,7 @@ class TpkgService:
         if isinstance(identity, str):
             identity = IdentityString.parse(identity)
         now = now or self.clock()
-        if identity.base in self.policy.blocklist:
+        if identity.base in self.revoked:
             return STATUS_REVOKED
         issued = [
             record for record in self.registry.records

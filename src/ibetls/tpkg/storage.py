@@ -38,9 +38,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from ..kem import IdentityString, decode_master_public, encode_master_public
+from ..kem import decode_master_public, encode_master_public
 from ..kem.errors import KemError, MalformedIdentity
-from .registry import STATUS_REVOKED, Journal, Registry, RegistryCorrupt, json_line
+from .registry import Journal, Registry, RegistryCorrupt, json_line
 from .service import IdentityRequest, IssuerPolicy, TpkgService
 from .shamir import Share, ShareSet
 
@@ -116,17 +116,12 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
         raise RegistryCorrupt(f"{directory / 'mpk.bin'}: {exc}") from None
     policy = IssuerPolicy.from_dict(json.loads((directory / "policy.json").read_text()))
     registry = Registry.load(policy.trust_domain, directory / "registry.jsonl")
-    # A revocation is durable once its registry record is: policy.json may
-    # predate it if the process died before the next save_state.
     try:
-        policy.blocklist.update(IdentityString.parse(record.identity).base
-                                for record in registry.records
-                                if record.status == STATUS_REVOKED)
+        service = TpkgService(mpk=mpk, policy=policy, registry=registry,
+                              authenticator=authenticator, clock=clock)
     except (AttributeError, MalformedIdentity) as exc:
         raise RegistryCorrupt(f"{directory / 'registry.jsonl'}: bad revoked identity: "
                               f"{exc!r}") from None
-    service = TpkgService(mpk=mpk, policy=policy, registry=registry,
-                          authenticator=authenticator, clock=clock)
     journal = Journal(directory / "requests.jsonl")
     docs, tail = journal.read()
     if tail:  # a torn last append

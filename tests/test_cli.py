@@ -259,6 +259,29 @@ def test_revoke_then_request_denied(home, capsys):
     assert code == 3
 
 
+def test_revoke_writes_only_the_registry(home, capsys):
+    directory = setup_domain(home, capsys)
+    before = {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+    code, _, _ = run_cli(["--home", str(home), "id-revoke", "--domain", "control-plane",
+                          "--identity", "kubelet:node-09.20250101"], capsys)
+    assert code == 0
+    after = {p.name: p.read_bytes() for p in directory.iterdir() if p.is_file()}
+    assert {name for name in after if before.get(name) != after[name]} == {"registry.jsonl"}
+
+
+def test_revoked_record_naming_a_malformed_identity_exits_5(home, capsys):
+    from ibetls.tpkg import load_domain
+
+    directory = setup_domain(home, capsys)
+    load_domain(directory).registry.append("kubelet:node-01", "operator",
+                                           "2025-01-02T03:04:05Z", "20250101", "Revoked")
+    code, out, err = run_cli(["--home", str(home), "id-list", "--domain", "control-plane"],
+                             capsys)
+    assert code == 5 and out == "" and "Traceback" not in err
+    assert len(reasons(err)) == 1 and reasons(err)[0].startswith("CORRUPT: "), err
+    assert "bad revoked identity" in err
+
+
 def test_demo_k8s_deterministic(home, capsys, tmp_path):
     out_a = tmp_path / "a.jsonl"
     out_b = tmp_path / "b.jsonl"

@@ -3,7 +3,6 @@ import pytest
 
 from ibetls.kem import (
     DecodeError,
-    EphemeralKeyReuse,
     IdKemCiphertext,
     decode_eph_public,
     encode_eph_public,
@@ -30,13 +29,6 @@ def test_fresh_keypairs_differ(desk):
     b = eph_generate(desk, seed_of(3))
     assert a.public.seed_a != b.public.seed_a
     assert not np.array_equal(a.public.U, b.public.U)
-
-
-def test_consume_is_one_shot(desk):
-    keypair = eph_generate(desk, seed_of(4))
-    keypair.consume()
-    with pytest.raises(EphemeralKeyReuse):
-        keypair.consume()
 
 
 def test_erase_clears_secret(desk):

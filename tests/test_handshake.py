@@ -31,10 +31,10 @@ from ibetls.handshake.wire import (
     unframe,
 )
 from ibetls.kem import (
-    EphemeralKeyReuse,
     IdentityString,
     KemParams,
     ciphertext_size,
+    encode_eph_public,
     eph_generate,
     extract,
     setup,
@@ -395,25 +395,18 @@ def test_replayed_client_hello_cannot_finish(mpk, server_identity, server_key,
 # ---------------------------------------------------------------------------
 
 
-def test_eph_keypair_reuse_rejected_by_session_layer(desk, mpk, server_identity, server_key):
-    keypair = eph_generate(desk, seed_of(450))
-    client1 = ClientSession(mpk, server_identity, seed_of(451), eph_keypair=keypair)
-    client1.client_start()
-    client2 = ClientSession(mpk, server_identity, seed_of(452), eph_keypair=keypair)
-    with pytest.raises(EphemeralKeyReuse):
-        client2.client_start()
-
-
 def test_foreign_ephemeral_parameters_rejected(desk, mpk, server_identity, server_key):
     # The share's header names its own dimensions; a server that honoured them
     # would expand a matrix of the peer's choosing.
     foreign = KemParams.create(n=8, q=desk.q, ell=desk.ell, beta=desk.beta, eta=desk.eta,
                                domain_sep=desk.domain_sep)
-    client = ClientSession(mpk, server_identity, seed_of(455),
-                           eph_keypair=eph_generate(foreign, seed_of(456)))
+    client = ClientSession(mpk, server_identity, seed_of(455))
     server = ServerSession(mpk, server_identity, server_key, seed_of(457))
-    (client_hello,) = client.client_start()
-    out = server.receive_record(client_hello)
+    _, payload = split_record(client.client_start()[0])
+    hello = decode_client_hello(unframe(payload)[1])
+    foreign_share = encode_eph_public(eph_generate(foreign, seed_of(456)).public)
+    spliced = replace(hello, eph_share=foreign_share)
+    out = server.receive_record(record(ContentType.HANDSHAKE, encode_client_hello(spliced)))
     assert server.state is State.ABORTED
     assert server.alert_sent == AlertCode.DECODE_ERROR
     assert out == [alert_record(AlertCode.DECODE_ERROR)]

@@ -378,12 +378,36 @@ def test_reassembly_returns_each_message_however_its_records_split(messages, cut
 
     stream = b"".join(struct.pack("!I", len(message)) + message for message in messages)
     bounds = sorted({0, len(stream), *(cut for cut in cuts if cut < len(stream))})
+    ends = list(itertools.accumulate(4 + len(message) for message in messages))
     reassembler = _Reassembler()
-    got = [reassembler.push(stream[a:b]) for a, b in zip(bounds, bounds[1:])]
-    # A record that ends two messages yields the second on the next push.
-    while (pending := reassembler.push(b"")) is not None:
-        got.append(pending)
-    assert [message for message in got if message is not None] == messages
+    got = []
+    for a, b in zip(bounds, bounds[1:]):
+        message = reassembler.push(stream[a:b])
+        while message is not None:
+            got.append(message)
+            message = reassembler.pop()
+        # every message whose last byte has arrived is out, with no further push
+        assert got == messages[:sum(end <= b for end in ends)]
+    assert got == messages
+
+
+def test_two_messages_sealed_in_one_record_both_arrive(mpk, server_identity, server_key):
+    import socket
+    import struct
+
+    from ibetls.simnet import RecordStream, stream_recv_message
+
+    conn = establish(ClientSession(mpk, server_identity, seed_of(820)),
+                     ServerSession(mpk, server_identity, server_key, seed_of(821)))
+    assert conn.ok
+    both = b"".join(struct.pack("!I", len(m)) + m for m in (b"first", b"second"))
+    left, right = socket.socketpair()
+    with left, right:
+        right.settimeout(2)  # no further record comes: a wait for one times out
+        left.sendall(conn.client.seal_app(both))
+        stream = RecordStream(right)
+        assert stream_recv_message(conn.server, stream) == b"first"
+        assert stream_recv_message(conn.server, stream) == b"second"
 
 
 def test_reassembly_cap_is_checked_on_the_length_alone():

@@ -14,6 +14,7 @@ import ibetls.tpkg.storage
 from ibetls.kem import IdentityString
 from ibetls.tpkg import (
     ApiServer,
+    BlocklistedIdentity,
     JournalConflict,
     RegistryCorrupt,
     RequestStatus,
@@ -63,14 +64,32 @@ def test_expiry_survives_reload(tmp_path, desk):
 
 
 def test_revocation_survives_reload_without_save_state(tmp_path, desk):
-    # A process that dies after revoke_identity, before the CLI's save_state,
-    # leaves the revocation only in the registry.
+    # The registry record is the revocation; policy.json does not carry it.
     service, quorum = new_domain(desk, tmp_path)
     service.issue_direct(IdentityString.parse(NODE), quorum, "node-01")
     service.revoke_identity(NODE)
     reloaded = reload(tmp_path)
     assert reloaded.check_validity(NODE) == "Revoked"
     assert reloaded.check_validity("kubelet:node-01.20250102") == "Revoked"
+
+
+def test_old_policy_with_a_blocklist_loads_and_the_registry_keeps_revocation(tmp_path, desk):
+    # policy.json as earlier versions wrote it: its "blocklist" is ignored,
+    # so a base stays revoked through its Revoked record and no other way.
+    service, quorum = new_domain(desk, tmp_path)
+    service.issue_direct(IdentityString.parse(NODE), quorum, "node-01")
+    service.revoke_identity(NODE)
+    path = tmp_path / "policy.json"
+    policy = json.loads(path.read_text())
+    policy["blocklist"] = ["kubelet:node-01", "scheduler"]
+    path.write_text(json.dumps(policy, indent=2) + "\n")
+    reloaded = reload(tmp_path)
+    assert reloaded.revoked == {"kubelet:node-01"}
+    assert reloaded.check_validity(NODE) == "Revoked"
+    with pytest.raises(BlocklistedIdentity):
+        reloaded.submit_request(NODE, ("client",), 3600, b"bootstrap-node-01")
+    request = reloaded.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
+    assert request.status is RequestStatus.PENDING
 
 
 @pytest.mark.parametrize("second", ["submit", "auto_approve", "revoke"])
@@ -93,7 +112,7 @@ def test_second_writer_on_one_home_is_refused(tmp_path, desk, second):
     assert [(tmp_path / name).read_bytes() for name in ("registry.jsonl", "requests.jsonl")] \
         == on_disk
     assert (other.requests, other.registry.records) == ({}, records)
-    assert IdentityString.parse(NODE).base not in other.policy.blocklist
+    assert IdentityString.parse(NODE).base not in other.revoked
     response = ApiServer(other).handle(identity_request(
         other.policy.trust_domain, "scheduler.20250101", ["client"], 3600, b"admin"))
     assert (response["status"], response["error"]["reason"]) == (409, "Conflict")
@@ -120,7 +139,7 @@ def test_save_state_writes_only_the_policy(tmp_path, desk):
     service, _ = new_domain(desk, tmp_path)
     service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
-    service.policy.blocklist.add("kubelet:node-09")
+    service.policy.approvers = service.policy.approvers | {"auditor"}
     save_state(tmp_path, service)
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
     assert {name for name in before if before[name] != after[name]} == {"policy.json"}
