@@ -1,9 +1,10 @@
 """Operator command surface.
 
 Exit codes: 0 success, 2 usage/config error, 3 policy denial,
-4 handshake or scenario failure, or a --remote endpoint that is unreachable
-or sends a message longer than the transport accepts, 5 registry corruption,
-or a registry or request journal that another writer
+4 handshake or scenario failure, or a --remote endpoint that is unreachable,
+sends a message longer than the transport accepts or replies with something
+other than a JSON object, 5 registry corruption or a policy.json that does
+not parse, or a registry or request journal that another writer
 changed since this command read it (nothing was written; retry). A command
 that fails says why in one stderr line; FAILURES maps each exception to its
 code.
@@ -31,7 +32,7 @@ from .kem import (
     MalformedIdentity,
     ToyParametersWarning,
 )
-from .metrics import CertCostModel, compare_report, instrument, render_table
+from .metrics import compare_report, instrument, render_table
 from .simnet import (
     DEMO_5G_SCRIPT,
     DEMO_K8S_SCRIPT,
@@ -132,6 +133,14 @@ class CliConfig:
         return KemParams.desk()
 
 
+def _json_doc(raw: bytes):
+    """The JSON document in raw; None when raw is not UTF-8 JSON."""
+    try:
+        return json.loads(raw.decode())
+    except ValueError:  # also UnicodeDecodeError
+        return None
+
+
 def _print(payload, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -218,7 +227,10 @@ def _id_request_remote(args, service, principal) -> int:
     if raw is None:
         print("no response from endpoint", file=sys.stderr)
         return EXIT_HANDSHAKE
-    response = json.loads(raw.decode())
+    response = _json_doc(raw)
+    if not isinstance(response, dict):
+        print("endpoint reply is not a JSON object", file=sys.stderr)
+        return EXIT_HANDSHAKE
     _print(response, args.format)
     return EXIT_OK if response.get("status") in (200, 201) else EXIT_POLICY
 
@@ -300,11 +312,8 @@ def cmd_tpkg_serve(args, config: CliConfig) -> int:
         raw = stream_recv_message(session, stream)
         if raw is None:
             return
-        try:
-            request = json.loads(raw.decode())
-        except ValueError:  # also UnicodeDecodeError; answered as a BadRequest
-            request = None
-        response = api.handle(request)  # state changes are on disk before this returns
+        # None, or any document that is not an object, is answered as a BadRequest
+        response = api.handle(_json_doc(raw))  # state changes are on disk before this returns
         stream_send_message(session, stream, json.dumps(response, sort_keys=True).encode())
         if response.get("error", {}).get("reason") == "Conflict":
             # Another writer appended to this home; serve from its state now,
@@ -358,7 +367,7 @@ def cmd_bench_report(args, config: CliConfig) -> int:
         print("benchmark handshake failed", file=sys.stderr)
         return EXIT_HANDSHAKE
     metrics = instrument(report_conn.connection)
-    report = compare_report(metrics, CertCostModel())
+    report = compare_report(metrics)
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                   encoding="utf-8")

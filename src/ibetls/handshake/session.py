@@ -89,18 +89,14 @@ _MSG_NAMES = {
     HandshakeType.SERVER_HELLO: "ServerHello",
     HandshakeType.HELLO_RETRY_REQUEST: "HelloRetryRequest",
     HandshakeType.ENCRYPTED_EXTENSIONS: "EncryptedExtensions",
-    HandshakeType.CERTIFICATE: "Certificate",
-    HandshakeType.CERTIFICATE_REQUEST: "CertificateRequest",
-    HandshakeType.CERTIFICATE_VERIFY: "CertificateVerify",
-    HandshakeType.FINISHED: "Finished",
 }
 
 
 def message_name(msg_type: int, sender_role: str) -> str:
-    base = _MSG_NAMES.get(msg_type, f"Unknown({msg_type})")
+    """The name of a message a session accepted or built."""
     if msg_type == HandshakeType.FINISHED:
         return f"Finished ({sender_role.capitalize()})"
-    return base
+    return _MSG_NAMES[msg_type]
 
 
 def _reason(exc: Exception) -> str:
@@ -414,7 +410,6 @@ class ServerSession(_SessionBase):
         own_key: IdentityPrivateKey,
         rng_seed: bytes,
         mutual: bool = False,
-        expected_peer_identity: IdentityString | None = None,
     ) -> None:
         super().__init__(mpk, rng_seed, own_key)
         # The identity the server claims. Nothing checks it against
@@ -423,7 +418,6 @@ class ServerSession(_SessionBase):
         # build an impostor server, which the client must refuse.
         self.own_identity = own_identity
         self.mutual = mutual  # require and verify a client identity
-        self.expected_peer_identity = expected_peer_identity
         self.client_identity: IdentityString | None = None
         # (random, ct_s, eph_public) of a ClientHello answered with
         # HelloRetryRequest; the retry is checked against it and reuses it.
@@ -454,10 +448,6 @@ class ServerSession(_SessionBase):
         self._absorb(framed, "recv")
         if identity_ext is not None:
             self.client_identity = IbeIdentity.from_extension(identity_ext).parse()
-            if (self.expected_peer_identity is not None
-                    and self.client_identity != self.expected_peer_identity):
-                return self._abort(AlertCode.IBE_AUTH_FAILURE,
-                                   "client identity is not the expected peer")
 
         ss_s = decaps(self.own_key, ct_s)
         self.ops["decaps"] += 1

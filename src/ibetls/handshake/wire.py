@@ -21,9 +21,6 @@ class HandshakeType(IntEnum):
     SERVER_HELLO = 2
     HELLO_RETRY_REQUEST = 6
     ENCRYPTED_EXTENSIONS = 8
-    CERTIFICATE = 11            # never emitted; defined for negative checks
-    CERTIFICATE_REQUEST = 13    # never emitted
-    CERTIFICATE_VERIFY = 15     # never emitted
     FINISHED = 20
 
 

@@ -60,8 +60,5 @@ class IdentityString:
         """Identity without its epoch; the unit of revocation."""
         return ".".join(self.segments[:-1])
 
-    def with_epoch(self, epoch: str) -> "IdentityString":
-        return IdentityString(self.segments[:-1] + (epoch,))
-
     def __str__(self) -> str:
         return self.canonical

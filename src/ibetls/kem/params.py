@@ -109,9 +109,10 @@ class KemParams:
         )
 
     @classmethod
-    def desk(cls, domain_sep: bytes = b"ibetls-desk-v1") -> "KemParams":
+    def desk(cls) -> "KemParams":
         """Desk-scale profile: n=32, q=2^20-3, ell=256, beta=65, eta=1."""
-        return cls.create(n=32, q=1048573, ell=256, beta=65, eta=1, domain_sep=domain_sep)
+        return cls.create(n=32, q=1048573, ell=256, beta=65, eta=1,
+                          domain_sep=b"ibetls-desk-v1")
 
     @property
     def trapdoor_row_weight(self) -> int:

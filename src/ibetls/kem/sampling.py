@@ -55,9 +55,8 @@ class HashStream:
         return out
 
     def signed_uniform(self, count: int, bound: int) -> np.ndarray:
-        """Uniform values in [-bound, bound]; int8 when 0 < bound <= 7, else int64."""
-        if bound == 0:
-            return np.zeros(count, dtype=np.int64)
+        """Uniform values in [-bound, bound] for bound >= 1; int8 when
+        bound <= 7, else int64."""
         span = 2 * bound + 1
         if span <= 16:  # byte-wise rejection; 4x cheaper than the u32 path
             table, rejected = _byte_rejection_tables(bound)

@@ -10,7 +10,7 @@ carries exactly three ciphertexts' worth of authentication data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .kem.codec import ciphertext_size, eph_public_size
 from .simnet.transport import Connection
@@ -88,21 +88,17 @@ def instrument(conn: Connection) -> HandshakeMetrics:
     )
 
 
-@dataclass
 class CertCostModel:
     """Static accounting of certificate-based post-quantum mutual TLS."""
 
-    chain_bytes_range: tuple[int, int] = (8 * 1024, 15 * 1024)
-    cert_verify_bytes_range: tuple[int, int] = (3 * 1024, 6 * 1024)
-    op_counts: dict[str, int] = field(default_factory=lambda: {
-        "encaps": 1, "decaps": 1, "sign": 2, "verify": 4,
-    })
-    scheme_sizes_kb: dict[str, float] = field(
-        default_factory=lambda: dict(SIGNATURE_FAMILY_SIZES_KB))
+    CHAIN_BYTES_RANGE = (8 * 1024, 15 * 1024)
+    CERT_VERIFY_BYTES_RANGE = (3 * 1024, 6 * 1024)
+    OP_COUNTS = {"encaps": 1, "decaps": 1, "sign": 2, "verify": 4}
+    SCHEME_SIZES_KB = SIGNATURE_FAMILY_SIZES_KB
 
     def total_range(self) -> tuple[int, int]:
-        return (self.chain_bytes_range[0] + self.cert_verify_bytes_range[0],
-                self.chain_bytes_range[1] + self.cert_verify_bytes_range[1])
+        return (self.CHAIN_BYTES_RANGE[0] + self.CERT_VERIFY_BYTES_RANGE[0],
+                self.CHAIN_BYTES_RANGE[1] + self.CERT_VERIFY_BYTES_RANGE[1])
 
 
 def compare_report(metrics: HandshakeMetrics, model: CertCostModel | None = None) -> dict:
@@ -124,11 +120,11 @@ def compare_report(metrics: HandshakeMetrics, model: CertCostModel | None = None
             "mutual": metrics.mutual,
         },
         "certBasedModel": {
-            "chainBytesRange": list(model.chain_bytes_range),
-            "certificateVerifyBytesRange": list(model.cert_verify_bytes_range),
+            "chainBytesRange": list(model.CHAIN_BYTES_RANGE),
+            "certificateVerifyBytesRange": list(model.CERT_VERIFY_BYTES_RANGE),
             "totalAuthBytesRange": [low, high],
-            "ops": dict(model.op_counts),
-            "signatureFamilySizesKb": dict(model.scheme_sizes_kb),
+            "ops": dict(model.OP_COUNTS),
+            "signatureFamilySizesKb": dict(model.SCHEME_SIZES_KB),
         },
         "note": (
             "Desk-scale parameters: measured ciphertext sizes are specific to "

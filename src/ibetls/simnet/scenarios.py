@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .core import ConnectReport
 from .fiveg import FiveGSim
@@ -156,10 +155,8 @@ def _fiveg_step(sim: FiveGSim, step: dict) -> tuple[str, dict]:
     raise ValueError(f"unknown 5g op {op!r}")
 
 
-def run_scenario(script: dict | str | Path, seed: int = 0) -> TranscriptLog:
+def run_scenario(script: dict, seed: int = 0) -> TranscriptLog:
     """Execute a scenario; deterministic in the seed."""
-    if not isinstance(script, dict):
-        script = json.loads(Path(script).read_text(encoding="utf-8"))
     kind = script.get("kind")
     if kind == "k8s":
         sim = KubernetesSim(seed=seed_bytes(seed))

@@ -122,12 +122,6 @@ class Registry:
     def verify(self) -> int | None:
         return verify_chain(self.records)
 
-    def latest_for(self, identity: str) -> RegistryRecord | None:
-        for record in reversed(self.records):
-            if record.identity == identity:
-                return record
-        return None
-
     @classmethod
     def load(cls, issuer: str, path: Path) -> "Registry":
         """The chain in path, which must verify: nothing is appended to a broken one."""

@@ -53,6 +53,31 @@ def _check_epoch(epoch: str) -> None:
         raise ValueError(f"epoch {epoch!r} is neither an unsigned integer nor an ISO date")
 
 
+class BadRequest(Exception):
+    """A JSON document (an API request, policy.json) does not have the
+    documented shape."""
+
+
+def json_field(doc: dict, key: str, kind: type, default=None):
+    """doc[key], checked to be a kind; a missing key gives default, or
+    BadRequest when there is none."""
+    if key not in doc and default is not None:
+        return default
+    value = doc.get(key)
+    # bool is an int subclass, but true is not a number of seconds
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise BadRequest(f"{key!r} must be a JSON {kind.__name__}")
+    return value
+
+
+def json_strings(doc: dict, key: str, default=None) -> list[str]:
+    """doc[key], checked to be a list of strings, as json_field checks it."""
+    value = json_field(doc, key, list, default)
+    if not all(isinstance(item, str) for item in value):
+        raise BadRequest(f"{key!r} must be a list of strings")
+    return value
+
+
 class TpkgError(Exception):
     pass
 
@@ -198,17 +223,23 @@ class IssuerPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IssuerPolicy":
+        """The policy in data, each field of its documented JSON type; a value
+        of any other type raises BadRequest, never a coerced policy."""
+        if not isinstance(data, dict):
+            raise BadRequest("policy is not a JSON object")
+        template = data.get("principalTemplate")
         return cls(
-            trust_domain=data["trustDomain"],
-            identity_patterns=tuple(data["identityPatterns"]),
-            permitted_usages=frozenset(data["permittedUsages"]),
-            max_expiration_seconds=int(data["maxExpirationSeconds"]),
-            current_epoch=data["currentEpoch"],
-            rotation_window=int(data["rotationWindow"]),
-            auto_approve=bool(data["autoApprove"]),
-            principal_template=data.get("principalTemplate"),
-            approvers=frozenset(data.get("approvers", [])),
-            epoch_history=list(data.get("epochHistory", [])),
+            trust_domain=json_field(data, "trustDomain", str),
+            identity_patterns=tuple(json_strings(data, "identityPatterns")),
+            permitted_usages=frozenset(json_strings(data, "permittedUsages")),
+            max_expiration_seconds=json_field(data, "maxExpirationSeconds", int),
+            current_epoch=json_field(data, "currentEpoch", str),
+            rotation_window=json_field(data, "rotationWindow", int),
+            auto_approve=json_field(data, "autoApprove", bool),
+            principal_template=(None if template is None
+                                else json_field(data, "principalTemplate", str)),
+            approvers=frozenset(json_strings(data, "approvers", [])),
+            epoch_history=json_strings(data, "epochHistory", []),
         )
 
 
@@ -481,10 +512,9 @@ class TpkgService:
             self.policy.current_epoch = new_epoch
         return new_epoch
 
-    def check_validity(self, identity: IdentityString | str, now=None) -> str:
+    def check_validity(self, identity: IdentityString | str) -> str:
         if isinstance(identity, str):
             identity = IdentityString.parse(identity)
-        now = now or self.clock()
         if identity.base in self.revoked:
             return STATUS_REVOKED
         issued = [
@@ -499,6 +529,6 @@ class TpkgService:
         request = next((r for r in reversed(self.requests.values())
                         if r.identity.canonical == identity.canonical
                         and r.status is RequestStatus.ISSUED), None)
-        if request is not None and now > _expiry(request, issued[-1]):
+        if request is not None and self.clock() > _expiry(request, issued[-1]):
             return STATUS_EXPIRED
         return STATUS_ACTIVE

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ..kem.sampling import HashStream
 
-DEFAULT_PRIME = 2**256 + 297
+PRIME = 2**256 + 297
 
 
 class ThresholdNotMet(Exception):
@@ -29,8 +29,6 @@ class Share:
     index: int        # x-coordinate, 1-based
     value: int        # y-coordinate
     threshold: int
-    n_nodes: int
-    prime: int = DEFAULT_PRIME
 
     def to_dict(self) -> dict:
         return {
@@ -39,26 +37,24 @@ class Share:
             "index": self.index,
             "value": hex(self.value),
             "threshold": self.threshold,
-            "nodes": self.n_nodes,
-            "prime": hex(self.prime),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Share":
+        # Files written before the prime was fixed also hold "nodes" and
+        # "prime"; both are ignored. A share from another field fails the
+        # quorum's a_bar check, as a share of another domain does.
         return cls(
             domain=data["domain"],
             set_id=data["setId"],
             index=int(data["index"]),
             value=int(data["value"], 16),
             threshold=int(data["threshold"]),
-            n_nodes=int(data["nodes"]),
-            prime=int(data["prime"], 16),
         )
 
 
 @dataclass(frozen=True)
 class ShareSet:
-    n_nodes: int
     threshold: int
     shares: tuple[Share, ...]
 
@@ -69,28 +65,27 @@ def split(
     threshold: int,
     domain: str,
     rng_seed: bytes,
-    prime: int = DEFAULT_PRIME,
 ) -> ShareSet:
     if not 1 <= threshold <= n_nodes:
         raise ValueError("need 1 <= t <= n_nodes")
     secret_int = int.from_bytes(secret, "big")
-    if secret_int >= prime:
+    if secret_int >= PRIME:
         raise ValueError("secret does not fit in the share field")
 
     stream = HashStream(rng_seed, b"shamir")
     set_id = stream.read(16).hex()
     # polynomial of degree t-1 with constant term = secret
     coefficients = [secret_int] + [
-        int.from_bytes(stream.read(40), "big") % prime for _ in range(threshold - 1)
+        int.from_bytes(stream.read(40), "big") % PRIME for _ in range(threshold - 1)
     ]
     shares = []
     for index in range(1, n_nodes + 1):
         value = 0
         for coeff in reversed(coefficients):  # Horner evaluation
-            value = (value * index + coeff) % prime
+            value = (value * index + coeff) % PRIME
         shares.append(Share(domain=domain, set_id=set_id, index=index, value=value,
-                            threshold=threshold, n_nodes=n_nodes, prime=prime))
-    return ShareSet(n_nodes=n_nodes, threshold=threshold, shares=tuple(shares))
+                            threshold=threshold))
+    return ShareSet(threshold=threshold, shares=tuple(shares))
 
 
 def reconstruct(shares: list[Share]) -> bytes:
@@ -99,8 +94,8 @@ def reconstruct(shares: list[Share]) -> bytes:
         raise ThresholdNotMet("no shares supplied")
     first = shares[0]
     for share in shares[1:]:
-        if (share.domain, share.set_id, share.prime, share.threshold) != (
-            first.domain, first.set_id, first.prime, first.threshold
+        if (share.domain, share.set_id, share.threshold) != (
+            first.domain, first.set_id, first.threshold
         ):
             raise ShareMismatch("shares come from different share sets")
     indices = [share.index for share in shares]
@@ -111,7 +106,6 @@ def reconstruct(shares: list[Share]) -> bytes:
             f"{len(shares)} shares supplied, {first.threshold} required"
         )
 
-    prime = first.prime
     subset = shares[: first.threshold]
     secret = 0
     for i, share_i in enumerate(subset):
@@ -119,8 +113,8 @@ def reconstruct(shares: list[Share]) -> bytes:
         for j, share_j in enumerate(subset):
             if i == j:
                 continue
-            numerator = numerator * (-share_j.index) % prime
-            denominator = denominator * (share_i.index - share_j.index) % prime
-        lagrange = numerator * pow(denominator, prime - 2, prime) % prime
-        secret = (secret + share_i.value * lagrange) % prime
+            numerator = numerator * (-share_j.index) % PRIME
+            denominator = denominator * (share_i.index - share_j.index) % PRIME
+        lagrange = numerator * pow(denominator, PRIME - 2, PRIME) % PRIME
+        secret = (secret + share_i.value * lagrange) % PRIME
     return secret.to_bytes(32, "big")

@@ -41,7 +41,7 @@ from pathlib import Path
 from ..kem import decode_master_public, encode_master_public
 from ..kem.errors import KemError, MalformedIdentity
 from .registry import Journal, Registry, RegistryCorrupt, json_line
-from .service import IdentityRequest, IssuerPolicy, TpkgService
+from .service import BadRequest, IdentityRequest, IssuerPolicy, TpkgService
 from .shamir import Share, ShareSet
 
 
@@ -114,7 +114,11 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
         mpk = decode_master_public((directory / "mpk.bin").read_bytes())
     except KemError as exc:
         raise RegistryCorrupt(f"{directory / 'mpk.bin'}: {exc}") from None
-    policy = IssuerPolicy.from_dict(json.loads((directory / "policy.json").read_text()))
+    policy_path = directory / "policy.json"
+    try:
+        policy = IssuerPolicy.from_dict(json.loads(policy_path.read_text()))
+    except (BadRequest, ValueError) as exc:  # not JSON, a wrong type, a refused value
+        raise RegistryCorrupt(f"{policy_path}: {exc}") from None
     registry = Registry.load(policy.trust_domain, directory / "registry.jsonl")
     try:
         service = TpkgService(mpk=mpk, policy=policy, registry=registry,
@@ -141,7 +145,8 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
 
 
 def load_readable_shares(directory: Path) -> list[Share]:
-    """The shares in directory, skipping unreadable or corrupt share files."""
+    """The shares in directory, skipping share files that cannot be read or
+    do not hold a share object."""
     shares_dir = Path(directory) / "shares"
     if not shares_dir.is_dir():
         return []
@@ -149,6 +154,6 @@ def load_readable_shares(directory: Path) -> list[Share]:
     for path in sorted(shares_dir.glob("node-*.json")):
         try:
             shares.append(Share.from_dict(json.loads(path.read_text())))
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, TypeError):
             continue
     return shares

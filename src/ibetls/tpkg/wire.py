@@ -23,6 +23,7 @@ from .registry import JournalConflict
 from .service import (
     AlreadyIssued,
     ApprovalNotAuthorized,
+    BadRequest,
     BlocklistedIdentity,
     EpochExpired,
     InvalidTransition,
@@ -31,15 +32,13 @@ from .service import (
     UnauthenticatedPrincipal,
     UnknownIdentity,
     UnknownRequest,
+    json_field,
+    json_strings,
 )
 from .shamir import ShareMismatch, ThresholdNotMet
 
 IDENTITYREQUESTS_PATH = "/apis/security.k8s.io/v1alpha1/identityrequests"
 _BEARER = "Bearer "
-
-
-class BadRequest(Exception):
-    """The request document does not have the documented shape."""
 
 
 _ERROR_CODES = [
@@ -103,18 +102,6 @@ def identity_request(issuer: str, identity: str, usage, expiration_seconds: int,
     }
 
 
-def _field(doc: dict, key: str, kind: type, default=None):
-    """doc[key], checked to be a kind; a missing key gives default, or
-    BadRequest when there is none."""
-    if key not in doc and default is not None:
-        return default
-    value = doc.get(key)
-    # bool is an int subclass, but true is not a number of seconds
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise BadRequest(f"{key!r} must be a JSON {kind.__name__}")
-    return value
-
-
 class ApiServer:
     """Routes decoded JSON requests to a TpkgService.
 
@@ -122,7 +109,7 @@ class ApiServer:
     for the internal node coordination behind the issuance endpoint.
     """
 
-    def __init__(self, service: TpkgService, shares_provider=None) -> None:
+    def __init__(self, service: TpkgService, shares_provider) -> None:
         self.service = service
         self.shares_provider = shares_provider
 
@@ -130,10 +117,10 @@ class ApiServer:
         try:
             if not isinstance(request, dict):
                 raise BadRequest("body is not a JSON object")
-            method = _field(request, "method", str, "GET").upper()
-            path = _field(request, "path", str, "")
-            _field(request, "authorization", str, "")
-            body = _field(request, "body", dict, {})
+            method = json_field(request, "method", str, "GET").upper()
+            path = json_field(request, "path", str, "")
+            json_field(request, "authorization", str, "")
+            body = json_field(request, "body", dict, {})
             return self._route(method, path, body, bearer_token(request))
         except Exception as exc:  # noqa: BLE001 - mapped to wire errors
             return _error_response(exc)
@@ -141,17 +128,15 @@ class ApiServer:
     def _route(self, method: str, path: str, body: dict, token: bytes) -> dict:
         parts = [p for p in path.split("/") if p]
         if method == "POST" and path in (IDENTITYREQUESTS_PATH, "/identityrequests"):
-            spec = _field(body, "spec", dict, {})
-            issuer = _field(spec, "issuer", str, "")
+            spec = json_field(body, "spec", dict, {})
+            issuer = json_field(spec, "issuer", str, "")
             if issuer and issuer != self.service.policy.trust_domain:
                 raise PolicyViolation(f"unknown issuer {issuer!r}")
-            usage = _field(spec, "usage", list, [])
-            if not all(isinstance(u, str) for u in usage):
-                raise BadRequest("'usage' must be a list of strings")
+            usage = json_strings(spec, "usage", [])
             submitted = self.service.submit_request(
-                identity=_field(spec, "identity", str),
+                identity=json_field(spec, "identity", str),
                 usage=tuple(usage),
-                expiration_seconds=_field(spec, "expirationSeconds", int, 0),
+                expiration_seconds=json_field(spec, "expirationSeconds", int, 0),
                 principal_token=token,
             )
             return {"status": 201, "body": submitted.to_dict()}
@@ -167,11 +152,9 @@ class ApiServer:
             if action in ("approve", "deny"):
                 transition = (self.service.approve_request if action == "approve"
                               else self.service.deny_request)
-                changed = transition(name, _field(body, "approver", str, ""))
+                changed = transition(name, json_field(body, "approver", str, ""))
                 return {"status": 200, "body": changed.to_dict()}
             if action == "key":
-                if self.shares_provider is None:
-                    raise ThresholdNotMet("no share quorum available at this endpoint")
                 delivery = self.service.extract_and_deliver(name, self.shares_provider())
                 return {"status": 200, "body": delivery.to_json_dict()}
 

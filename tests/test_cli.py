@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import json
 import os
+import shlex
 import socket
 import subprocess
 import sys
@@ -615,9 +616,9 @@ def test_serve_refuses_an_over_cap_message_and_answers_the_client_queued_behind_
     assert "MessageTooLarge" in capsys.readouterr().err
 
 
-def test_remote_request_refuses_an_over_cap_reply(home, capsys):
-    import struct
-
+def remote_request_to_fake_endpoint(home, capsys, reply):
+    """Run id-request --remote against an endpoint that completes the
+    handshake, reads the request and answers with reply(session, stream)."""
     from ibetls.handshake import ServerSession
     from ibetls.simnet import (
         RecordStream,
@@ -625,7 +626,6 @@ def test_remote_request_refuses_an_over_cap_reply(home, capsys):
         server_handshake_over_stream,
         stream_recv_message,
     )
-    from ibetls.simnet.transport import MAX_APP_MESSAGE
     from ibetls.tpkg import load_domain, load_readable_shares
 
     directory = setup_domain(home, capsys)
@@ -635,17 +635,17 @@ def test_remote_request_refuses_an_over_cap_reply(home, capsys):
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
 
-    def endpoint_declaring_too_much():
+    def fake_endpoint():
         conn, _ = listener.accept()
         stream = RecordStream(conn)
         with contextlib.closing(stream):
             session = ServerSession(service.mpk, endpoint, key, bytes(32))
             if server_handshake_over_stream(session, stream):
                 stream_recv_message(session, stream)
-                stream.send(session.seal_app(struct.pack("!I", MAX_APP_MESSAGE + 1)))
+                reply(session, stream)
                 stream.recv()  # until the client hangs up
 
-    thread = threading.Thread(target=endpoint_declaring_too_much, daemon=True)
+    thread = threading.Thread(target=fake_endpoint, daemon=True)
     thread.start()
     with listener:
         code, _, err = run_cli([
@@ -655,6 +655,77 @@ def test_remote_request_refuses_an_over_cap_reply(home, capsys):
         ], capsys)
         thread.join(timeout=30)
     assert not thread.is_alive()
+    return code, err
+
+
+def test_remote_request_refuses_an_over_cap_reply(home, capsys):
+    import struct
+
+    from ibetls.simnet.transport import MAX_APP_MESSAGE
+
+    def declare_too_much(session, stream):
+        stream.send(session.seal_app(struct.pack("!I", MAX_APP_MESSAGE + 1)))
+
+    code, err = remote_request_to_fake_endpoint(home, capsys, declare_too_much)
     assert code == 4 and "Traceback" not in err
     assert reasons(err) == [f"refused: peer declared a {MAX_APP_MESSAGE + 1}-byte message; "
                             f"at most {MAX_APP_MESSAGE} bytes are accepted"]
+
+
+@pytest.mark.parametrize("body", [b"[1, 2]", b"\xff\xfe{}", b"{not json"],
+                         ids=["json-list", "not-utf8", "not-json"])
+def test_remote_reply_that_is_not_a_json_object_exits_4(home, capsys, body):
+    from ibetls.simnet import stream_send_message
+
+    code, err = remote_request_to_fake_endpoint(
+        home, capsys, lambda session, stream: stream_send_message(session, stream, body))
+    assert code == 4 and "Traceback" not in err
+    assert reasons(err) == ["endpoint reply is not a JSON object"]
+
+
+# policy.json edited by hand: each field must have its documented JSON type.
+@pytest.mark.parametrize("edit", [
+    lambda policy: {},
+    lambda policy: {**policy, "identityPatterns": 5},
+    lambda policy: {**policy, "autoApprove": "false"},
+], ids=["empty-object", "patterns-not-a-list", "auto-approve-a-string"])
+def test_malformed_policy_exits_5_and_issues_nothing(home, capsys, edit):
+    path = setup_domain(home, capsys) / "policy.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, out, err = run_cli([
+        "--home", str(home), "id-request", "--domain", "control-plane",
+        "--identity", "kubelet:node-01.20250101", "--subject", "node-01",
+        "--groups", "system:bootstrappers",
+    ], capsys)
+    assert code == 5 and out == "" and "Traceback" not in err
+    assert len(reasons(err)) == 1 and reasons(err)[0].startswith("CORRUPT: "), err
+    assert (home / "domains" / "control-plane" / "requests.jsonl").read_bytes() == b""
+
+
+@pytest.mark.parametrize("damage", [
+    lambda share: [],
+    lambda share: {**share, "nodes": 3, "prime": "0x0"},
+], ids=["a-json-list", "a-zero-prime"])
+def test_serve_answers_with_one_damaged_share_file(home, capsys, damage):
+    path = setup_domain(home, capsys) / "shares" / "node-1.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    port = free_port()
+    thread, server_result = serve_in_thread(home, port, 1)
+    code = remote_request(home, port, capsys)
+    thread.join(timeout=30)
+    assert not thread.is_alive() and server_result.get("code") == 0
+    assert code == 0 and json.loads(capsys.readouterr().out)["status"] == 201
+
+
+def test_readme_cli_examples_parse():
+    # Each `ibetls ...` line of README's CLI block, continued lines joined,
+    # comments and a trailing & dropped, must parse as the CLI reads it.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in commands if argv[:1] == ["ibetls"]]
+    assert len(commands) >= 13  # as the block reads now; none would mean a broken split
+    parser = ibetls.cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[:-1] if argv[-1] == "&" else argv)

@@ -222,17 +222,6 @@ def test_session_refuses_a_key_from_another_parameter_set(mpk, server_identity, 
                       own_key=beta_flipped(client_key), mutual=True)
 
 
-def test_server_pinned_client_identity(mpk, server_identity, server_key,
-                                       client_identity, client_key):
-    client = ClientSession(mpk, server_identity, seed_of(430),
-                           own_identity=client_identity, own_key=client_key, mutual=True)
-    server = ServerSession(mpk, server_identity, server_key, seed_of(431), mutual=True,
-                           expected_peer_identity=IdentityString.parse("scheduler.20250101"))
-    conn = establish(client, server)
-    assert not conn.ok
-    assert server.alert_sent == AlertCode.IBE_AUTH_FAILURE
-
-
 def test_abort_keeps_its_reason(mpk, msk, server_identity, server_key,
                                 client_identity, client_key):
     # decode_error: a ClientHello cut short inside a well-formed record

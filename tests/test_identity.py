@@ -41,9 +41,3 @@ def test_malformed_identities_rejected(text):
 def test_segment_cannot_contain_separator():
     with pytest.raises(MalformedIdentity):
         IdentityString(("a.b", "20250101"))
-
-
-def test_with_epoch_replaces_final_segment():
-    ident = IdentityString.parse("cluster.ns.svc.7")
-    assert ident.with_epoch("8").canonical == "cluster.ns.svc.8"
-    assert ident.with_epoch("8").base == ident.base

@@ -97,9 +97,9 @@ def test_desk_wire_sizes_follow_the_packing_formula(desk, capsys):
 def test_cert_model_totals():
     model = CertCostModel()
     assert model.total_range() == (11264, 21504)
-    assert model.op_counts == {"encaps": 1, "decaps": 1, "sign": 2, "verify": 4}
-    assert model.scheme_sizes_kb["Lattice-based"] == 11
-    assert model.scheme_sizes_kb["Code-based"] == 190
+    assert model.OP_COUNTS == {"encaps": 1, "decaps": 1, "sign": 2, "verify": 4}
+    assert model.SCHEME_SIZES_KB["Lattice-based"] == 11
+    assert model.SCHEME_SIZES_KB["Code-based"] == 190
 
 
 def test_compare_report_contents(mutual_metrics):

@@ -72,7 +72,7 @@ def test_records_append_only_by_superseding(tmp_path):
     registry.append("web.1", "sa", "2025-01-01T00:00:00Z", "1", "Active")
     registry.append("web.1", "operator", "2025-01-02T00:00:00Z", "1", "Revoked")
     assert registry.verify() is None
-    assert registry.latest_for("web.1").status == "Revoked"
+    assert registry.records[-1].status == "Revoked"
     assert len(registry.records) == 2  # the Active record is still there
 
 

@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
-from ibetls.tpkg import DEFAULT_PRIME, ShareMismatch, ThresholdNotMet, reconstruct, split
+from ibetls.tpkg import PRIME, ShareMismatch, ThresholdNotMet, reconstruct, shamir, split
 
 
 def test_default_prime_covers_all_32_byte_secrets():
-    assert DEFAULT_PRIME > 2**256 - 1
+    assert PRIME > 2**256 - 1
 
 
 def test_split_and_reconstruct_any_quorum():
@@ -58,14 +58,15 @@ def test_duplicate_indices_rejected():
         reconstruct([share_set.shares[0], share_set.shares[0]])
 
 
-def test_single_share_reveals_nothing_over_toy_field():
+def test_single_share_reveals_nothing_over_toy_field(monkeypatch):
     # Brute force over a small prime field: enumerate every (secret, slope)
     # polynomial. One observed share is consistent with every candidate
     # secret; two shares pin the secret uniquely.
     prime = 101
+    monkeypatch.setattr(shamir, "PRIME", prime)
     secret_int = 57
     share_set = split(secret_int.to_bytes(2, "big"), n_nodes=3, threshold=2,
-                      domain="toy", rng_seed=b"\x08" * 32, prime=prime)
+                      domain="toy", rng_seed=b"\x08" * 32)
     first, second = share_set.shares[0], share_set.shares[1]
 
     def consistent(candidates_shares):
@@ -89,3 +90,4 @@ def test_share_serialization_round_trip():
     share_set = split(bytes(32), n_nodes=3, threshold=2, domain="cp", rng_seed=b"\x09" * 32)
     for share in share_set.shares:
         assert Share.from_dict(share.to_dict()) == share
+

@@ -436,5 +436,5 @@ def test_scenario_from_json_file(tmp_path):
              "expect": "ok"},
         ],
     }))
-    log = run_scenario(path, seed=3)
+    log = run_scenario(json.loads(path.read_text()), seed=3)
     assert log.all_ok

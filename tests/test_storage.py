@@ -13,6 +13,7 @@ import ibetls.tpkg.service
 import ibetls.tpkg.storage
 from ibetls.kem import IdentityString
 from ibetls.tpkg import (
+    PRIME,
     ApiServer,
     BlocklistedIdentity,
     JournalConflict,
@@ -21,6 +22,7 @@ from ibetls.tpkg import (
     TpkgService,
     identity_request,
     load_domain,
+    load_readable_shares,
     save_domain,
     save_state,
 )
@@ -59,7 +61,8 @@ def test_expiry_survives_reload(tmp_path, desk):
     service.extract_and_deliver(request.name, quorum)
     save_state(tmp_path, service)
     later = fixed_clock() + datetime.timedelta(hours=2)
-    assert reload(tmp_path).check_validity(NODE, now=later) == "Expired"
+    reloaded_later = load_domain(tmp_path, authenticator=authenticator, clock=lambda: later)
+    assert reloaded_later.check_validity(NODE) == "Expired"
     assert reload(tmp_path).check_validity(NODE) == "Active"
 
 
@@ -113,7 +116,7 @@ def test_second_writer_on_one_home_is_refused(tmp_path, desk, second):
         == on_disk
     assert (other.requests, other.registry.records) == ({}, records)
     assert IdentityString.parse(NODE).base not in other.revoked
-    response = ApiServer(other).handle(identity_request(
+    response = ApiServer(other, shares_provider=lambda: []).handle(identity_request(
         other.policy.trust_domain, "scheduler.20250101", ["client"], 3600, b"admin"))
     assert (response["status"], response["error"]["reason"]) == (409, "Conflict")
 
@@ -206,13 +209,14 @@ def test_replayed_journal_matches_memory(desk, ops):
         assert states(reloaded) == states(service)
         assert reloaded.registry.records == service.registry.records
         later = fixed_clock() + datetime.timedelta(hours=2)
-        for when in (None, later):
-            assert _validity(reloaded, when) == _validity(service, when)
+        for clock in (fixed_clock, lambda: later):
+            reloaded.clock = service.clock = clock
+            assert _validity(reloaded) == _validity(service)
 
 
-def _validity(service: TpkgService, when):
+def _validity(service: TpkgService):
     try:
-        return service.check_validity(NODE, now=when)
+        return service.check_validity(NODE)
     except ibetls.tpkg.UnknownIdentity:
         return None
 
@@ -324,7 +328,22 @@ def test_issue_direct_records_the_key_active(desk, tmp_path):
     key = service.issue_direct(identity, quorum, "operator")
     assert key.identity == identity
     reloaded = reload(tmp_path)
-    record = reloaded.registry.latest_for(identity.canonical)
+    record = reloaded.registry.records[-1]
+    assert record.identity == identity.canonical
     assert (record.status, record.authorized_principal) == ("Active", "operator")
     assert reloaded.check_validity(identity) == "Active"
 
+
+
+def test_share_files_from_before_the_fixed_prime_load_and_rebuild(tmp_path, desk):
+    # Earlier versions also wrote "nodes" and "prime" into each share file;
+    # loading ignores both, and new files no longer carry them.
+    service, _ = new_domain(desk, tmp_path)
+    for path in (tmp_path / "shares").glob("node-*.json"):
+        share = json.loads(path.read_text())
+        assert not {"nodes", "prime"} & share.keys()
+        path.write_text(json.dumps({**share, "nodes": 3, "prime": hex(PRIME)}))
+    shares = load_readable_shares(tmp_path)
+    assert len(shares) == 3
+    key = reload(tmp_path).issue_direct(IdentityString.parse(NODE), shares[1:], "operator")
+    assert key.identity.canonical == NODE

@@ -329,8 +329,9 @@ def test_time_based_expiry(domain):
     request = service.submit_request("kubelet:node-01.20250101", ("client",), 3600,
                                      b"bootstrap-node-01")
     service.extract_and_deliver(request.name, list(shares.shares[:2]))
-    later = fixed_clock() + datetime.timedelta(seconds=7200)
-    assert service.check_validity("kubelet:node-01.20250101", now=later) == "Expired"
+    assert service.check_validity("kubelet:node-01.20250101") == "Active"
+    service.clock = lambda: fixed_clock() + datetime.timedelta(seconds=7200)
+    assert service.check_validity("kubelet:node-01.20250101") == "Expired"
 
 
 # ---------------------------------------------------------------------------
