@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 usage/config error, 3 policy denial,
 4 handshake or scenario failure, or a --remote endpoint that is unreachable,
 sends a message longer than the transport accepts or replies with something
-other than a JSON object, 5 registry corruption or a policy.json that does
-not parse, or a registry or request journal that another writer
+other than a JSON object, 5 corrupt state on disk (a journal, mpk.bin,
+policy.json, a share set), or a journal that another writer
 changed since this command read it (nothing was written; retry). A command
 that fails says why in one stderr line; FAILURES maps each exception to its
 code.
@@ -54,6 +54,8 @@ from .tpkg import (
     JournalConflict,
     LegacyLayout,
     RegistryCorrupt,
+    ShareMismatch,
+    ThresholdNotMet,
     TpkgError,
     TpkgService,
     identity_request,
@@ -64,6 +66,7 @@ from .tpkg import (
     save_state,
     verify_chain,
 )
+from .tpkg.service import json_field
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -83,6 +86,8 @@ class RemoteUnreachable(Exception):
 FAILURES = (
     (JournalConflict, EXIT_REGISTRY, "CONFLICT: {}; nothing was written, retry"),
     (RegistryCorrupt, EXIT_REGISTRY, "CORRUPT: {}"),
+    (ShareMismatch, EXIT_REGISTRY, "CORRUPT: {}"),
+    (ThresholdNotMet, EXIT_USAGE, "refusing to serve: {}"),
     (TpkgError, EXIT_POLICY, "denied: {}"),
     (RemoteUnreachable, EXIT_HANDSHAKE, "unreachable: {}"),
     (MessageTooLarge, EXIT_HANDSHAKE, "refused: {}"),
@@ -101,9 +106,11 @@ class CliConfig:
         doc = {}
         if getattr(args, "config", None):
             doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        self.home = Path(getattr(args, "home", None) or doc.get("home") or DEFAULT_HOME)
-        self.listen = getattr(args, "listen", None) or doc.get("listen") or "127.0.0.1:9443"
-        self.profile = doc.get("profile", "desk")
+        # Read every field, so an option that overrides one cannot hide a bad file.
+        home, listen = json_field(doc, "home", str, ""), json_field(doc, "listen", str, "")
+        self.home = Path(getattr(args, "home", None) or home or DEFAULT_HOME)
+        self.listen = getattr(args, "listen", None) or listen or "127.0.0.1:9443"
+        self.profile = json_field(doc, "profile", str, "desk")
 
     def domain_dir(self, name: str) -> Path:
         return self.home / "domains" / name
@@ -285,17 +292,12 @@ def cmd_registry_verify(args, config: CliConfig) -> int:
 
 def cmd_tpkg_serve(args, config: CliConfig) -> int:
     directory, service, authority = _open_domain(args, config)
-    readable = load_readable_shares(directory)
-    threshold = readable[0].threshold if readable else None
-    if threshold is None or len(readable) < threshold:
-        print(f"refusing to serve: fewer than {threshold or '?'} readable share files",
-              file=sys.stderr)
-        return EXIT_USAGE
-
     endpoint_identity = component_identity(args.endpoint_identity,
                                            service.policy.current_epoch)
-    endpoint_key = service.issue_direct(endpoint_identity, readable[:threshold], "operator")
-    api = ApiServer(service, shares_provider=lambda: load_readable_shares(directory)[:threshold])
+    # Every readable share goes to reconstruct, which applies the threshold.
+    endpoint_key = service.issue_direct(endpoint_identity, load_readable_shares(directory),
+                                        "operator")
+    api = ApiServer(service, shares_provider=lambda: load_readable_shares(directory))
 
     host, _, port = (args.listen or config.listen).rpartition(":")
     listener = socket.create_server((host or "127.0.0.1", int(port)))

@@ -11,7 +11,7 @@ from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from ..hkdf import hkdf_expand_label
-from .wire import ContentType, record, split_record
+from .wire import ContentType, split_record
 
 TAG_LEN = 16
 
@@ -54,4 +54,4 @@ class DirectionKeys:
         return inner[:-1], inner[-1]
 
 
-__all__ = ["DirectionKeys", "RecordAuthError", "record"]
+__all__ = ["DirectionKeys", "RecordAuthError"]

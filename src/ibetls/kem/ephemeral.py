@@ -8,7 +8,6 @@ short secret, one column per secret bit. Ciphertexts have exactly the same
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -33,12 +32,6 @@ class EphemeralPublicKey:
 
     def __post_init__(self) -> None:
         self.U.setflags(write=False)
-
-    @functools.cached_property
-    def A(self) -> np.ndarray:
-        """The public matrix, expanded from seed_a on first use and kept with the key
-        (lazily, so a server checks a peer's share parameters before paying for it)."""
-        return _expand_matrix(self.seed_a, self.params)
 
     def binding_hash(self) -> bytes:
         h = hashlib.sha256(self.params.header_bytes())
@@ -72,8 +65,9 @@ def eph_generate(params: KemParams, rng_seed: bytes) -> EphemeralKeyPair:
 def eph_encaps(public: EphemeralPublicKey, rng_seed: bytes) -> tuple[IdKemCiphertext, bytes]:
     if len(rng_seed) != 32:
         raise ValueError("rng_seed must be exactly 32 bytes")
-    ct, k_bits = _encrypt_bits(public.params, public.A, public.U,
-                               HashStream(rng_seed, b"eph-encaps"))
+    # Expanded per call, not kept with the key: each share is encapsulated to once.
+    A = _expand_matrix(public.seed_a, public.params)
+    ct, k_bits = _encrypt_bits(public.params, A, public.U, HashStream(rng_seed, b"eph-encaps"))
     return ct, _kem_kdf(k_bits, public.binding_hash(), b"ibetls eph ss")
 
 

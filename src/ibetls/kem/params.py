@@ -53,9 +53,6 @@ class KemParams:
     """Immutable parameter block shared by master keys, ciphertexts and KDFs.
 
     n        lattice dimension (rows of A)
-    k        gadget length, ceil(log2(q))
-    m_bar    columns of the random left block, n*k
-    m        total columns, m_bar + n*k
     q        prime modulus with m*q*q in float64's exact-integer range, so
              matmul_mod's product of two wide operands is exact on entries
              in (-q, q)
@@ -66,9 +63,6 @@ class KemParams:
     """
 
     n: int
-    k: int
-    m_bar: int
-    m: int
     q: int
     ell: int
     beta: int
@@ -82,10 +76,6 @@ class KemParams:
             raise InvalidParams("q must fit in 32 bits")
         if not is_prime(self.q):
             raise InvalidParams(f"q={self.q} is not prime")
-        if self.k != (self.q - 1).bit_length():
-            raise InvalidParams("k must be ceil(log2(q))")
-        if self.m_bar != self.n * self.k or self.m != self.m_bar + self.n * self.k:
-            raise InvalidParams("need m_bar = n*k and m = m_bar + n*k")
         if self.m * self.q * self.q >= 2**53:
             raise InvalidParams("m*q*q exceeds float64's exact-integer range")
         if self.beta < 1 or self.eta < 1:
@@ -99,20 +89,24 @@ class KemParams:
         warnings.warn(NOT_SECURE_BANNER, ToyParametersWarning, stacklevel=3)
 
     @classmethod
-    def create(
-        cls, n: int, q: int, ell: int, beta: int, eta: int, domain_sep: bytes
-    ) -> "KemParams":
-        k = (q - 1).bit_length()
-        return cls(
-            n=n, k=k, m_bar=n * k, m=2 * n * k, q=q, ell=ell, beta=beta, eta=eta,
-            domain_sep=domain_sep,
-        )
-
-    @classmethod
     def desk(cls) -> "KemParams":
         """Desk-scale profile: n=32, q=2^20-3, ell=256, beta=65, eta=1."""
-        return cls.create(n=32, q=1048573, ell=256, beta=65, eta=1,
-                          domain_sep=b"ibetls-desk-v1")
+        return cls(n=32, q=1048573, ell=256, beta=65, eta=1, domain_sep=b"ibetls-desk-v1")
+
+    @property
+    def k(self) -> int:
+        """Gadget length, ceil(log2(q))."""
+        return (self.q - 1).bit_length()
+
+    @property
+    def m_bar(self) -> int:
+        """Columns of the random left block, n*k."""
+        return self.n * self.k
+
+    @property
+    def m(self) -> int:
+        """Total columns, m_bar + n*k."""
+        return 2 * self.m_bar
 
     @property
     def trapdoor_row_weight(self) -> int:
@@ -134,13 +128,16 @@ class KemParams:
         """Parse a header produced by :meth:`header_bytes`; returns (params, bytes consumed).
 
         Only blobs at rest carry one to parse: a master public key or an
-        issued key. A peer's share must match the receiver's own header."""
+        issued key. A peer's share must match the receiver's own header.
+        The k, m_bar and m words are not read, only checked."""
         if len(data) < 5 + 32 + 2 or data[:5] != b"IBEK1":
             raise InvalidParams("bad parameter header")
         (ds_len,) = struct.unpack("<H", data[37:39])
         end = 39 + ds_len
         if len(data) < end:
             raise InvalidParams("truncated parameter header")
-        n, k, m_bar, m, q, ell, beta, eta = struct.unpack("<8I", data[5:37])
-        return cls(n=n, k=k, m_bar=m_bar, m=m, q=q, ell=ell, beta=beta, eta=eta,
-                   domain_sep=bytes(data[39:end])), end
+        n, _, _, _, q, ell, beta, eta = struct.unpack("<8I", data[5:37])
+        params = cls(n=n, q=q, ell=ell, beta=beta, eta=eta, domain_sep=bytes(data[39:end]))
+        if params.header_bytes() != data[:end]:
+            raise InvalidParams("k, m_bar or m do not follow from n and q")
+        return params, end

@@ -84,7 +84,7 @@ class TrustDomainSim:
         return domain
 
     def quorum(self):
-        return list(self.shares.shares[: self.shares.threshold])
+        return list(self.shares.shares)
 
     @property
     def mpk(self) -> MasterPublicKey:

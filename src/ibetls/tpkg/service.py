@@ -53,14 +53,17 @@ def _check_epoch(epoch: str) -> None:
         raise ValueError(f"epoch {epoch!r} is neither an unsigned integer nor an ISO date")
 
 
-class BadRequest(Exception):
-    """A JSON document (an API request, policy.json) does not have the
-    documented shape."""
+class BadRequest(ValueError):
+    """A JSON document (an API request, policy.json, a requests.jsonl line,
+    the CLI config) does not have the documented shape."""
 
 
 def json_field(doc: dict, key: str, kind: type, default=None):
     """doc[key], checked to be a kind; a missing key gives default, or
-    BadRequest when there is none."""
+    BadRequest when there is none. A doc that is not a JSON object is a
+    BadRequest too."""
+    if not isinstance(doc, dict):
+        raise BadRequest(f"not a JSON object (reading {key!r})")
     if key not in doc and default is not None:
         return default
     value = doc.get(key)
@@ -159,15 +162,16 @@ class IdentityRequest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IdentityRequest":
-        spec = data["spec"]
+        """The request in data; a field not of the type to_dict writes raises BadRequest."""
+        spec = json_field(data, "spec", dict)
         return cls(
-            name=data["name"],
-            issuer=spec["issuer"],
-            identity=IdentityString.parse(spec["identity"]),
-            usage=tuple(spec["usage"]),
-            expiration_seconds=int(spec["expirationSeconds"]),
-            principal=data["principal"],
-            status=RequestStatus(data["status"]),
+            name=json_field(data, "name", str),
+            issuer=json_field(spec, "issuer", str),
+            identity=IdentityString.parse(json_field(spec, "identity", str)),
+            usage=tuple(json_strings(spec, "usage")),
+            expiration_seconds=json_field(spec, "expirationSeconds", int),
+            principal=json_field(data, "principal", str),
+            status=RequestStatus(json_field(data, "status", str)),
         )
 
 
@@ -225,9 +229,6 @@ class IssuerPolicy:
     def from_dict(cls, data: dict) -> "IssuerPolicy":
         """The policy in data, each field of its documented JSON type; a value
         of any other type raises BadRequest, never a coerced policy."""
-        if not isinstance(data, dict):
-            raise BadRequest("policy is not a JSON object")
-        template = data.get("principalTemplate")
         return cls(
             trust_domain=json_field(data, "trustDomain", str),
             identity_patterns=tuple(json_strings(data, "identityPatterns")),
@@ -236,7 +237,7 @@ class IssuerPolicy:
             current_epoch=json_field(data, "currentEpoch", str),
             rotation_window=json_field(data, "rotationWindow", int),
             auto_approve=json_field(data, "autoApprove", bool),
-            principal_template=(None if template is None
+            principal_template=(None if data.get("principalTemplate") is None
                                 else json_field(data, "principalTemplate", str)),
             approvers=frozenset(json_strings(data, "approvers", [])),
             epoch_history=json_strings(data, "epochHistory", []),

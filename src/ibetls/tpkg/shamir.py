@@ -55,7 +55,6 @@ class Share:
 
 @dataclass(frozen=True)
 class ShareSet:
-    threshold: int
     shares: tuple[Share, ...]
 
 
@@ -85,11 +84,12 @@ def split(
             value = (value * index + coeff) % PRIME
         shares.append(Share(domain=domain, set_id=set_id, index=index, value=value,
                             threshold=threshold))
-    return ShareSet(threshold=threshold, shares=tuple(shares))
+    return ShareSet(shares=tuple(shares))
 
 
 def reconstruct(shares: list[Share]) -> bytes:
-    """The 32-byte secret that a qualified subset of one share set encodes."""
+    """The 32-byte secret that shares of one share set encode. The only reader
+    of the threshold: it needs that many shares and uses the first that many."""
     if not shares:
         raise ThresholdNotMet("no shares supplied")
     first = shares[0]
@@ -117,4 +117,6 @@ def reconstruct(shares: list[Share]) -> bytes:
             denominator = denominator * (share_i.index - share_j.index) % PRIME
         lagrange = numerator * pow(denominator, PRIME - 2, PRIME) % PRIME
         secret = (secret + share_i.value * lagrange) % PRIME
+    if secret >= 2**256:  # values edited on disk; no split gives this
+        raise ShareMismatch("shares do not interpolate to a 32-byte secret")
     return secret.to_bytes(32, "big")

@@ -41,7 +41,7 @@ from pathlib import Path
 from ..kem import decode_master_public, encode_master_public
 from ..kem.errors import KemError, MalformedIdentity
 from .registry import Journal, Registry, RegistryCorrupt, json_line
-from .service import BadRequest, IdentityRequest, IssuerPolicy, TpkgService
+from .service import IdentityRequest, IssuerPolicy, TpkgService
 from .shamir import Share, ShareSet
 
 
@@ -117,7 +117,7 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
     policy_path = directory / "policy.json"
     try:
         policy = IssuerPolicy.from_dict(json.loads(policy_path.read_text()))
-    except (BadRequest, ValueError) as exc:  # not JSON, a wrong type, a refused value
+    except ValueError as exc:  # not JSON, a wrong type (BadRequest), a refused value
         raise RegistryCorrupt(f"{policy_path}: {exc}") from None
     registry = Registry.load(policy.trust_domain, directory / "registry.jsonl")
     try:
@@ -135,7 +135,7 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
         for doc in docs:
             request = IdentityRequest.from_dict(doc)
             service.requests[request.name] = request
-    except (AttributeError, KeyError, TypeError, ValueError, MalformedIdentity) as exc:
+    except (ValueError, MalformedIdentity) as exc:  # a wrong type is a BadRequest
         raise RegistryCorrupt(f"{journal.path}: bad request record: {exc!r}") from None
     # Names are derived from the count, so they must be exactly req-1..req-N.
     if set(service.requests) != {f"req-{i}" for i in range(1, len(service.requests) + 1)}:

@@ -115,8 +115,6 @@ class ApiServer:
 
     def handle(self, request) -> dict:
         try:
-            if not isinstance(request, dict):
-                raise BadRequest("body is not a JSON object")
             method = json_field(request, "method", str, "GET").upper()
             path = json_field(request, "path", str, "")
             json_field(request, "authorization", str, "")

@@ -15,6 +15,7 @@ import pytest
 import ibetls.cli
 from ibetls.cli import CliConfig, main
 from ibetls.kem import NOT_SECURE_BANNER
+from ibetls.tpkg import PRIME
 
 
 def run_cli(args, capsys):
@@ -194,18 +195,23 @@ def test_home_with_old_requests_file_refused(home, capsys):
     (["--config", "{tmp}/missing.json", "id-list", "--domain", "control-plane"], 2),
     (["--config", "{tmp}/not-json.json", "id-list", "--domain", "control-plane"], 2),
     (["--config", "{tmp}/profile.json", "tpkg-setup", "--domain", "other"], 2),
+    (["--config", "{tmp}/list.json", "id-list", "--domain", "control-plane"], 2),
+    (["--config", "{tmp}/home-number.json", "id-list", "--domain", "control-plane"], 2),
     (["registry-verify", "--file", "{tmp}/missing.jsonl"], 2),
     (["demo-k8s", "--seed", "-1"], 2),
     (["id-request", "--domain", "control-plane", "--identity", "kubelet:node-05.20250101",
       "--remote", "127.0.0.1:{closed_port}"], 4),
 ], ids=["malformed-request-identity", "malformed-revoke-identity", "unknown-usage",
         "threshold-above-nodes", "malformed-epoch", "missing-config", "config-not-json",
-        "unknown-profile", "missing-registry-file", "negative-seed", "closed-remote"])
+        "unknown-profile", "config-not-object", "config-home-not-string",
+        "missing-registry-file", "negative-seed", "closed-remote"])
 def test_bad_input_exits_with_its_code_and_one_line(home, tmp_path, capsys, argv, expected):
     setup_domain(home, capsys)
     (tmp_path / "not-json.json").write_text("{home:", encoding="utf-8")
     (tmp_path / "profile.json").write_text(json.dumps({"profile": "datacenter"}),
                                            encoding="utf-8")
+    (tmp_path / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (tmp_path / "home-number.json").write_text(json.dumps({"home": 5}), encoding="utf-8")
     argv = [arg.format(tmp=tmp_path, closed_port=free_port()) for arg in argv]
     code, _, err = run_cli(["--home", str(home), *argv], capsys)
     assert code == expected and len(reasons(err)) == 1 and "Traceback" not in err, err
@@ -324,6 +330,35 @@ def test_serve_refuses_without_share_quorum(home, capsys):
         "--listen", "127.0.0.1:0", "--max-requests", "1",
     ], capsys)
     assert code == 2 and "refusing to serve" in err
+
+
+# Each share set that does not rebuild this domain's master, wherever the
+# bad share sorts, stops tpkg-serve at startup as corruption.
+@pytest.mark.parametrize("damage", ["another-domains-shares", "first-threshold-zero",
+                                    "past-the-field", "last-share-foreign"])
+def test_serve_refuses_shares_that_do_not_rebuild_the_master(home, capsys, damage):
+    shares = setup_domain(home, capsys) / "shares"
+    if damage in ("another-domains-shares", "last-share-foreign"):
+        # another seed: domains set up from one seed share one master
+        run_cli(["--home", str(home), "tpkg-setup", "--domain", "other", "--seed", "2"], capsys)
+        other = home / "domains" / "other" / "shares"
+        copied = [1, 2, 3] if damage == "another-domains-shares" else [3]
+        for index in copied:
+            (shares / f"node-{index}.json").write_bytes(
+                (other / f"node-{index}.json").read_bytes())
+    else:
+        # The line through (1, 0) and (2, PRIME - 2**256) is 2**256 at x = 0.
+        edits = ({1: {"threshold": 0}} if damage == "first-threshold-zero"
+                 else {1: {"value": "0x0"}, 2: {"value": hex(PRIME - 2**256)}})
+        for index, fields in edits.items():
+            path = shares / f"node-{index}.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+    code, out, err = run_cli([
+        "--home", str(home), "tpkg-serve", "--domain", "control-plane",
+        "--listen", "127.0.0.1:0", "--max-requests", "1",
+    ], capsys)
+    assert code == 5 and out == "" and "Traceback" not in err
+    assert len(reasons(err)) == 1 and reasons(err)[0].startswith("CORRUPT: "), err
 
 
 def free_port():

@@ -45,7 +45,7 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 @pytest.fixture(scope="module")
 def param_sets(desk):
     # A small set keeps most examples cheap; desk is the one in use.
-    small = KemParams.create(n=2, q=12289, ell=16, beta=20, eta=1, domain_sep=b"codec")
+    small = KemParams(n=2, q=12289, ell=16, beta=20, eta=1, domain_sep=b"codec")
     return {"small": small, "desk": desk}
 
 

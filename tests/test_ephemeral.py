@@ -10,6 +10,7 @@ from ibetls.kem import (
     eph_encaps,
     eph_generate,
 )
+from ibetls.kem import ephemeral
 
 
 def seed_of(i: int) -> bytes:
@@ -66,13 +67,20 @@ def test_eph_decaps_rejects_out_of_range(desk):
         eph_decaps(keypair, IdKemCiphertext(params=desk, c0=ct.c0, c1=bad))
 
 
-def test_public_matrix_expanded_lazily_once_per_key(desk):
+def test_public_matrix_expanded_lazily_once_per_key(desk, monkeypatch):
     keypair = eph_generate(desk, seed_of(13))
-    public = decode_eph_public(encode_eph_public(keypair.public), desk)
+    expanded = []
+    original = ephemeral._expand_matrix
+
+    def counting(seed_a, params):
+        expanded.append(seed_a)
+        return original(seed_a, params)
+
+    monkeypatch.setattr(ephemeral, "_expand_matrix", counting)
     # Decoding a peer's share must not expand the matrix it names.
-    assert "A" not in vars(public)
-    eph_encaps(public, seed_of(14))
-    matrix = vars(public)["A"]
-    eph_encaps(public, seed_of(15))
-    assert public.A is matrix
-    assert np.array_equal((matrix @ keypair._x) % desk.q, public.U)
+    public = decode_eph_public(encode_eph_public(keypair.public), desk)
+    assert expanded == []
+    # eph_encaps expands it once; every path encapsulates to a share once.
+    ct, ss = eph_encaps(public, seed_of(14))
+    assert expanded == [public.seed_a]
+    assert eph_decaps(keypair, ct) == ss

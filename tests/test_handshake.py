@@ -387,8 +387,8 @@ def test_replayed_client_hello_cannot_finish(mpk, server_identity, server_key,
 def test_foreign_ephemeral_parameters_rejected(desk, mpk, server_identity, server_key):
     # The share's header names its own dimensions; a server that honoured them
     # would expand a matrix of the peer's choosing.
-    foreign = KemParams.create(n=8, q=desk.q, ell=desk.ell, beta=desk.beta, eta=desk.eta,
-                               domain_sep=desk.domain_sep)
+    foreign = KemParams(n=8, q=desk.q, ell=desk.ell, beta=desk.beta, eta=desk.eta,
+                        domain_sep=desk.domain_sep)
     client = ClientSession(mpk, server_identity, seed_of(455))
     server = ServerSession(mpk, server_identity, server_key, seed_of(457))
     _, payload = split_record(client.client_start()[0])

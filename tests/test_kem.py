@@ -64,20 +64,20 @@ def test_desk_params_shape(desk):
 
 def test_composite_modulus_rejected():
     with pytest.raises(InvalidParams):
-        KemParams.create(n=4, q=15, ell=16, beta=3, eta=1, domain_sep=b"x")
+        KemParams(n=4, q=15, ell=16, beta=3, eta=1, domain_sep=b"x")
 
 
 def test_degenerate_noise_rejected():
     with pytest.raises(InvalidParams):
-        KemParams.create(n=4, q=12289, ell=16, beta=3, eta=0, domain_sep=b"x")
+        KemParams(n=4, q=12289, ell=16, beta=3, eta=0, domain_sep=b"x")
     with pytest.raises(InvalidParams):
-        KemParams.create(n=4, q=12289, ell=16, beta=0, eta=1, domain_sep=b"x")
+        KemParams(n=4, q=12289, ell=16, beta=0, eta=1, domain_sep=b"x")
 
 
 def test_margin_violation_rejected():
     # m*beta*eta + eta >= q/4 for these numbers
     with pytest.raises(InvalidParams):
-        KemParams.create(n=32, q=1048573, ell=256, beta=5000, eta=1, domain_sep=b"x")
+        KemParams(n=32, q=1048573, ell=256, beta=5000, eta=1, domain_sep=b"x")
 
 
 def test_float64_bound_rejected():
@@ -86,7 +86,7 @@ def test_float64_bound_rejected():
     m = 2 * n * (q - 1).bit_length()
     assert m * beta * eta + eta < q // 4 and m * q * q >= 2**53
     with pytest.raises(InvalidParams):
-        KemParams.create(n=n, q=q, ell=256, beta=beta, eta=eta, domain_sep=b"x")
+        KemParams(n=n, q=q, ell=256, beta=beta, eta=eta, domain_sep=b"x")
     # A peer's header naming these parameters fails the same way at decode.
     k = (q - 1).bit_length()
     header = b"IBEK1" + struct.pack("<8IH", n, k, n * k, m, q, 256, beta, eta, 1) + b"x"
@@ -97,11 +97,17 @@ def test_float64_bound_rejected():
 def test_bad_header_still_refused_after_a_good_one_is_cached(desk):
     good = desk.header_bytes()
     assert KemParams.from_header(good + b"tail") == (desk, len(good))
-    # the same header with a composite q, then with a broken magic
-    fields = list(struct.unpack("<8I", good[5:37]))
-    fields[4] = desk.q + 1
-    composite = good[:5] + struct.pack("<8I", *fields) + good[37:]
-    for bad in (composite, b"IBEK0" + good[5:], good[:-1]):
+    # the same header with a composite q, with a k and with an m that do not
+    # follow from n and q, then with a broken magic
+    def with_word(index, value):
+        fields = list(struct.unpack("<8I", good[5:37]))
+        fields[index] = value
+        return good[:5] + struct.pack("<8I", *fields) + good[37:]
+
+    composite = with_word(4, desk.q + 1)
+    wrong_k = with_word(1, desk.k + 1)
+    wrong_m = with_word(3, desk.m - 1)
+    for bad in (composite, wrong_k, wrong_m, b"IBEK0" + good[5:], good[:-1]):
         for _ in range(2):
             with pytest.raises(InvalidParams):
                 KemParams.from_header(bad)

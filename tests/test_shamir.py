@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +57,16 @@ def test_duplicate_indices_rejected():
     share_set = split(bytes(32), n_nodes=3, threshold=2, domain="cp", rng_seed=b"\x07" * 32)
     with pytest.raises(ShareMismatch):
         reconstruct([share_set.shares[0], share_set.shares[0]])
+
+
+def test_shares_that_interpolate_past_32_bytes_rejected():
+    # Values no split writes: at x = 0 the line through (1, 0) and
+    # (2, PRIME - 2**256) is 2**256, one past the largest 32-byte secret.
+    share_set = split(bytes(32), n_nodes=3, threshold=2, domain="cp", rng_seed=b"\x0a" * 32)
+    first, second, _ = share_set.shares
+    edited = [replace(first, value=0), replace(second, value=PRIME - 2**256)]
+    with pytest.raises(ShareMismatch):
+        reconstruct(edited)
 
 
 def test_single_share_reveals_nothing_over_toy_field(monkeypatch):

@@ -302,7 +302,8 @@ def test_interrupted_replace_leaves_old_file_loadable(tmp_path, desk, monkeypatc
         "mpk.bin", "policy.json", "registry.jsonl", "requests.jsonl", "shares"]
 
 
-@pytest.mark.parametrize("damage", ["bad_middle_line", "missing_field", "name_gap"])
+@pytest.mark.parametrize("damage", ["bad_middle_line", "missing_field", "name_gap",
+                                    "usage_string", "float_expiration"])
 def test_damaged_journal_is_registry_corruption(tmp_path, desk, damage):
     service, _ = new_domain(desk, tmp_path)
     for _ in range(3):
@@ -315,11 +316,62 @@ def test_damaged_journal_is_registry_corruption(tmp_path, desk, damage):
         doc = json.loads(lines[1])
         del doc["spec"]
         lines[1] = json.dumps(doc) + "\n"
+    elif damage in ("usage_string", "float_expiration"):
+        # once loaded as usages c,l,i,e,n,t and as 3600 seconds
+        doc = json.loads(lines[1])
+        if damage == "usage_string":
+            doc["spec"]["usage"] = "client"
+        else:
+            doc["spec"]["expirationSeconds"] = 3600.9
+        lines[1] = json.dumps(doc) + "\n"
     else:
         del lines[1]
     journal.write_text("".join(lines))
     with pytest.raises(RegistryCorrupt):
         reload(tmp_path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+# Each journaled field, at the place to_dict writes it.
+REQUEST_FIELDS = [("name",), ("principal",), ("status",), ("spec", "issuer"),
+                  ("spec", "identity"), ("spec", "usage"), ("spec", "expirationSeconds")]
+
+
+def test_journal_field_of_any_json_value_loads_unchanged_or_is_corruption(desk):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        service, _ = new_domain(desk, directory)
+        for _ in range(3):
+            service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
+        journal = directory / "requests.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(path=st.sampled_from(REQUEST_FIELDS),
+               value=JSON_VALUES | st.sampled_from(
+                   ["req-2", "Approved", "scheduler.20250102", ["server", "peer"], 60]))
+        def check(path, value):
+            doc = json.loads(lines[1])
+            *parents, key = path
+            target = doc
+            for parent in parents:
+                target = target[parent]
+            target[key] = value
+            journal.write_text("".join([lines[0], json.dumps(doc) + "\n", *lines[2:]]))
+            try:
+                reloaded = reload(directory)
+            except RegistryCorrupt:
+                return
+            loaded = reloaded.requests[doc["name"]].to_dict()
+            for step in path:
+                loaded = loaded[step]
+            assert type(loaded) is type(value) and loaded == value
+
+        check()
 
 
 def test_issue_direct_records_the_key_active(desk, tmp_path):
