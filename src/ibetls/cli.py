@@ -66,7 +66,7 @@ from .tpkg import (
     save_state,
     verify_chain,
 )
-from .tpkg.service import json_field
+from .tpkg.registry import json_field
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -179,7 +179,7 @@ def cmd_tpkg_setup(args, config: CliConfig) -> int:
         params=config.params(),
         n_nodes=args.nodes,
         threshold=args.threshold,
-        seed=seed_bytes(args.seed),
+        seed=os.urandom(32) if args.seed is None else seed_bytes(args.seed),
         policy=policy,
     )
     save_domain(directory, service, shares)
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     setup_p.add_argument("--trust-domain", default=None)
     setup_p.add_argument("--nodes", type=int, default=3)
     setup_p.add_argument("--threshold", type=int, default=2)
-    setup_p.add_argument("--seed", type=int, default=1)
+    setup_p.add_argument("--seed", type=int, default=None)  # None: OS randomness
     setup_p.add_argument("--epoch", default="20250101")
     setup_p.add_argument("--rotation-window", type=int, default=1)
     setup_p.add_argument("--patterns", default="*")

@@ -72,15 +72,16 @@ class RegistryRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegistryRecord":
+        """The record in data; a field that is not a string raises BadRequest."""
         return cls(
-            identity=data["identity"],
-            issuer=data["issuer"],
-            authorized_principal=data["authorizedPrincipal"],
-            issuance_time=data["issuanceTime"],
-            validity_epoch=data["validityEpoch"],
-            status=data["status"],
-            prev_hash=data["prevHash"],
-            record_hash=data["recordHash"],
+            identity=json_field(data, "identity", str),
+            issuer=json_field(data, "issuer", str),
+            authorized_principal=json_field(data, "authorizedPrincipal", str),
+            issuance_time=json_field(data, "issuanceTime", str),
+            validity_epoch=json_field(data, "validityEpoch", str),
+            status=json_field(data, "status", str),
+            prev_hash=json_field(data, "prevHash", str),
+            record_hash=json_field(data, "recordHash", str),
         )
 
 
@@ -131,6 +132,34 @@ class Registry:
         if broken is not None:
             raise RegistryCorrupt(f"{path}: chain breaks at record {broken}")
         return registry
+
+
+class BadRequest(ValueError):
+    """A JSON document (an API request, policy.json, a journal line, a share
+    file, the CLI config) does not have the documented shape."""
+
+
+def json_field(doc: dict, key: str, kind: type, default=None):
+    """doc[key], checked to be a kind; a missing key gives default, or
+    BadRequest when there is none. A doc that is not a JSON object is a
+    BadRequest too."""
+    if not isinstance(doc, dict):
+        raise BadRequest(f"not a JSON object (reading {key!r})")
+    if key not in doc and default is not None:
+        return default
+    value = doc.get(key)
+    # bool is an int subclass, but true is not a number of seconds
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise BadRequest(f"{key!r} must be a JSON {kind.__name__}")
+    return value
+
+
+def json_strings(doc: dict, key: str, default=None) -> list[str]:
+    """doc[key], checked to be a list of strings, as json_field checks it."""
+    value = json_field(doc, key, list, default)
+    if not all(isinstance(item, str) for item in value):
+        raise BadRequest(f"{key!r} must be a list of strings")
+    return value
 
 
 def json_line(doc: dict) -> str:
@@ -195,8 +224,8 @@ def read_chain(journal: Journal) -> list[RegistryRecord]:
         raise RegistryCorrupt(f"{journal.path}: last record is torn (no newline)")
     try:
         return [RegistryRecord.from_dict(doc) for doc in docs]
-    except KeyError as exc:
-        raise RegistryCorrupt(f"{journal.path}: a record lacks field {exc}") from None
+    except BadRequest as exc:
+        raise RegistryCorrupt(f"{journal.path}: bad record: {exc}") from None
 
 
 def load_chain(path: Path) -> list[RegistryRecord]:

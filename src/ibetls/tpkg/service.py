@@ -41,6 +41,8 @@ from .registry import (
     Registry,
     RegistryRecord,
     append_line,
+    json_field,
+    json_strings,
 )
 from .shamir import Share, ShareMismatch, ShareSet
 
@@ -51,34 +53,6 @@ TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"  # registry issuanceTime and delivery expirat
 def _check_epoch(epoch: str) -> None:
     if not is_epoch(epoch):
         raise ValueError(f"epoch {epoch!r} is neither an unsigned integer nor an ISO date")
-
-
-class BadRequest(ValueError):
-    """A JSON document (an API request, policy.json, a requests.jsonl line,
-    the CLI config) does not have the documented shape."""
-
-
-def json_field(doc: dict, key: str, kind: type, default=None):
-    """doc[key], checked to be a kind; a missing key gives default, or
-    BadRequest when there is none. A doc that is not a JSON object is a
-    BadRequest too."""
-    if not isinstance(doc, dict):
-        raise BadRequest(f"not a JSON object (reading {key!r})")
-    if key not in doc and default is not None:
-        return default
-    value = doc.get(key)
-    # bool is an int subclass, but true is not a number of seconds
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise BadRequest(f"{key!r} must be a JSON {kind.__name__}")
-    return value
-
-
-def json_strings(doc: dict, key: str, default=None) -> list[str]:
-    """doc[key], checked to be a list of strings, as json_field checks it."""
-    value = json_field(doc, key, list, default)
-    if not all(isinstance(item, str) for item in value):
-        raise BadRequest(f"{key!r} must be a list of strings")
-    return value
 
 
 class TpkgError(Exception):
@@ -374,10 +348,16 @@ class TpkgService:
             raise UnauthenticatedPrincipal("token validation failed")
         return principal
 
-    def _check_policy(self, identity: IdentityString, usage: tuple[str, ...],
-                      expiration_seconds: int) -> None:
+    def _check_extractable(self, identity: IdentityString) -> None:
+        """Refuse a revoked base, or an epoch outside the rotation window."""
         if identity.base in self.revoked:
             raise BlocklistedIdentity(f"{identity.base} is revoked")
+        if identity.epoch not in self.policy.valid_epochs():
+            raise EpochExpired(f"epoch {identity.epoch} not within the rotation window")
+
+    def _check_policy(self, identity: IdentityString, usage: tuple[str, ...],
+                      expiration_seconds: int) -> None:
+        self._check_extractable(identity)
         if not self.policy.matches_identity(identity):
             raise PolicyViolation(
                 f"identity {identity.canonical!r} does not match issuer patterns"
@@ -388,10 +368,6 @@ class TpkgService:
             raise PolicyViolation("at least one usage is required")
         if expiration_seconds <= 0 or expiration_seconds > self.policy.max_expiration_seconds:
             raise PolicyViolation("expiration outside policy bounds")
-        if identity.epoch not in self.policy.valid_epochs():
-            raise EpochExpired(
-                f"epoch {identity.epoch} not within the rotation window"
-            )
 
     def submit_request(
         self,
@@ -464,26 +440,22 @@ class TpkgService:
                 raise AlreadyIssued(name)
             if request.status is not RequestStatus.APPROVED:
                 raise InvalidTransition(f"{name} is {request.status.value}, not Approved")
-            identity = request.identity
-            if identity.base in self.revoked:
-                raise BlocklistedIdentity(f"{identity.base} is revoked")
-            if identity.epoch not in self.policy.valid_epochs():
-                raise EpochExpired(f"epoch {identity.epoch} is no longer valid")
-
-            private_key = self.issue_direct(identity, shares, request.principal)
+            private_key = self.issue_direct(request.identity, shares, request.principal)
             self._record(request, RequestStatus.ISSUED)
             expiration = _expiry(request, self.registry.records[-1])
-        return KeyDelivery(identity=identity, private_key=private_key,
+        return KeyDelivery(identity=request.identity, private_key=private_key,
                            mpk_b64=self.mpk_b64, expiration=expiration)
 
     def issue_direct(self, identity: IdentityString, shares: list[Share],
                      principal: str) -> IdentityPrivateKey:
         """Extract the key for identity under a quorum and record it Active.
 
-        Every issuance goes through here. Called alone, with no request, it
-        models the out-of-band provisioning of the first control-plane keys.
+        Every issuance goes through here, so here a revoked base or an epoch
+        outside the window is refused, before any quorum rebuild. Called
+        alone, it models the out-of-band provisioning of the first keys.
         """
         with self._write_lock:
+            self._check_extractable(identity)
             with self.reconstructed_master(shares) as msk:
                 private_key = extract(msk, self.mpk, identity)
             self.registry.append(identity.canonical, principal, self._now_iso(),

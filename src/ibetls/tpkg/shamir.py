@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..kem.sampling import HashStream
+from .registry import json_field
 
 PRIME = 2**256 + 297
 
@@ -45,11 +46,11 @@ class Share:
         # "prime"; both are ignored. A share from another field fails the
         # quorum's a_bar check, as a share of another domain does.
         return cls(
-            domain=data["domain"],
-            set_id=data["setId"],
-            index=int(data["index"]),
-            value=int(data["value"], 16),
-            threshold=int(data["threshold"]),
+            domain=json_field(data, "domain", str),
+            set_id=json_field(data, "setId", str),
+            index=json_field(data, "index", int),
+            value=int(json_field(data, "value", str), 16),
+            threshold=json_field(data, "threshold", int),
         )
 
 

@@ -123,7 +123,7 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
     try:
         service = TpkgService(mpk=mpk, policy=policy, registry=registry,
                               authenticator=authenticator, clock=clock)
-    except (AttributeError, MalformedIdentity) as exc:
+    except MalformedIdentity as exc:
         raise RegistryCorrupt(f"{directory / 'registry.jsonl'}: bad revoked identity: "
                               f"{exc!r}") from None
     journal = Journal(directory / "requests.jsonl")
@@ -146,7 +146,7 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
 
 def load_readable_shares(directory: Path) -> list[Share]:
     """The shares in directory, skipping share files that cannot be read or
-    do not hold a share object."""
+    do not hold a share object with each field of its documented type."""
     shares_dir = Path(directory) / "shares"
     if not shares_dir.is_dir():
         return []
@@ -154,6 +154,6 @@ def load_readable_shares(directory: Path) -> list[Share]:
     for path in sorted(shares_dir.glob("node-*.json")):
         try:
             shares.append(Share.from_dict(json.loads(path.read_text())))
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError):  # a wrong type is a BadRequest
             continue
     return shares

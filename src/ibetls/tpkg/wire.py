@@ -19,11 +19,10 @@ import base64
 import binascii
 
 from ..kem.errors import MalformedIdentity
-from .registry import JournalConflict
+from .registry import BadRequest, JournalConflict, json_field, json_strings
 from .service import (
     AlreadyIssued,
     ApprovalNotAuthorized,
-    BadRequest,
     BlocklistedIdentity,
     EpochExpired,
     InvalidTransition,
@@ -32,8 +31,6 @@ from .service import (
     UnauthenticatedPrincipal,
     UnknownIdentity,
     UnknownRequest,
-    json_field,
-    json_strings,
 )
 from .shamir import ShareMismatch, ThresholdNotMet
 

@@ -17,6 +17,8 @@ from ibetls.cli import CliConfig, main
 from ibetls.kem import NOT_SECURE_BANNER
 from ibetls.tpkg import PRIME
 
+from test_storage import sealed_registry
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -50,6 +52,32 @@ def test_setup_creates_domain_layout(home, capsys):
     assert (directory / "policy.json").exists()
     assert (directory / "registry.jsonl").exists()
     assert len(list((directory / "shares").glob("node-*.json"))) == 3
+
+
+def test_setup_without_a_seed_draws_a_fresh_master(tmp_path, capsys):
+    # Without --seed, no one can recompute the master from the public code:
+    # two default setups differ, from each other and from --seed 1.
+    homes = {"first": [], "second": [], "seed-1": ["--seed", "1"]}
+    mpks = set()
+    for name, seed in homes.items():
+        code, _, _ = run_cli(["--home", str(tmp_path / name), "tpkg-setup",
+                              "--domain", "d", *seed], capsys)
+        assert code == 0
+        mpks.add((tmp_path / name / "domains" / "d" / "mpk.bin").read_bytes())
+    assert len(mpks) == 3
+
+
+def test_setup_with_a_seed_is_reproducible(tmp_path, capsys):
+    written = []
+    for name in ("first", "second"):
+        code, _, _ = run_cli(["--home", str(tmp_path / name), "tpkg-setup",
+                              "--domain", "d", "--seed", "3"], capsys)
+        assert code == 0
+        directory = tmp_path / name / "domains" / "d"
+        written.append({str(path.relative_to(directory)): path.read_bytes()
+                        for path in [directory / "mpk.bin", directory / "policy.json",
+                                     *sorted((directory / "shares").iterdir())]})
+    assert len(written[0]) == 5 and written[0] == written[1]
 
 
 def test_setup_refuses_existing_domain(home, capsys):
@@ -173,6 +201,15 @@ def test_torn_or_broken_registry_exits_5_everywhere(home, capsys):
     code, _, err = run_cli(["--home", str(home), "id-list", "--domain", "control-plane"],
                            capsys)
     assert code == 5 and "chain breaks at record 1" in err
+
+    # a field of the wrong type, in a chain sealed again over it
+    docs = [json.loads(line) for line in intact.decode().splitlines()]
+    path.write_text(sealed_registry([{**docs[0], "identity": 5}, *docs[1:]]))
+    for command in ("registry-verify", "id-list"):
+        code, _, err = run_cli(["--home", str(home), command, "--domain", "control-plane"],
+                               capsys)
+        assert code == 5 and reasons(err)[0].startswith("CORRUPT") and "Traceback" not in err, \
+            command
 
 
 def test_home_with_old_requests_file_refused(home, capsys):
@@ -431,6 +468,22 @@ def test_serve_and_remote_request(home, capsys):
     assert service.get_request(response["body"]["name"]).status.value == "Approved"
     endpoint = component_identity("tpkg-register", service.policy.current_epoch)
     assert service.check_validity(endpoint) == "Active"
+
+
+def test_serve_refuses_a_revoked_endpoint_identity(home, capsys):
+    # A separate process with a timeout: a server that issued itself a key
+    # anyway would wait for a connection that never comes.
+    setup_domain(home, capsys)
+    code, _, _ = run_cli(["--home", str(home), "id-revoke", "--domain", "control-plane",
+                          "--identity", "tpkg-register.20250101"], capsys)
+    assert code == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(ibetls.cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "ibetls.cli", "--home", str(home),
+                           "tpkg-serve", "--domain", "control-plane",
+                           "--listen", "127.0.0.1:0", "--max-requests", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 3 and "Traceback" not in done.stderr, done.stderr
+    assert reasons(done.stderr) == ["denied: tpkg-register is revoked"]
 
 
 def test_serve_reloads_after_another_writer_and_writes_again(home, capsys):

@@ -1,6 +1,7 @@
 """Issuer state on disk: the request journal, atomic replaces and crash recovery."""
 
 import datetime
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -26,6 +27,7 @@ from ibetls.tpkg import (
     save_domain,
     save_state,
 )
+from ibetls.tpkg.registry import GENESIS_PREV
 
 from test_tpkg import authenticator, fixed_clock, make_policy
 
@@ -370,6 +372,86 @@ def test_journal_field_of_any_json_value_loads_unchanged_or_is_corruption(desk):
             for step in path:
                 loaded = loaded[step]
             assert type(loaded) is type(value) and loaded == value
+
+        check()
+
+
+def sealed_registry(docs: list[dict]) -> str:
+    """docs as registry.jsonl, each chained and hashed as Registry.append
+    seals a record, whatever the types of their fields."""
+    lines, prev = [], GENESIS_PREV
+    for doc in docs:
+        core = {**doc, "prevHash": prev}
+        core.pop("recordHash", None)
+        prev = hashlib.sha256(json.dumps(core, sort_keys=True, separators=(",", ":"))
+                              .encode()).hexdigest()
+        lines.append(json.dumps({**core, "recordHash": prev}, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+REGISTRY_FIELDS = ["identity", "issuer", "authorizedPrincipal", "issuanceTime",
+                   "validityEpoch", "status", "prevHash", "recordHash"]
+
+
+def test_registry_field_of_any_json_value_loads_unchanged_or_is_corruption(desk):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        service, quorum = new_domain(desk, directory)
+        service.revoke_identity("kubelet:node-09.20250101")
+        service.issue_direct(IdentityString.parse("scheduler.20250101"), quorum, "operator")
+        path = directory / "registry.jsonl"
+        docs = [json.loads(line) for line in path.read_text().splitlines()]
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(line=st.sampled_from(range(len(docs))), key=st.sampled_from(REGISTRY_FIELDS),
+               value=JSON_VALUES | st.sampled_from(
+                   ["Revoked", "kubelet:node-07.20250101", "2025-01-02T03:04:05Z"]))
+        def check(line, key, value):
+            edited = [{**doc, key: value} if i == line else doc for i, doc in enumerate(docs)]
+            if key in ("prevHash", "recordHash"):
+                # sealing again would overwrite the value under test
+                path.write_text("".join(json.dumps(doc, sort_keys=True) + "\n"
+                                        for doc in edited))
+            else:
+                path.write_text(sealed_registry(edited))
+            try:
+                reloaded = reload(directory)
+            except RegistryCorrupt:
+                return
+            loaded = reloaded.registry.records[line].to_dict()
+            assert all(isinstance(field, str) for field in loaded.values())
+            assert loaded[key] == value
+
+        check()
+
+
+SHARE_FIELDS = ["domain", "setId", "index", "value", "threshold"]
+
+
+def test_share_field_of_any_json_value_loads_unchanged_or_is_skipped(desk):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        new_domain(desk, directory)
+        path = directory / "shares" / "node-1.json"
+        share = json.loads(path.read_text())
+        others = load_readable_shares(directory)[1:]
+
+        @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+        @given(key=st.sampled_from(SHARE_FIELDS),
+               value=JSON_VALUES | st.sampled_from(
+                   ["0x1f", "1F", 7, 1.9, True, "2", "ibe.kubernetes.io/etcd"]))
+        def check(key, value):
+            path.write_text(json.dumps({**share, key: value}))
+            shares = load_readable_shares(directory)
+            if shares == others:  # skipped
+                return
+            loaded = shares[0]
+            assert shares[1:] == others
+            if key == "value":
+                assert isinstance(value, str) and loaded.value == int(value, 16)
+            else:
+                field = loaded.to_dict()[key]
+                assert type(field) is type(value) and field == value
 
         check()
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibetls.kem import decode_private_key, derive_public, encode_private_key, scheme
+from ibetls.kem import IdentityString, decode_private_key, derive_public, encode_private_key, scheme
 from ibetls.kem.scheme import _trapdoor_public
 from ibetls.tpkg import (
     IDENTITYREQUESTS_PATH,
@@ -303,6 +303,27 @@ def test_revocation_blocks_issuance_regardless_of_epoch(domain):
     with pytest.raises(BlocklistedIdentity):
         service.submit_request("kubelet:node-01.20250102", ("client",), 3600,
                                b"bootstrap-node-01")
+
+
+# issue_direct extracts every key, out of band too, so it refuses on its own,
+# before the quorum rebuilds the master and before the registry records it.
+@pytest.mark.parametrize("identity, refusal", [
+    ("scheduler.20250101", BlocklistedIdentity),
+    ("kube-apiserver.20241231", EpochExpired),
+], ids=["revoked-base", "epoch-outside-window"])
+def test_issue_direct_refuses_before_any_rebuild(domain, monkeypatch, identity, refusal):
+    service, shares = domain
+    service.revoke_identity("scheduler.20250101")
+    records = list(service.registry.records)
+
+    def rebuild(quorum):
+        raise AssertionError("the quorum rebuilt the master")
+
+    monkeypatch.setattr(service, "reconstructed_master", rebuild)
+    with pytest.raises(refusal):
+        service.issue_direct(IdentityString.parse(identity), list(shares.shares[:2]),
+                             "operator")
+    assert service.registry.records == records
 
 
 def test_check_validity_lifecycle(domain):
