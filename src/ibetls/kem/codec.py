@@ -1,16 +1,19 @@
 """Fixed-width serialization for keys and ciphertexts.
 
-The two blobs that cross the handshake, ciphertexts and ephemeral public
-shares, carry their Z_q coefficients at params.k bits each: one little-endian
-bit stream, padded with zero bits to the next byte (the shape of FIPS 203's
-ByteEncode_d, lossless). Master public keys and identity private keys keep 4
-little-endian bytes per Z_q element. Every blob is prefixed with the 32-byte
-params_hash it is bound to and a 2-byte scheme id. Each decoder refuses
-any id but the one it expects, and the handshake decoders any hash or
-parameters but the receiver's own, so no peer byte is parsed as parameters.
-Scheme id 0x0001 is reserved for the standard-track construction and cannot
-be instantiated; the reference instantiation registers in the experimental
-range as 0x7001.
+The two blobs that cross the handshake pack their coefficients in one
+little-endian bit stream, padded with zero bits to the next byte (the shape
+of FIPS 203's ByteEncode_d). A ciphertext carries c0 at d_u bits and c1 at
+d_v bits per coefficient, params.ciphertext_bits: the grid indices of
+Compress_d, which _encrypt_bits already rounded every ciphertext onto, so
+the encoding is exact. An ephemeral public share keeps its Z_q coefficients
+at params.k bits each, lossless. Master public keys and identity private
+keys keep 4 little-endian bytes per Z_q element. Every blob is prefixed with
+the 32-byte params_hash it is bound to and a 2-byte scheme id. Each decoder
+refuses any id but the one it expects, and the handshake decoders any hash
+or parameters but the receiver's own, so no peer byte is parsed as
+parameters. Scheme id 0x0001 is reserved for the standard-track
+construction and cannot be instantiated; the reference instantiation
+registers in the experimental range as 0x7001.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
     MasterPublicKey,
+    compress,
+    decompress,
     params_hash_of,
     preimage_dtype,
 )
@@ -152,7 +157,8 @@ def _split_prefix(data: bytes, what: str, scheme_id: int) -> tuple[bytes, bytes]
 
 def ciphertext_size(params: KemParams) -> int:
     """Serialized length is a constant of the parameter set."""
-    return 34 + packed_size(params.m + params.ell, params.q)
+    d_u, d_v = params.ciphertext_bits
+    return 34 + packed_size(params.m, 1 << d_u) + packed_size(params.ell, 1 << d_v)
 
 
 def eph_public_size(params: KemParams) -> int:
@@ -162,8 +168,25 @@ def eph_public_size(params: KemParams) -> int:
 
 def encode_ciphertext(ct: IdKemCiphertext, params_hash: bytes,
                       scheme_id: int = SCHEME_REFERENCE) -> bytes:
-    return _prefix(params_hash, scheme_id) + pack_coeffs(np.concatenate((ct.c0, ct.c1)),
-                                                         ct.params.q)
+    """c0 and c1 as their Compress_d grid indices, c0 then c1, each padded to
+    a byte; a coefficient off the grid is rounded onto it."""
+    q = ct.params.q
+    d_u, d_v = ct.params.ciphertext_bits
+    return (_prefix(params_hash, scheme_id) + pack_coeffs(compress(ct.c0, d_u, q), 1 << d_u)
+            + pack_coeffs(compress(ct.c1, d_v, q), 1 << d_v))
+
+
+def _unpack_grid(data: bytes, count: int, d: int, q: int, what: str) -> np.ndarray:
+    """The count coefficients of Z_q whose d-bit grid indices data packs.
+
+    Below 2^d = q every index is the compression of its own decompression.
+    Above it (d = k) some are not, and those are refused, so each vector
+    has one encoding."""
+    indices = unpack_coeffs(data, count, 1 << d, what)
+    values = decompress(indices, d, q)
+    if (1 << d) > q and not np.array_equal(compress(values, d, q), indices):
+        raise DecodeError(f"{what}: grid index with another encoding")
+    return values
 
 
 def decode_ciphertext(data: bytes, params: KemParams, params_hash: bytes,
@@ -172,8 +195,12 @@ def decode_ciphertext(data: bytes, params: KemParams, params_hash: bytes,
     bound, body = _split_prefix(data, "ciphertext", scheme_id)
     if bound != params_hash:
         raise DecodeError("ciphertext: bound to another params_hash")
-    flat = unpack_coeffs(body, params.m + params.ell, params.q, "ciphertext")
-    return IdKemCiphertext(params=params, c0=flat[: params.m], c1=flat[params.m:])
+    d_u, d_v = params.ciphertext_bits
+    split = packed_size(params.m, 1 << d_u)
+    return IdKemCiphertext(
+        params=params,
+        c0=_unpack_grid(body[:split], params.m, d_u, params.q, "ciphertext c0"),
+        c1=_unpack_grid(body[split:], params.ell, d_v, params.q, "ciphertext c1"))
 
 
 def encode_master_public(mpk: MasterPublicKey) -> bytes:

@@ -8,6 +8,7 @@ cryptographically meaningful.
 
 from __future__ import annotations
 
+import functools
 import struct
 import warnings
 from dataclasses import dataclass
@@ -80,7 +81,7 @@ class KemParams:
             raise InvalidParams("m*q*q exceeds float64's exact-integer range")
         if self.beta < 1 or self.eta < 1:
             raise InvalidParams("beta and eta must be positive")
-        if self.m * self.beta * self.eta + self.eta >= self.q // 4:
+        if self.decryption_noise(self.k, self.k) >= self.q // 4:
             raise InvalidParams(
                 "correctness margin violated: m*beta*eta + eta must be < q/4"
             )
@@ -107,6 +108,35 @@ class KemParams:
     def m(self) -> int:
         """Total columns, m_bar + n*k."""
         return 2 * self.m_bar
+
+    def rounding_error(self, d: int) -> int:
+        """B(d) = round(q / 2^(d+1)), the most that rounding a coefficient of
+        Z_q onto the d-bit grid (Decompress_d of Compress_d) moves it; 0 at
+        d = k, where q < 2^d."""
+        return (self.q + (1 << d)) >> (d + 1)
+
+    def decryption_noise(self, d_u: int, d_v: int) -> int:
+        """Worst-case noise decryption sees when c0 travels at d_u bits and c1
+        at d_v bits: m*beta*eta + eta + m*beta*B(d_u) + B(d_v). c0's rounding
+        error is multiplied by the preimage, hence its m*beta factor.
+        Decryption is exact while this is below q/4; at (k, k) it is the
+        plain margin."""
+        return (self.m * self.beta * (self.eta + self.rounding_error(d_u))
+                + self.eta + self.rounding_error(d_v))
+
+    @property
+    @functools.lru_cache(maxsize=8)
+    def ciphertext_bits(self) -> tuple[int, int]:
+        """(d_u, d_v), the bits per coefficient of c0 and of c1 on the wire:
+        the pair in [1, k]^2 with the fewest bits per ciphertext whose
+        decryption noise stays below q/4. (k, k) always qualifies, as
+        __post_init__ checks. The search takes most of a millisecond, so it
+        is cached by parameter set: equal parameters decoded from another
+        blob reuse it."""
+        widths = range(1, self.k + 1)
+        return min(((d_u, d_v) for d_u in widths for d_v in widths
+                    if self.decryption_noise(d_u, d_v) < self.q // 4),
+                   key=lambda pair: self.m * pair[0] + self.ell * pair[1])
 
     @property
     def trapdoor_row_weight(self) -> int:

@@ -251,16 +251,32 @@ def shared_secret_kdf(k_bits: np.ndarray, identity: IdentityString, params_hash:
                     b"ibetls id-kem ss")
 
 
+def compress(x: np.ndarray, d: int, q: int) -> np.ndarray:
+    """FIPS 203's Compress_d: round(2^d * x / q) mod 2^d, for x in [0, q)."""
+    return (((x << (d + 1)) + q) // (2 * q)) & ((1 << d) - 1)
+
+
+def decompress(y: np.ndarray, d: int, q: int) -> np.ndarray:
+    """FIPS 203's Decompress_d: round(q * y / 2^d), in [0, q) for y in [0, 2^d)."""
+    return (y * q + (1 << (d - 1))) >> d
+
+
 def _encrypt_bits(p: KemParams, A: np.ndarray, U: np.ndarray,
                   stream: HashStream) -> tuple[IdKemCiphertext, np.ndarray]:
-    """Dual-Regev encryption of ell fresh bits to syndromes U under A (both KEMs)."""
+    """Dual-Regev encryption of ell fresh bits to syndromes U under A (both KEMs).
+
+    c0 and c1 are rounded onto the grids of p.ciphertext_bits, so the
+    ciphertext is exactly what its encoding carries; the rounding error is
+    inside the noise p.ciphertext_bits allows for."""
     s = stream.uniform_mod(p.n, p.q)
     e0 = stream.signed_uniform(p.m, p.eta)
     e1 = stream.signed_uniform(p.ell, p.eta)
     k_bits = stream.bits(p.ell)
     c0 = (matmul_mod(A.T, s.reshape(-1, 1), p.q).ravel() + e0) % p.q
     c1 = (matmul_mod(U.T, s.reshape(-1, 1), p.q).ravel() + e1 + (p.q // 2) * k_bits) % p.q
-    return IdKemCiphertext(params=p, c0=c0, c1=c1), k_bits
+    d_u, d_v = p.ciphertext_bits
+    return IdKemCiphertext(params=p, c0=decompress(compress(c0, d_u, p.q), d_u, p.q),
+                           c1=decompress(compress(c1, d_v, p.q), d_v, p.q)), k_bits
 
 
 def _decrypt_bits(p: KemParams, X: np.ndarray, ct: IdKemCiphertext, bound: int) -> np.ndarray:

@@ -45,7 +45,7 @@ class HandshakeMetrics:
     ciphertext_bytes: int           # serialized |ct| at these parameters
     wire_bytes: int
     eph_share_bytes: int            # serialized ephemeral public share in the ClientHello
-    coefficient_bits: int           # bits per Z_q coefficient in ciphertexts and shares
+    coefficient_bits: int           # bits per Z_q coefficient in the ephemeral share
 
     @property
     def kem_ciphertext_count(self) -> int:

@@ -9,6 +9,7 @@ no key material.
 
 from __future__ import annotations
 
+import datetime
 import fcntl
 import hashlib
 import json
@@ -21,6 +22,8 @@ GENESIS_PREV = "00" * 32
 STATUS_ACTIVE = "Active"
 STATUS_EXPIRED = "Expired"
 STATUS_REVOKED = "Revoked"
+
+TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"  # issuanceTime, and a delivery's expiration
 
 
 class RegistryCorrupt(Exception):
@@ -72,12 +75,15 @@ class RegistryRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegistryRecord":
-        """The record in data; a field that is not a string raises BadRequest."""
+        """The record in data; a field that is not a string, or an issuanceTime
+        that parse_time refuses, raises BadRequest."""
+        issuance_time = json_field(data, "issuanceTime", str)
+        parse_time(issuance_time)
         return cls(
             identity=json_field(data, "identity", str),
             issuer=json_field(data, "issuer", str),
             authorized_principal=json_field(data, "authorizedPrincipal", str),
-            issuance_time=json_field(data, "issuanceTime", str),
+            issuance_time=issuance_time,
             validity_epoch=json_field(data, "validityEpoch", str),
             status=json_field(data, "status", str),
             prev_hash=json_field(data, "prevHash", str),
@@ -152,6 +158,18 @@ def json_field(doc: dict, key: str, kind: type, default=None):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise BadRequest(f"{key!r} must be a JSON {kind.__name__}")
     return value
+
+
+def parse_time(text: str) -> datetime.datetime:
+    """text as a UTC datetime; BadRequest unless it is exactly what TIME_FORMAT
+    writes for that time."""
+    try:
+        parsed = datetime.datetime.strptime(text, TIME_FORMAT)
+    except ValueError:
+        parsed = None
+    if parsed is None or parsed.strftime(TIME_FORMAT) != text:
+        raise BadRequest(f"{text!r} is not a time in {TIME_FORMAT}")
+    return parsed.replace(tzinfo=datetime.timezone.utc)
 
 
 def json_strings(doc: dict, key: str, default=None) -> list[str]:

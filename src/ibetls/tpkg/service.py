@@ -37,17 +37,18 @@ from .registry import (
     STATUS_ACTIVE,
     STATUS_EXPIRED,
     STATUS_REVOKED,
+    TIME_FORMAT,
     Journal,
     Registry,
     RegistryRecord,
     append_line,
     json_field,
     json_strings,
+    parse_time,
 )
 from .shamir import Share, ShareMismatch, ShareSet
 
 USAGES = frozenset({"client", "server", "peer"})
-TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"  # registry issuanceTime and delivery expiration
 
 
 def _check_epoch(epoch: str) -> None:
@@ -241,9 +242,8 @@ def _utcnow() -> datetime.datetime:
 
 def _expiry(request: IdentityRequest, issued: RegistryRecord) -> datetime.datetime:
     """When the key issued for request, recorded Active as issued, expires."""
-    start = datetime.datetime.strptime(issued.issuance_time, TIME_FORMAT)
-    return (start.replace(tzinfo=datetime.timezone.utc)
-            + datetime.timedelta(seconds=request.expiration_seconds))
+    return parse_time(issued.issuance_time) + datetime.timedelta(
+        seconds=request.expiration_seconds)
 
 
 class TpkgService:

@@ -202,14 +202,17 @@ def test_torn_or_broken_registry_exits_5_everywhere(home, capsys):
                            capsys)
     assert code == 5 and "chain breaks at record 1" in err
 
-    # a field of the wrong type, in a chain sealed again over it
+    # a field of the wrong type, or a time in another format, in a chain
+    # sealed again over it
     docs = [json.loads(line) for line in intact.decode().splitlines()]
-    path.write_text(sealed_registry([{**docs[0], "identity": 5}, *docs[1:]]))
-    for command in ("registry-verify", "id-list"):
-        code, _, err = run_cli(["--home", str(home), command, "--domain", "control-plane"],
-                               capsys)
-        assert code == 5 and reasons(err)[0].startswith("CORRUPT") and "Traceback" not in err, \
-            command
+    for bad in ({"identity": 5}, {"issuanceTime": "2025-01-02 03:04:05"}):
+        path.write_text(sealed_registry([{**docs[0], **bad}, *docs[1:]]))
+        for command in ("registry-verify", "id-list"):
+            code, _, err = run_cli(["--home", str(home), command, "--domain",
+                                    "control-plane"], capsys)
+            assert code == 5 and len(reasons(err)) == 1 \
+                and reasons(err)[0].startswith("CORRUPT") and "Traceback" not in err, \
+                (bad, command)
 
 
 def test_home_with_old_requests_file_refused(home, capsys):

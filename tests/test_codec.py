@@ -1,7 +1,8 @@
 """Properties of the kem/codec.py decoders: every blob round-trips, and a
 truncated, extended or bit-flipped blob raises only the KemError family. The
 k-bit coefficient packing equals a plain-integer reference and has one
-encoding per vector."""
+encoding per vector. Ciphertexts travel as grid indices, so one off the
+grid encodes as its rounding."""
 
 import itertools
 
@@ -31,6 +32,8 @@ from ibetls.kem.scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
     MasterPublicKey,
+    compress,
+    decompress,
     params_hash_of,
     preimage_dtype,
 )
@@ -66,12 +69,22 @@ def _preimage(params: KemParams, fill: str, rng) -> np.ndarray:
     return X.astype(preimage_dtype(params))
 
 
-def build(kind: str, params: KemParams, fill: str, seed: int, identity: IdentityString):
-    """One object of kind at params."""
+def on_grid(params: KemParams, values: np.ndarray, d: int) -> np.ndarray:
+    """values rounded onto the d-bit grid, as encaps leaves every ciphertext."""
+    return decompress(compress(values, d, params.q), d, params.q)
+
+
+def build(kind: str, params: KemParams, fill: str, seed: int, identity: IdentityString,
+          grid: bool = True):
+    """One object of kind at params; a ciphertext on its grid unless grid is False."""
     rng = np.random.default_rng(seed)
     if kind == "ciphertext":
-        return IdKemCiphertext(params=params, c0=_coefficients(params, params.m, fill, rng),
-                               c1=_coefficients(params, params.ell, fill, rng))
+        c0 = _coefficients(params, params.m, fill, rng)
+        c1 = _coefficients(params, params.ell, fill, rng)
+        if grid:
+            d_u, d_v = params.ciphertext_bits
+            c0, c1 = on_grid(params, c0, d_u), on_grid(params, c1, d_v)
+        return IdKemCiphertext(params=params, c0=c0, c1=c1)
     if kind == "master_public":
         A = _coefficients(params, params.n * params.m, fill, rng).reshape(params.n, params.m)
         return MasterPublicKey(params=params, A=A, params_hash=params_hash_of(params, A))
@@ -130,6 +143,44 @@ def test_every_blob_round_trips(param_sets, kind, which, fill, seed, identity):
         assert (back.params, back.seed_a) == (params, obj.seed_a)
         assert np.array_equal(back.U, obj.U)
     assert encode(kind, back) == blob
+
+
+@PROPERTY
+@given(which=st.sampled_from(["small", "desk"]), fill=st.sampled_from(FILLS),
+       seed=st.integers(0, 2**32))
+def test_ciphertext_off_the_grid_encodes_as_its_rounding(param_sets, which, fill, seed):
+    """Any c0, c1 in [0, q) encode; decoding gives back each coefficient within
+    the rounding error of its width, and that decodes to the same bytes."""
+    params = param_sets[which]
+    ct = build("ciphertext", params, fill, seed, None, grid=False)
+    blob = encode("ciphertext", ct)
+    back = decode("ciphertext", blob, params)
+    assert encode("ciphertext", back) == blob
+    for before, after, d in zip((ct.c0, ct.c1), (back.c0, back.c1), params.ciphertext_bits):
+        distance = np.minimum((after - before) % params.q, (before - after) % params.q)
+        assert int(distance.max()) <= params.rounding_error(d)
+
+
+def test_grid_index_with_another_encoding_is_refused():
+    """Where decryption needs c0 at d_u = k bits, the grid has 2^k - q more
+    indices than Z_q has values. Each of them decompresses to a value whose
+    own index differs, so decoding refuses it and each ciphertext keeps one
+    encoding."""
+    tight = KemParams(n=2, q=12289, ell=16, beta=54, eta=1, domain_sep=b"tight")
+    d_u, _ = tight.ciphertext_bits
+    assert d_u == tight.k
+    indices = np.arange(1 << d_u)
+    others = indices[compress(decompress(indices, d_u, tight.q), d_u, tight.q) != indices]
+    assert others.size == (1 << d_u) - tight.q
+    zero = IdKemCiphertext(params=tight, c0=np.zeros(tight.m, dtype=np.int64),
+                           c1=np.zeros(tight.ell, dtype=np.int64))
+    blob = encode_ciphertext(zero, CT_PARAMS_HASH)
+    c1_part = blob[34 + packed_size(tight.m, 1 << d_u):]
+    for index in others[:: others.size // 16]:
+        c0 = np.zeros(tight.m, dtype=np.int64)
+        c0[5] = index
+        with pytest.raises(DecodeError):
+            decode("ciphertext", blob[:34] + pack_coeffs(c0, 1 << d_u) + c1_part, tight)
 
 
 mutations = st.one_of(

@@ -38,6 +38,8 @@ from ibetls.kem.scheme import (
     _shuffle_picks,
     _syndrome_matrix,
     _trapdoor_public,
+    compress,
+    decompress,
     gadget_decompose,
     shared_secret_kdf,
 )
@@ -118,6 +120,52 @@ def test_params_emit_non_security_banner():
         warnings.simplefilter("always")
         KemParams.desk()
     assert any(issubclass(w.category, ToyParametersWarning) for w in caught)
+
+
+# ---------------------------------------------------------------------------
+# ciphertext compression: the grid and the margin it must stay inside
+# ---------------------------------------------------------------------------
+
+SMALL = dict(n=2, q=12289, ell=16, beta=20, eta=1, domain_sep=b"codec")
+
+
+def grid_error(values: np.ndarray, rounded: np.ndarray, q: int) -> int:
+    """Largest distance in Z_q between values and rounded."""
+    return int(np.minimum((rounded - values) % q, (values - rounded) % q).max())
+
+
+@pytest.mark.parametrize("which", ["small", "desk"])
+def test_grid_rounding_error_is_b_of_d_over_all_of_z_q(desk, which):
+    """Decompress_d(Compress_d(x)) moves x by at most round(q / 2^(d+1)), that
+    bound is reached, and d = k is lossless. Checked for every x in Z_q."""
+    p = desk if which == "desk" else KemParams(**SMALL)
+    values = np.arange(p.q, dtype=np.int64)
+    for d in range(1, p.k + 1):
+        indices = compress(values, d, p.q)
+        assert 0 <= int(indices.min()) and int(indices.max()) < 2 ** d
+        rounded = decompress(indices, d, p.q)
+        assert 0 <= int(rounded.min()) and int(rounded.max()) < p.q
+        assert grid_error(values, rounded, p.q) == p.rounding_error(d) \
+            == round(p.q / 2 ** (d + 1)), d
+    assert p.rounding_error(p.k) == 0 and np.array_equal(rounded, values)
+
+
+@pytest.mark.parametrize("which, widths", [("small", (13, 3)), ("desk", (18, 6))])
+def test_ciphertext_widths_are_the_fewest_bits_that_decrypt_exactly(desk, which, widths):
+    """The worst case m*beta*eta + eta + m*beta*B(d_u) + B(d_v) < q/4 holds at
+    the derived widths, and no pair in [1, k]^2 that keeps it has fewer bits
+    per ciphertext."""
+    p = desk if which == "desk" else KemParams(**SMALL)
+    B = p.rounding_error
+
+    def decrypts(d_u, d_v):
+        return p.m * p.beta * p.eta + p.eta + p.m * p.beta * B(d_u) + B(d_v) < p.q // 4
+
+    assert p.ciphertext_bits == widths and decrypts(*widths)
+    bits = {(d_u, d_v): p.m * d_u + p.ell * d_v
+            for d_u in range(1, p.k + 1) for d_v in range(1, p.k + 1) if decrypts(d_u, d_v)}
+    assert (p.k, p.k) in bits
+    assert bits[widths] == min(bits.values()) < bits[(p.k, p.k)]
 
 
 # ---------------------------------------------------------------------------

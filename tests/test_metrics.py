@@ -74,9 +74,13 @@ def test_ciphertext_size_constant_across_handshakes(mpk, server_identity, server
 
 
 def test_desk_wire_sizes_follow_the_packing_formula(desk, capsys):
-    """Ciphertexts and ephemeral shares carry k = 20 bits per Z_q coefficient."""
-    ct = 34 + (desk.m + desk.ell) * desk.k // 8
-    assert ciphertext_size(desk) == ct == 3874
+    """Ciphertexts carry c0 at d_u = 18 and c1 at d_v = 6 bits per coefficient,
+    each part padded to a byte; ephemeral shares carry k = 20 bits per Z_q
+    coefficient."""
+    d_u, d_v = desk.ciphertext_bits
+    assert (d_u, d_v) == (18, 6)
+    ct = 34 + (desk.m * d_u + 7) // 8 + (desk.ell * d_v + 7) // 8
+    assert ciphertext_size(desk) == ct == 3106
     share = 34 + len(desk.header_bytes()) + 32 + desk.n * desk.ell * desk.k // 8
     assert eph_public_size(desk) == share == 20599
     assert len(encode_eph_public(eph_generate(desk, seed_of(1)).public)) == share
@@ -85,13 +89,14 @@ def test_desk_wire_sizes_follow_the_packing_formula(desk, capsys):
     ibe = json.loads(capsys.readouterr().out)["ibeTls"]
     # Framing and the random take 41 B of each hello, the client's identity
     # extension 29 B more; each auth extension is 8 B of header + |ct|.
-    assert ibe["messages"]["ClientHello"] == 41 + 29 + share + 8 + ct == 24551
-    assert ibe["messages"]["ServerHello"] == 41 + ct + 8 + ct == 7797
+    assert ibe["messages"]["ClientHello"] == 41 + 29 + share + 8 + ct == 23783
+    assert ibe["messages"]["ServerHello"] == 41 + ct + 8 + ct == 6261
     assert (ibe["ephemeralShareBytes"], ibe["coefficientBits"]) == (share, desk.k)
 
+    # Measured authentication data is below the certificate model's range.
     low, high = CertCostModel().total_range()
-    assert ibe["kemCiphertextBytes"] == 3 * ct == 11622
-    assert low <= 3 * ct <= high
+    assert ibe["kemCiphertextBytes"] == 3 * ct == 9318
+    assert 3 * ct < low
 
 
 def test_cert_model_totals():

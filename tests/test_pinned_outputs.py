@@ -21,10 +21,10 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("script, seed, digest", [
-    (DEMO_K8S_SCRIPT, 0, "d43cfe3a65c2893c0183283dedf791bb30f990ebdf8fe4255d9604f1d46ed667"),
-    (DEMO_5G_SCRIPT, 0, "e1db944fb1cb8abd3b426d6d9222e987cc105376f10de472debd8491513b78d8"),
-    (DEMO_K8S_SCRIPT, 7, "e46c6adaf9fa3f8e209554d1c5b6f27e94bceabc22439758ea1837e2e478764b"),
-    (DEMO_5G_SCRIPT, 7, "075f139cc73b7240cf2dcb43947b055fd23a58b8a7109e51440d7001dea14c25"),
+    (DEMO_K8S_SCRIPT, 0, "372b7659fe483fbbaaddf62f474a4f664f62bd1a5db0c63b148cb3c457300e95"),
+    (DEMO_5G_SCRIPT, 0, "ac2f9cd0f6b39fc205dca82dea4ad89a3ae99da1bb749d34f3dadea7a1d81375"),
+    (DEMO_K8S_SCRIPT, 7, "374fb0b49a02e8cdd1996bc1f3f31a9ed27d0c3efad18748dc876c4d0ba2d96b"),
+    (DEMO_5G_SCRIPT, 7, "f352ee23111ddcfea266466686ca60bc2ef32c4a6e404ede632f8e53df030af5"),
 ], ids=["k8s-0", "5g-0", "k8s-7", "5g-7"])
 def test_demo_log_digest(script, seed, digest):
     # the bytes demo-k8s / demo-5g --format json print
@@ -34,7 +34,7 @@ def test_demo_log_digest(script, seed, digest):
 def test_bench_report_digest(capsys):
     assert main(["bench-report", "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out) == (
-        "5c8ea1b6e96e8d1e5a501c8d1c20a3ed6587876ca025627fe106aea42a493184")
+        "753f7020f7d84af2ae26e444213c31bf4ffcbae71c6a758d90581cb1ef9cdefd")
 
 
 KEY_DIGESTS = {
