@@ -2,24 +2,28 @@
 
 The two blobs that cross the handshake pack their coefficients in one
 little-endian bit stream, padded with zero bits to the next byte (the shape
-of FIPS 203's ByteEncode_d). A ciphertext carries c0 at d_u bits and c1 at
-d_v bits per coefficient, params.ciphertext_bits: the grid indices of
-Compress_d, which _encrypt_bits already rounded every ciphertext onto, so
-the encoding is exact. An ephemeral public share keeps its Z_q coefficients
-at params.k bits each, lossless. Master public keys and identity private
-keys keep 4 little-endian bytes per Z_q element. Every blob is prefixed with
-the 32-byte params_hash it is bound to and a 2-byte scheme id. Each decoder
-refuses any id but the one it expects, and the handshake decoders any hash
-or parameters but the receiver's own, so no peer byte is parsed as
-parameters. Scheme id 0x0001 is reserved for the standard-track
-construction and cannot be instantiated; the reference instantiation
-registers in the experimental range as 0x7001.
+of FIPS 203's ByteEncode_d). A ciphertext is three such segments: c0's
+trapdoor half (its first m_bar coefficients) at d_r bits, its gadget half
+at d_z bits and c1 at d_v bits per coefficient, params.ciphertext_bits.
+They hold the grid indices of Compress_d, which _encrypt_bits already
+rounded every ciphertext onto, so the encoding is exact. An ephemeral public
+share keeps its Z_q coefficients at params.k bits each, lossless, and
+carries no parameter header: its params_hash already hashes the header.
+Master public keys and identity private keys keep 4 little-endian bytes per
+Z_q element. Every blob is prefixed with the 32-byte params_hash it is
+bound to and a 2-byte scheme id. Each decoder refuses any id but the one it
+expects, and the handshake decoders any hash but the one of the receiver's
+own parameters, so no peer byte is parsed as parameters. Scheme id 0x0001
+is reserved for the standard-track construction and cannot be
+instantiated; the reference instantiation registers in the experimental
+range as 0x7001.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import struct
 
 import numpy as np
@@ -36,6 +40,7 @@ from .scheme import (
     decompress,
     params_hash_of,
     preimage_dtype,
+    trapdoor_shaped,
 )
 
 SCHEME_ID_ML_KEM = 0x0001      # reserved; not implemented here
@@ -76,42 +81,84 @@ def packed_size(count: int, q: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
-def _bit_layout(count: int, k: int) -> tuple[np.ndarray, ...]:
-    """Where each of count k-bit coefficients sits in a stream of u64 words.
+def _bit_layout(segments: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
+    """Where each coefficient of segments sits in a stream of u64 words.
 
-    Coefficient i starts at bit i*k: in word[i], at bit shift[i]. starts and
-    last index the first and the last coefficient that starts in each word
-    (KemParams keeps q < 2^32, so k <= 32 and every word but the stream's
-    last has one). Only a last one can run past its word's top, and its
-    value >> back[w] is the part that lands in the next word (0 when nothing
-    does). Sizes come from the receiver's parameters, so the cache is small.
+    segments holds (count, k) pairs: count k-bit coefficients, the first one
+    on a byte boundary. Coefficient i starts in word[i], at bit shift[i], and
+    mask[i] keeps its k bits. starts and last index the first and the last
+    coefficient that starts in each word (KemParams keeps q < 2^32, so
+    k <= 32, and a segment's pad is under 8 bits, so every word but the
+    stream's last has one). Only a last one can run past its word's top, and
+    its value >> back[w] is the part that lands in the next word (0 when
+    nothing does). Sizes come from the receiver's parameters, so the cache is
+    small.
     """
-    pos = np.arange(count, dtype=np.uint64) * np.uint64(k)
+    pos, width, offset = [], [], 0
+    for count, k in segments:
+        pos.append(np.uint64(offset) + np.arange(count, dtype=np.uint64) * np.uint64(k))
+        width.append(np.full(count, k, dtype=np.uint64))
+        offset += (count * k + 7) // 8 * 8
+    pos = np.concatenate(pos)
     word = (pos >> np.uint64(6)).astype(np.intp)
     shift = pos & np.uint64(63)
     starts = np.flatnonzero(np.diff(word, prepend=-1))
-    last = np.append(starts[1:], count) - 1
+    last = np.append(starts[1:], pos.size) - 1
     # A shift by 64 is undefined; a coefficient at bit 0 has no high part.
     back = np.where(shift[last] == 0, np.uint64(63), np.uint64(64) - shift[last])
-    layout = (word, shift, starts, last, back)
+    mask = (np.uint64(1) << np.concatenate(width)) - np.uint64(1)
+    layout = (word, shift, starts, last, back, mask)
     for array in layout:
         array.setflags(write=False)
     return layout
 
 
-def pack_coeffs(values: np.ndarray, q: int) -> bytes:
-    """values (each in [0, q)) at (q-1).bit_length() bits each, little-endian."""
+def _segment_ends(segments: tuple[tuple[int, int], ...]) -> list[int]:
+    """The byte at which each of segments ends in the packed stream."""
+    return list(itertools.accumulate((count * k + 7) // 8 for count, k in segments))
+
+
+def _pack(values: np.ndarray, segments: tuple[tuple[int, int], ...]) -> bytes:
+    """values, the coefficients of segments in order, as one little-endian
+    bit stream, each segment padded with zero bits to a byte."""
     values = np.asarray(values).astype(np.uint64, copy=False).ravel()
-    size = packed_size(values.size, q)
     if not values.size:
         return b""
-    word, shift, starts, last, back = _bit_layout(values.size, (q - 1).bit_length())
+    word, shift, starts, last, back, _ = _bit_layout(segments)
     # One more word than coefficients start in, for the last one's high part.
     words = np.zeros(starts.size + 1, dtype="<u8")
     # Coefficients in one word occupy disjoint bits, so their sum is their OR.
     words[:-1] = np.add.reduceat(values << shift, starts)
     words[1:] |= values[last] >> back
-    return words.tobytes()[:size]
+    return words.tobytes()[: _segment_ends(segments)[-1]]
+
+
+def _unpack(data: bytes, segments: tuple[tuple[int, int], ...], what: str) -> np.ndarray:
+    """The coefficients _pack wrote into data, as uint64. data must have
+    exactly the packed length and zero pad bits, so each vector has one
+    encoding."""
+    ends = _segment_ends(segments)
+    if len(data) != ends[-1]:
+        raise DecodeError(f"{what}: expected {ends[-1]} bytes, got {len(data)}")
+    for (count, k), end in zip(segments, ends):
+        used = count * k % 8
+        if used and data[end - 1] >> used:
+            raise DecodeError(f"{what}: nonzero pad bits")
+    if not data:
+        return np.zeros(0, dtype=np.uint64)
+    word, shift, starts, last, back, mask = _bit_layout(segments)
+    words = np.zeros(starts.size + 1, dtype="<u8")
+    words.view(np.uint8)[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    values = words[word] >> shift
+    # Bits the shift moves past k are masked off, so no-spill entries add nothing.
+    values[last] |= words[1:] << back
+    values &= mask
+    return values
+
+
+def pack_coeffs(values: np.ndarray, q: int) -> bytes:
+    """values (each in [0, q)) at (q-1).bit_length() bits each, little-endian."""
+    return _pack(values, ((np.size(values), (q - 1).bit_length()),))
 
 
 def unpack_coeffs(data: bytes, count: int, q: int, what: str) -> np.ndarray:
@@ -120,23 +167,8 @@ def unpack_coeffs(data: bytes, count: int, q: int, what: str) -> np.ndarray:
     data must have exactly packed_size(count, q) bytes, zero pad bits and
     every coefficient below q, so each vector has one encoding.
     """
-    k = (q - 1).bit_length()
-    size = packed_size(count, q)
-    if len(data) != size:
-        raise DecodeError(f"{what}: expected {size} bytes, got {len(data)}")
-    if not count:
-        return np.zeros(0, dtype=np.int64)
-    used = count * k % 8
-    if used and data[-1] >> used:
-        raise DecodeError(f"{what}: nonzero pad bits")
-    word, shift, starts, last, back = _bit_layout(count, k)
-    words = np.zeros(starts.size + 1, dtype="<u8")
-    words.view(np.uint8)[:size] = np.frombuffer(data, dtype=np.uint8)
-    values = words[word] >> shift
-    # Bits the shift moves past k are masked off, so no-spill entries add nothing.
-    values[last] |= words[1:] << back
-    values &= np.uint64((1 << k) - 1)
-    if int(values.max()) >= q:
+    values = _unpack(data, ((count, (q - 1).bit_length()),), what)
+    if values.size and int(values.max()) >= q:
         raise DecodeError(f"{what}: coefficient out of range")
     return values.view(np.int64)
 
@@ -155,52 +187,55 @@ def _split_prefix(data: bytes, what: str, scheme_id: int) -> tuple[bytes, bytes]
     return data[:32], data[34:]
 
 
+@functools.lru_cache(maxsize=8)
+def _ciphertext_layout(params: KemParams) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """The segments of a ciphertext, (coefficients, bits per coefficient) of
+    c0's trapdoor half, its gadget half and c1 in wire order, and the bits
+    of each coefficient of c0 then c1."""
+    d_r, d_z, d_v = params.ciphertext_bits
+    segments = ((params.m_bar, d_r), (params.m_bar, d_z), (params.ell, d_v))
+    widths = np.repeat([d for _, d in segments], [count for count, _ in segments])
+    widths.setflags(write=False)
+    return segments, widths
+
+
 def ciphertext_size(params: KemParams) -> int:
     """Serialized length is a constant of the parameter set."""
-    d_u, d_v = params.ciphertext_bits
-    return 34 + packed_size(params.m, 1 << d_u) + packed_size(params.ell, 1 << d_v)
+    return 34 + _segment_ends(_ciphertext_layout(params)[0])[-1]
 
 
 def eph_public_size(params: KemParams) -> int:
     """Serialized length of an ephemeral public share at params."""
-    return 34 + len(params.header_bytes()) + 32 + packed_size(params.n * params.ell, params.q)
+    return 34 + 32 + packed_size(params.n * params.ell, params.q)
 
 
 def encode_ciphertext(ct: IdKemCiphertext, params_hash: bytes,
                       scheme_id: int = SCHEME_REFERENCE) -> bytes:
-    """c0 and c1 as their Compress_d grid indices, c0 then c1, each padded to
-    a byte; a coefficient off the grid is rounded onto it."""
-    q = ct.params.q
-    d_u, d_v = ct.params.ciphertext_bits
-    return (_prefix(params_hash, scheme_id) + pack_coeffs(compress(ct.c0, d_u, q), 1 << d_u)
-            + pack_coeffs(compress(ct.c1, d_v, q), 1 << d_v))
-
-
-def _unpack_grid(data: bytes, count: int, d: int, q: int, what: str) -> np.ndarray:
-    """The count coefficients of Z_q whose d-bit grid indices data packs.
-
-    Below 2^d = q every index is the compression of its own decompression.
-    Above it (d = k) some are not, and those are refused, so each vector
-    has one encoding."""
-    indices = unpack_coeffs(data, count, 1 << d, what)
-    values = decompress(indices, d, q)
-    if (1 << d) > q and not np.array_equal(compress(values, d, q), indices):
-        raise DecodeError(f"{what}: grid index with another encoding")
-    return values
+    """c0's trapdoor half, its gadget half and c1 as their Compress_d grid
+    indices, each padded to a byte; a coefficient off the grid is rounded
+    onto it."""
+    segments, widths = _ciphertext_layout(ct.params)
+    indices = compress(np.concatenate([ct.c0, ct.c1]), widths, ct.params.q)
+    return _prefix(params_hash, scheme_id) + _pack(indices, segments)
 
 
 def decode_ciphertext(data: bytes, params: KemParams, params_hash: bytes,
                       scheme_id: int) -> IdKemCiphertext:
-    """The ciphertext in data, which must be bound to params_hash under scheme_id."""
+    """The ciphertext in data, which must be bound to params_hash under scheme_id.
+
+    Below 2^d = q every d-bit index is the compression of its own
+    decompression. Above it (d = k) some are not, and those are refused, so
+    each ciphertext has one encoding."""
     bound, body = _split_prefix(data, "ciphertext", scheme_id)
     if bound != params_hash:
         raise DecodeError("ciphertext: bound to another params_hash")
-    d_u, d_v = params.ciphertext_bits
-    split = packed_size(params.m, 1 << d_u)
-    return IdKemCiphertext(
-        params=params,
-        c0=_unpack_grid(body[:split], params.m, d_u, params.q, "ciphertext c0"),
-        c1=_unpack_grid(body[split:], params.ell, d_v, params.q, "ciphertext c1"))
+    segments, widths = _ciphertext_layout(params)
+    indices = _unpack(body, segments, "ciphertext").view(np.int64)
+    values = decompress(indices, widths, params.q)
+    if (1 << max(d for _, d in segments)) > params.q \
+            and not np.array_equal(compress(values, widths, params.q), indices):
+        raise DecodeError("ciphertext: grid index with another encoding")
+    return IdKemCiphertext(params=params, c0=values[: params.m], c1=values[params.m :])
 
 
 def encode_master_public(mpk: MasterPublicKey) -> bytes:
@@ -252,10 +287,11 @@ def decode_private_key(data: bytes) -> IdentityPrivateKey:
     words = _words(body[2 + id_len:], params.m * params.ell, params.q, "preimage matrix")
     # Recover the signed entries in int32: KemParams' m*q*q < 2^53 keeps q
     # below 2^26, so every checked word is a non-negative int32.
-    X = words.view("<i4") - np.int32(params.q) * (words > params.q // 2)
-    if int(np.abs(X).max(initial=0)) > params.beta:
-        raise DecodeError("identity private key: preimage exceeds beta")
-    X = X.astype(preimage_dtype(params)).reshape(params.m, params.ell)
+    X = (words.view("<i4") - np.int32(params.q) * (words > params.q // 2)).reshape(
+        params.m, params.ell)
+    if not trapdoor_shaped(params, X):
+        raise DecodeError("identity private key: preimage is not trapdoor-shaped")
+    X = X.astype(preimage_dtype(params))
     return IdentityPrivateKey(identity=identity, X=X, params_hash=params_hash, params=params)
 
 
@@ -267,20 +303,17 @@ def encode_eph_public(pub: EphemeralPublicKey) -> bytes:
     params = pub.params
     return (
         _prefix(eph_params_hash(params), SCHEME_EPHEMERAL)
-        + params.header_bytes()
         + pub.seed_a
         + pack_coeffs(pub.U, params.q)
     )
 
 
 def decode_eph_public(data: bytes, params: KemParams) -> EphemeralPublicKey:
-    """The share in data, which must name exactly params: a receiver never
-    sizes a matrix from a header the peer wrote."""
+    """The share in data, which must be bound to exactly params: a receiver
+    never sizes a matrix from a header the peer wrote."""
     bound, body = _split_prefix(data, "ephemeral public key", SCHEME_EPHEMERAL)
-    header = params.header_bytes()
-    if bound != eph_params_hash(params) or body[: len(header)] != header:
+    if bound != eph_params_hash(params):
         raise DecodeError("ephemeral public key: parameters other than the receiver's")
-    body = body[len(header):]
     if len(body) < 32:
         raise DecodeError("ephemeral public key: truncated matrix seed")
     seed_a = body[:32]

@@ -58,7 +58,8 @@ class KemParams:
              matmul_mod's product of two wide operands is exact on entries
              in (-q, q)
     ell      shared-secret bit length
-    beta     infinity-norm bound on extracted preimages
+    beta     infinity-norm bound on extracted preimages; their trapdoor half
+             stays within beta-1 and their gadget half is binary
     eta      infinity-norm bound on encryption noise
     domain_sep   byte string mixed into hash-to-syndrome
     """
@@ -81,7 +82,7 @@ class KemParams:
             raise InvalidParams("m*q*q exceeds float64's exact-integer range")
         if self.beta < 1 or self.eta < 1:
             raise InvalidParams("beta and eta must be positive")
-        if self.decryption_noise(self.k, self.k) >= self.q // 4:
+        if self.m * self.beta * self.eta + self.eta >= self.q // 4:
             raise InvalidParams(
                 "correctness margin violated: m*beta*eta + eta must be < q/4"
             )
@@ -115,28 +116,33 @@ class KemParams:
         d = k, where q < 2^d."""
         return (self.q + (1 << d)) >> (d + 1)
 
-    def decryption_noise(self, d_u: int, d_v: int) -> int:
-        """Worst-case noise decryption sees when c0 travels at d_u bits and c1
-        at d_v bits: m*beta*eta + eta + m*beta*B(d_u) + B(d_v). c0's rounding
-        error is multiplied by the preimage, hence its m*beta factor.
-        Decryption is exact while this is below q/4; at (k, k) it is the
-        plain margin."""
-        return (self.m * self.beta * (self.eta + self.rounding_error(d_u))
-                + self.eta + self.rounding_error(d_v))
+    def decryption_noise(self, d_r: int, d_z: int, d_v: int) -> int:
+        """Worst-case noise decryption sees with an extracted key when c0's
+        trapdoor half travels at d_r bits, its gadget half at d_z bits and c1
+        at d_v bits: eta + m_bar*beta*eta + m_bar*(beta-1)*B(d_r)
+        + m_bar*B(d_z) + B(d_v). Every extracted key X = [R*z ; z] has a
+        trapdoor half within beta-1 and a binary gadget half, so a column of
+        X sums to at most m_bar*beta in absolute value, and c0's rounding
+        error is multiplied by each half's own bound. Decryption is exact
+        while this is below q/4; at (k, k, k) it is below the plain margin
+        m*beta*eta + eta that __post_init__ checks."""
+        B = self.rounding_error
+        return (self.eta + self.m_bar * self.beta * self.eta
+                + self.m_bar * ((self.beta - 1) * B(d_r) + B(d_z)) + B(d_v))
 
     @property
     @functools.lru_cache(maxsize=8)
-    def ciphertext_bits(self) -> tuple[int, int]:
-        """(d_u, d_v), the bits per coefficient of c0 and of c1 on the wire:
-        the pair in [1, k]^2 with the fewest bits per ciphertext whose
-        decryption noise stays below q/4. (k, k) always qualifies, as
-        __post_init__ checks. The search takes most of a millisecond, so it
-        is cached by parameter set: equal parameters decoded from another
-        blob reuse it."""
+    def ciphertext_bits(self) -> tuple[int, int, int]:
+        """(d_r, d_z, d_v), the bits per coefficient on the wire of c0's
+        trapdoor half (its first m_bar), of its gadget half and of c1: the
+        triple in [1, k]^3 with the fewest bits per ciphertext whose
+        decryption noise stays below q/4. (k, k, k) always qualifies. The
+        search takes a few milliseconds, so it is cached by parameter set:
+        equal parameters decoded from another blob reuse it."""
         widths = range(1, self.k + 1)
-        return min(((d_u, d_v) for d_u in widths for d_v in widths
-                    if self.decryption_noise(d_u, d_v) < self.q // 4),
-                   key=lambda pair: self.m * pair[0] + self.ell * pair[1])
+        return min(((d_r, d_z, d_v) for d_r in widths for d_z in widths for d_v in widths
+                    if self.decryption_noise(d_r, d_z, d_v) < self.q // 4),
+                   key=lambda bits: self.m_bar * (bits[0] + bits[1]) + self.ell * bits[2])
 
     @property
     def trapdoor_row_weight(self) -> int:

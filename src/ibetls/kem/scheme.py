@@ -4,10 +4,12 @@ The master public key is A = [a_bar | G - a_bar*R] mod q with R the trapdoor
 (Micciancio-Peikert 2012, "Trapdoors for Lattices"). Identity public keys are
 syndrome matrices U hashed from the identity string; the identity private key
 is the exact preimage X = [R*z ; z] with z = bit-decompose(U), so
-A*X = G*z = U holds with equality and ||X||_inf <= beta by the fixed trapdoor
-row weight. R and X are held in the narrowest signed dtype that holds beta
-(int8 at desk parameters). Products against them pass their bound to
-sampling.matmul_mod, the one place that derives when such a product is exact.
+A*X = G*z = U holds with equality. Its trapdoor half R*z stays within beta-1
+by the fixed trapdoor row weight and its gadget half z is binary; every key
+extracted or decoded has that shape (trapdoor_shaped). R and X are held in
+the narrowest signed dtype that holds beta (int8 at desk parameters).
+Products against them pass their bound to sampling.matmul_mod, the one place
+that derives when such a product is exact.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class IdentityPublicKey:
 @dataclass(frozen=True)
 class IdentityPrivateKey:
     identity: IdentityString
-    X: np.ndarray  # (m, ell) with ||X||_inf <= beta, dtype preimage_dtype(params)
+    X: np.ndarray  # (m, ell), trapdoor_shaped, dtype preimage_dtype(params)
     params_hash: bytes
     params: KemParams
 
@@ -123,6 +125,17 @@ class _Replay(HashStream):
     def read(self, n: int) -> bytes:
         head, self._prefix = self._prefix[:n], self._prefix[n:]
         return bytes(head) + self._stream.read(n - len(head))
+
+
+def trapdoor_shaped(params: KemParams, X: np.ndarray) -> bool:
+    """Whether the (m, ell) preimage X has the shape of every key extract
+    issues: its trapdoor half X[:m_bar] within beta-1, its gadget half
+    X[m_bar:] binary. KemParams.decryption_noise bounds the noise of such
+    keys only."""
+    magnitude = np.abs(X)
+    return (int(magnitude[: params.m_bar].max(initial=0)) < params.beta
+            and int(magnitude[params.m_bar :].max(initial=0)) <= 1
+            and int(X[params.m_bar :].min(initial=0)) >= 0)
 
 
 def _shuffle_picks(stream: HashStream, rows: int, w: int, steps: int) -> np.ndarray:
@@ -232,8 +245,8 @@ def extract(
     X[: p.m_bar] = msk.R.astype(np.float32) @ Z.astype(np.float32)
     X[p.m_bar :] = Z
     # Postcondition checks are cheap relative to the trapdoor product.
-    if int(np.abs(X).max()) > p.beta:
-        raise AssertionError("preimage norm exceeded beta")
+    if not trapdoor_shaped(p, X):
+        raise AssertionError("preimage is not trapdoor-shaped")
     if not np.array_equal(matmul_mod(mpk.A, X, p.q), U):
         raise AssertionError("preimage does not satisfy A @ X == U")
     return IdentityPrivateKey(identity=identity, X=X, params_hash=mpk.params_hash, params=p)
@@ -251,13 +264,15 @@ def shared_secret_kdf(k_bits: np.ndarray, identity: IdentityString, params_hash:
                     b"ibetls id-kem ss")
 
 
-def compress(x: np.ndarray, d: int, q: int) -> np.ndarray:
-    """FIPS 203's Compress_d: round(2^d * x / q) mod 2^d, for x in [0, q)."""
+def compress(x: np.ndarray, d: int | np.ndarray, q: int) -> np.ndarray:
+    """FIPS 203's Compress_d: round(2^d * x / q) mod 2^d, for x in [0, q).
+    d is one width, or an array of one width per coefficient."""
     return (((x << (d + 1)) + q) // (2 * q)) & ((1 << d) - 1)
 
 
-def decompress(y: np.ndarray, d: int, q: int) -> np.ndarray:
-    """FIPS 203's Decompress_d: round(q * y / 2^d), in [0, q) for y in [0, 2^d)."""
+def decompress(y: np.ndarray, d: int | np.ndarray, q: int) -> np.ndarray:
+    """FIPS 203's Decompress_d: round(q * y / 2^d), in [0, q) for y in [0, 2^d).
+    d is one width, or an array of one width per coefficient."""
     return (y * q + (1 << (d - 1))) >> d
 
 
@@ -265,18 +280,21 @@ def _encrypt_bits(p: KemParams, A: np.ndarray, U: np.ndarray,
                   stream: HashStream) -> tuple[IdKemCiphertext, np.ndarray]:
     """Dual-Regev encryption of ell fresh bits to syndromes U under A (both KEMs).
 
-    c0 and c1 are rounded onto the grids of p.ciphertext_bits, so the
-    ciphertext is exactly what its encoding carries; the rounding error is
-    inside the noise p.ciphertext_bits allows for."""
+    c0's trapdoor half, its gadget half and c1 are each rounded in place onto
+    their grid of p.ciphertext_bits, so the ciphertext is exactly what its
+    encoding carries. The rounding error is inside the noise that
+    p.decryption_noise allows an extracted key; the ternary ephemeral secret,
+    whose columns sum to at most m, sees less (117,249 < q/4 at desk)."""
     s = stream.uniform_mod(p.n, p.q)
     e0 = stream.signed_uniform(p.m, p.eta)
     e1 = stream.signed_uniform(p.ell, p.eta)
     k_bits = stream.bits(p.ell)
     c0 = (matmul_mod(A.T, s.reshape(-1, 1), p.q).ravel() + e0) % p.q
     c1 = (matmul_mod(U.T, s.reshape(-1, 1), p.q).ravel() + e1 + (p.q // 2) * k_bits) % p.q
-    d_u, d_v = p.ciphertext_bits
-    return IdKemCiphertext(params=p, c0=decompress(compress(c0, d_u, p.q), d_u, p.q),
-                           c1=decompress(compress(c1, d_v, p.q), d_v, p.q)), k_bits
+    d_r, d_z, d_v = p.ciphertext_bits
+    for part, d in ((c0[: p.m_bar], d_r), (c0[p.m_bar :], d_z), (c1, d_v)):
+        part[:] = decompress(compress(part, d, p.q), d, p.q)
+    return IdKemCiphertext(params=p, c0=c0, c1=c1), k_bits
 
 
 def _decrypt_bits(p: KemParams, X: np.ndarray, ct: IdKemCiphertext, bound: int) -> np.ndarray:
@@ -307,7 +325,8 @@ def decaps(sk: IdentityPrivateKey, ct: IdKemCiphertext) -> bytes:
 
     A wrong key or tampered ciphertext yields a different 32-byte value, and
     the mismatch surfaces later at Finished verification. A hand-built key
-    whose X exceeds beta raises ValueError; decode_private_key refuses one.
+    whose X exceeds beta raises ValueError; decode_private_key refuses any
+    key that is not trapdoor_shaped.
     """
     return shared_secret_kdf(_decrypt_bits(sk.params, sk.X, ct, sk.params.beta),
                              sk.identity, sk.params_hash)

@@ -10,11 +10,16 @@ domain-dir/
 
 Identity private keys are never written here; delivery is wire-only.
 
-Files that change are written in one of two ways. The two .jsonl files are
-appended one line at a time, and each append is fsynced before the call that
-made it returns. An append holds an exclusive flock on its file and is refused
-with JournalConflict unless the file still has the length this service last
-read or wrote: two services on one home, in one process or two, cannot both
+A new domain is written whole into a temporary directory next to
+domain-dir, which is renamed to domain-dir last: a crash during setup
+leaves no domain, never part of one. A domain-dir without policy.json or
+either journal is RegistryCorrupt.
+
+Files that change afterwards are written in one of two ways. The two .jsonl
+files are appended one line at a time, and each append is fsynced before the
+call that made it returns. An append holds an exclusive flock on its file and
+is refused with JournalConflict unless the file still has the length this
+service last read or wrote: two services on one home, in one process or two, cannot both
 append from their own view and fork the chain or reuse a request name.
 mpk.bin, policy.json and the shares are replaced whole: a temp file in the
 same directory is written and fsynced, then renamed over the old one, so a
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -64,29 +70,35 @@ def replace_file(path: Path, data: bytes) -> None:
 
 
 def save_domain(directory: Path, service: TpkgService, share_set: ShareSet) -> None:
-    """Write a new domain and attach its journals, so later changes append."""
+    """Write a new domain and attach its journals, so later changes append.
+
+    Every file is written into a temp directory next to directory, which is
+    renamed into place as the last step: a crash or a failed write leaves
+    no domain at directory, never part of one, and setup can run again.
+    directory must not exist yet, or be empty.
+    """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    replace_file(directory / "mpk.bin", encode_master_public(service.mpk))
-    save_state(directory, service)
-    shares_dir = directory / "shares"
-    shares_dir.mkdir(exist_ok=True)
-    for share in share_set.shares:
-        replace_file(shares_dir / f"node-{share.index}.json",
-                     (json.dumps(share.to_dict(), indent=2) + "\n").encode())
-    if service.registry.journal is None:
-        service.registry.journal = start_journal(directory / "registry.jsonl",
-                                                 service.registry.records)
-    if service.requests_journal is None:
-        service.requests_journal = start_journal(directory / "requests.jsonl",
-                                                 service.list_requests())
-
-
-def start_journal(path: Path, items) -> Journal:
-    """Write path whole with one line per item, and append to it from now on."""
-    data = "".join(json_line(item.to_dict()) for item in items).encode()
-    replace_file(path, data)
-    return Journal(path, len(data))
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=directory.parent, prefix=f".{directory.name}."))
+    try:
+        replace_file(staging / "mpk.bin", encode_master_public(service.mpk))
+        save_state(staging, service)
+        (staging / "shares").mkdir()
+        for share in share_set.shares:
+            replace_file(staging / "shares" / f"node-{share.index}.json",
+                         (json.dumps(share.to_dict(), indent=2) + "\n").encode())
+        journals = {}
+        for name, items in (("registry.jsonl", service.registry.records),
+                            ("requests.jsonl", service.list_requests())):
+            data = "".join(json_line(item.to_dict()) for item in items).encode()
+            replace_file(staging / name, data)
+            journals[name] = Journal(directory / name, len(data))
+        os.rename(staging, directory)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    service.registry.journal = journals["registry.jsonl"]
+    service.requests_journal = journals["requests.jsonl"]
 
 
 def save_state(directory: Path, service: TpkgService) -> None:
@@ -110,6 +122,9 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
     if (directory / "requests.json").exists():
         raise LegacyLayout(f"{directory / 'requests.json'} is from an older layout "
                            "that this version does not read")
+    for name in ("policy.json", "registry.jsonl", "requests.jsonl"):
+        if not (directory / name).is_file():
+            raise RegistryCorrupt(f"{directory / name}: missing from the domain")
     try:
         mpk = decode_master_public((directory / "mpk.bin").read_bytes())
     except KemError as exc:

@@ -88,6 +88,51 @@ def test_setup_refuses_existing_domain(home, capsys):
     assert code == 2
 
 
+def test_setup_failing_at_any_write_leaves_no_domain(tmp_path, capsys, monkeypatch):
+    """Fail the N-th file write of tpkg-setup, for every N: a read command then
+    finds no domain, and a second setup succeeds."""
+    import ibetls.tpkg.storage as storage
+
+    replace_file = storage.replace_file
+    written = []
+    monkeypatch.setattr(storage, "replace_file",
+                        lambda path, data: (written.append(path), replace_file(path, data)))
+    setup_domain(tmp_path / "counted", capsys)
+    assert len(written) == 7  # mpk.bin, policy.json, three shares, two journals
+    for n in range(1, len(written) + 1):
+        home, calls = tmp_path / f"home-{n}", []
+
+        def failing(path, data):
+            calls.append(path)
+            if len(calls) == n:
+                raise OSError(28, "No space left on device")
+            replace_file(path, data)
+
+        monkeypatch.setattr(storage, "replace_file", failing)
+        code, _, err = run_cli(["--home", str(home), "tpkg-setup", "--domain", "control-plane"],
+                               capsys)
+        assert code == 2 and reasons(err) == ["error: [Errno 28] No space left on device"]
+        assert list((home / "domains").iterdir()) == []
+        monkeypatch.setattr(storage, "replace_file", replace_file)
+        with pytest.raises(SystemExit) as exited:
+            main(["--home", str(home), "id-list", "--domain", "control-plane"])
+        err = capsys.readouterr().err
+        assert exited.value.code == 2 and reasons(err)[0].startswith("no such domain"), n
+        setup_domain(home, capsys)
+        assert run_cli(["--home", str(home), "id-list", "--domain", "control-plane"],
+                       capsys)[0] == 0
+
+
+@pytest.mark.parametrize("name", ["policy.json", "registry.jsonl", "requests.jsonl"])
+def test_domain_missing_a_state_file_is_corrupt(home, capsys, name):
+    directory = setup_domain(home, capsys)
+    (directory / name).unlink()
+    code, out, err = run_cli(["--home", str(home), "id-list", "--domain", "control-plane"],
+                             capsys)
+    assert code == 5 and out == ""
+    assert reasons(err) == [f"CORRUPT: {directory / name}: missing from the domain"]
+
+
 def test_request_approve_list_flow(home, capsys):
     setup_domain(home, capsys)
     code, out, _ = run_cli([

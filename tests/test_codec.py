@@ -2,7 +2,8 @@
 truncated, extended or bit-flipped blob raises only the KemError family. The
 k-bit coefficient packing equals a plain-integer reference and has one
 encoding per vector. Ciphertexts travel as grid indices, so one off the
-grid encodes as its rounding."""
+grid encodes as its rounding. Private keys decode only in the shape extract
+issues them."""
 
 import itertools
 
@@ -25,7 +26,7 @@ from ibetls.kem import (
     encode_master_public,
     encode_private_key,
 )
-from ibetls.kem.codec import pack_coeffs, pack_vec, packed_size, unpack_coeffs
+from ibetls.kem.codec import _pack, _unpack, pack_coeffs, pack_vec, packed_size, unpack_coeffs
 from ibetls.kem.ephemeral import EphemeralPublicKey
 from ibetls.kem.params import is_prime
 from ibetls.kem.scheme import (
@@ -59,19 +60,26 @@ def _coefficients(params: KemParams, count: int, fill: str, rng) -> np.ndarray:
 
 
 def _preimage(params: KemParams, fill: str, rng) -> np.ndarray:
-    """X with entries in [-(beta-1), beta-1], the range extract produces."""
+    """X in the shape extract issues: its trapdoor half (the first m_bar rows)
+    in [-(beta-1), beta-1], its gadget half binary."""
     top = params.beta - 1
-    shape = (params.m, params.ell)
+    shape = (params.m_bar, params.ell)
     if fill == "random":
-        X = rng.integers(-top, top + 1, size=shape)
+        halves = rng.integers(-top, top + 1, size=shape), rng.integers(0, 2, size=shape)
     else:
-        X = np.full(shape, {"max": top, "min": -top, "zero": 0}[fill])
-    return X.astype(preimage_dtype(params))
+        halves = (np.full(shape, {"max": top, "min": -top, "zero": 0}[fill]),
+                  np.full(shape, {"max": 1, "min": 0, "zero": 0}[fill]))
+    return np.concatenate(halves).astype(preimage_dtype(params))
 
 
 def on_grid(params: KemParams, values: np.ndarray, d: int) -> np.ndarray:
     """values rounded onto the d-bit grid, as encaps leaves every ciphertext."""
     return decompress(compress(values, d, params.q), d, params.q)
+
+
+def segments(params: KemParams, ct: IdKemCiphertext) -> tuple[np.ndarray, ...]:
+    """c0's trapdoor half, its gadget half and c1: the parts with their own width."""
+    return ct.c0[: params.m_bar], ct.c0[params.m_bar :], ct.c1
 
 
 def build(kind: str, params: KemParams, fill: str, seed: int, identity: IdentityString,
@@ -81,10 +89,12 @@ def build(kind: str, params: KemParams, fill: str, seed: int, identity: Identity
     if kind == "ciphertext":
         c0 = _coefficients(params, params.m, fill, rng)
         c1 = _coefficients(params, params.ell, fill, rng)
-        if grid:
-            d_u, d_v = params.ciphertext_bits
-            c0, c1 = on_grid(params, c0, d_u), on_grid(params, c1, d_v)
-        return IdKemCiphertext(params=params, c0=c0, c1=c1)
+        ct = IdKemCiphertext(params=params, c0=c0, c1=c1)
+        if not grid:
+            return ct
+        top, gadget, c1 = (on_grid(params, part, d) for part, d
+                           in zip(segments(params, ct), params.ciphertext_bits))
+        return IdKemCiphertext(params=params, c0=np.concatenate([top, gadget]), c1=c1)
     if kind == "master_public":
         A = _coefficients(params, params.n * params.m, fill, rng).reshape(params.n, params.m)
         return MasterPublicKey(params=params, A=A, params_hash=params_hash_of(params, A))
@@ -156,31 +166,32 @@ def test_ciphertext_off_the_grid_encodes_as_its_rounding(param_sets, which, fill
     blob = encode("ciphertext", ct)
     back = decode("ciphertext", blob, params)
     assert encode("ciphertext", back) == blob
-    for before, after, d in zip((ct.c0, ct.c1), (back.c0, back.c1), params.ciphertext_bits):
+    for before, after, d in zip(segments(params, ct), segments(params, back),
+                                params.ciphertext_bits):
         distance = np.minimum((after - before) % params.q, (before - after) % params.q)
         assert int(distance.max()) <= params.rounding_error(d)
 
 
 def test_grid_index_with_another_encoding_is_refused():
-    """Where decryption needs c0 at d_u = k bits, the grid has 2^k - q more
-    indices than Z_q has values. Each of them decompresses to a value whose
-    own index differs, so decoding refuses it and each ciphertext keeps one
-    encoding."""
+    """Where decryption needs c0's trapdoor half at d_r = k bits, the grid has
+    2^k - q more indices than Z_q has values. Each of them decompresses to a
+    value whose own index differs, so decoding refuses it and each
+    ciphertext keeps one encoding."""
     tight = KemParams(n=2, q=12289, ell=16, beta=54, eta=1, domain_sep=b"tight")
-    d_u, _ = tight.ciphertext_bits
-    assert d_u == tight.k
-    indices = np.arange(1 << d_u)
-    others = indices[compress(decompress(indices, d_u, tight.q), d_u, tight.q) != indices]
-    assert others.size == (1 << d_u) - tight.q
+    d_r, _, _ = tight.ciphertext_bits
+    assert d_r == tight.k
+    indices = np.arange(1 << d_r)
+    others = indices[compress(decompress(indices, d_r, tight.q), d_r, tight.q) != indices]
+    assert others.size == (1 << d_r) - tight.q
     zero = IdKemCiphertext(params=tight, c0=np.zeros(tight.m, dtype=np.int64),
                            c1=np.zeros(tight.ell, dtype=np.int64))
     blob = encode_ciphertext(zero, CT_PARAMS_HASH)
-    c1_part = blob[34 + packed_size(tight.m, 1 << d_u):]
+    rest = blob[34 + packed_size(tight.m_bar, 1 << d_r):]
     for index in others[:: others.size // 16]:
-        c0 = np.zeros(tight.m, dtype=np.int64)
-        c0[5] = index
+        top = np.zeros(tight.m_bar, dtype=np.int64)
+        top[5] = index
         with pytest.raises(DecodeError):
-            decode("ciphertext", blob[:34] + pack_coeffs(c0, 1 << d_u) + c1_part, tight)
+            decode("ciphertext", blob[:34] + pack_coeffs(top, 1 << d_r) + rest, tight)
 
 
 mutations = st.one_of(
@@ -274,6 +285,40 @@ def test_every_width_packs_the_extreme_vectors(k):
                 assert unpack_coeffs(blob, count, q, "vector").tolist() == values
 
 
+@st.composite
+def segmented_vectors(draw):
+    """((count, k), ...) for two to four segments of widths 1..32, and the
+    values of each segment."""
+    segments, values = [], []
+    for _ in range(draw(st.integers(2, 4))):
+        count, k = draw(st.integers(1, 40)), draw(st.integers(1, 32))
+        segments.append((count, k))
+        values.append(draw(st.lists(st.integers(0, 2 ** k - 1), min_size=count,
+                                    max_size=count)))
+    return tuple(segments), values
+
+
+@PROPERTY
+@given(vector=segmented_vectors(), where=st.integers(0, 2**31))
+@example(vector=(((3, 5), (2, 3), (1, 32)), [[31, 0, 17], [7, 1], [2 ** 32 - 1]]), where=0)
+def test_segments_pack_as_byte_padded_bit_streams(vector, where):
+    """Each segment is its own bit stream padded to a byte, as the parts of a
+    ciphertext are, and a set pad bit in any segment is refused."""
+    segments, values = vector
+    flat = [value for segment in values for value in segment]
+    blob = _pack(np.array(flat, dtype=np.uint64), segments)
+    assert blob == b"".join(reference_pack(v, k) for v, (_, k) in zip(values, segments))
+    assert _unpack(blob, segments, "vector").tolist() == flat
+    ends = list(itertools.accumulate((count * k + 7) // 8 for count, k in segments))
+    padded = [(end, count * k % 8) for (count, k), end in zip(segments, ends) if count * k % 8]
+    if padded:
+        end, used = padded[where % len(padded)]
+        mangled = bytearray(blob)
+        mangled[end - 1] |= 1 << (used + where % (8 - used))
+        with pytest.raises(DecodeError):
+            _unpack(bytes(mangled), segments, "vector")
+
+
 @PROPERTY
 @given(vector=coefficient_vectors(), where=st.integers(0, 2**31), bit=st.integers(0, 7))
 def test_noncanonical_packing_raises_decode_error(vector, where, bit):
@@ -307,7 +352,7 @@ def test_v1_layout_blob_raises_decode_error(param_sets, kind, which, fill, seed)
     if kind == "ciphertext":
         v1 = packed[:34] + pack_vec(obj.c0) + pack_vec(obj.c1)
     else:
-        v1 = packed[:34 + len(params.header_bytes()) + 32] + pack_vec(obj.U.ravel())
+        v1 = packed[:34 + 32] + pack_vec(obj.U.ravel())
     assert len(v1) > len(packed)
     with pytest.raises(DecodeError):
         decode(kind, v1, params)

@@ -351,23 +351,27 @@ def test_server_hello_share_bound_to_another_hash_gets_decode_error(mpk, server_
 
 def test_server_hello_ciphertext_in_the_k_bit_layout_gets_decode_error(mpk, server_identity,
                                                                        server_key):
-    """A ciphertext as the previous codec wrote it, every coefficient at k
-    bits, is refused by its length."""
+    """A ciphertext as an earlier codec wrote it is refused by its length:
+    every coefficient at k bits, or all of c0 at d_u = 18 and c1 at d_v = 6
+    bits."""
     from ibetls.handshake.wire import decode_server_hello, encode_server_hello, unframe
     from ibetls.kem.codec import packed_size
 
     p = mpk.params
-    client, server = make_pair(mpk, server_identity, server_key, seed=436)
-    server_hello, *rest = server.receive_record(client.client_start()[0])
-    _, payload = split_record(server_hello)
-    hello = decode_server_hello(unframe(payload)[1])
-    k_bit_layout = hello.eph_ciphertext[:34] + bytes(packed_size(p.m + p.ell, p.q))
-    assert len(k_bit_layout) == 3874 != len(hello.eph_ciphertext) == ciphertext_size(p)
-    doctored = type(hello)(random=hello.random, eph_ciphertext=k_bit_layout,
-                           extensions=hello.extensions)
-    client.receive_record(record(ContentType.HANDSHAKE, encode_server_hello(doctored)))
-    assert client.alert_sent == AlertCode.DECODE_ERROR
-    assert client.abort_reason.startswith("DecodeError: ciphertext")
+    layouts = {3874: packed_size(p.m + p.ell, p.q),
+               3106: packed_size(p.m, 1 << 18) + packed_size(p.ell, 1 << 6)}
+    for size, body in layouts.items():
+        client, server = make_pair(mpk, server_identity, server_key, seed=436)
+        server_hello, *rest = server.receive_record(client.client_start()[0])
+        _, payload = split_record(server_hello)
+        hello = decode_server_hello(unframe(payload)[1])
+        old = hello.eph_ciphertext[:34] + bytes(body)
+        assert len(old) == size != len(hello.eph_ciphertext) == ciphertext_size(p)
+        doctored = type(hello)(random=hello.random, eph_ciphertext=old,
+                               extensions=hello.extensions)
+        client.receive_record(record(ContentType.HANDSHAKE, encode_server_hello(doctored)))
+        assert client.alert_sent == AlertCode.DECODE_ERROR
+        assert client.abort_reason.startswith("DecodeError: ciphertext"), size
 
 
 def test_handshake_parses_no_parameter_header(monkeypatch, mpk, server_identity, server_key,

@@ -150,22 +150,29 @@ def test_grid_rounding_error_is_b_of_d_over_all_of_z_q(desk, which):
     assert p.rounding_error(p.k) == 0 and np.array_equal(rounded, values)
 
 
-@pytest.mark.parametrize("which, widths", [("small", (13, 3)), ("desk", (18, 6))])
+@pytest.mark.parametrize("which, widths", [("small", (12, 8, 3)), ("desk", (18, 12, 4))])
 def test_ciphertext_widths_are_the_fewest_bits_that_decrypt_exactly(desk, which, widths):
-    """The worst case m*beta*eta + eta + m*beta*B(d_u) + B(d_v) < q/4 holds at
-    the derived widths, and no pair in [1, k]^2 that keeps it has fewer bits
-    per ciphertext."""
+    """For a key whose trapdoor half is within beta-1 and whose gadget half is
+    binary, the worst case eta + m_bar*beta*eta + m_bar*(beta-1)*B(d_r)
+    + m_bar*B(d_z) + B(d_v) < q/4 holds at the derived widths, and no triple
+    in [1, k]^3 that keeps it has fewer bits per ciphertext. The ephemeral
+    KEM's ternary secret, whose columns sum to at most m, decrypts exactly
+    at the same widths."""
     p = desk if which == "desk" else KemParams(**SMALL)
     B = p.rounding_error
 
-    def decrypts(d_u, d_v):
-        return p.m * p.beta * p.eta + p.eta + p.m * p.beta * B(d_u) + B(d_v) < p.q // 4
+    def decrypts(d_r, d_z, d_v):
+        return (p.eta + p.m_bar * p.beta * p.eta + p.m_bar * (p.beta - 1) * B(d_r)
+                + p.m_bar * B(d_z) + B(d_v)) < p.q // 4
 
     assert p.ciphertext_bits == widths and decrypts(*widths)
-    bits = {(d_u, d_v): p.m * d_u + p.ell * d_v
-            for d_u in range(1, p.k + 1) for d_v in range(1, p.k + 1) if decrypts(d_u, d_v)}
-    assert (p.k, p.k) in bits
-    assert bits[widths] == min(bits.values()) < bits[(p.k, p.k)]
+    d_r, d_z, d_v = widths
+    assert p.eta + p.m * p.eta + p.m_bar * (B(d_r) + B(d_z)) + B(d_v) < p.q // 4
+    full = range(1, p.k + 1)
+    bits = {(d_r, d_z, d_v): p.m_bar * (d_r + d_z) + p.ell * d_v
+            for d_r in full for d_z in full for d_v in full if decrypts(d_r, d_z, d_v)}
+    assert (p.k, p.k, p.k) in bits
+    assert bits[widths] == min(bits.values()) < bits[(p.k, p.k, p.k)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +367,24 @@ def test_extract_algebra_exact(desk, mpk, msk):
         prod = (mpk.A.astype(np.float64) @ sk.X.astype(np.float64)).astype(np.int64) % desk.q
         assert np.array_equal(prod, U)
         assert int(np.abs(sk.X).max()) <= desk.beta
+
+
+def assert_trapdoor_shaped(p: KemParams, X: np.ndarray) -> None:
+    """Trapdoor half within beta-1, gadget half binary: the shape the
+    ciphertext widths are derived for."""
+    assert X.shape == (p.m, p.ell)
+    assert int(np.abs(X[: p.m_bar].astype(np.int64)).max()) <= p.beta - 1
+    assert set(np.unique(X[p.m_bar :]).tolist()) <= {0, 1}
+
+
+@pytest.mark.parametrize("which", ["small", "desk"])
+def test_extracted_keys_are_trapdoor_shaped(desk, which):
+    p = desk if which == "desk" else KemParams(**SMALL)
+    for seed in range(3):
+        mpk, msk = setup(p, seed_of(100 + seed))
+        for name in ("kube-apiserver", "kubelet:node-07", "prod.payments.api"):
+            assert_trapdoor_shaped(p, extract(msk, mpk, IdentityString.parse(
+                f"{name}.2025010{seed}")).X)
 
 
 def test_extract_requires_matching_master(desk, mpk):
@@ -558,6 +583,21 @@ def test_private_key_decode_rejects_preimage_above_beta(desk, server_key):
                                    params_hash=server_key.params_hash, params=desk)
     with pytest.raises(DecodeError):
         decode_private_key(encode_private_key(oversized))
+
+
+@pytest.mark.parametrize("half, value", [("trapdoor", 65), ("trapdoor", -65),
+                                         ("gadget", -1), ("gadget", 2)])
+def test_private_key_decode_refuses_a_preimage_not_trapdoor_shaped(desk, server_key,
+                                                                   half, value):
+    """Within beta, but outside the shape every extracted key has, and so
+    outside the noise the ciphertext widths are derived for."""
+    assert abs(value) <= desk.beta == 65
+    X = server_key.X.copy()
+    X[3 if half == "trapdoor" else desk.m_bar + 3, 5] = value
+    misshapen = IdentityPrivateKey(identity=server_key.identity, X=X,
+                                   params_hash=server_key.params_hash, params=desk)
+    with pytest.raises(DecodeError, match="trapdoor-shaped"):
+        decode_private_key(encode_private_key(misshapen))
 
 
 def test_decaps_refuses_hand_built_preimage_above_beta(desk, mpk, server_key):

@@ -74,28 +74,30 @@ def test_ciphertext_size_constant_across_handshakes(mpk, server_identity, server
 
 
 def test_desk_wire_sizes_follow_the_packing_formula(desk, capsys):
-    """Ciphertexts carry c0 at d_u = 18 and c1 at d_v = 6 bits per coefficient,
-    each part padded to a byte; ephemeral shares carry k = 20 bits per Z_q
-    coefficient."""
-    d_u, d_v = desk.ciphertext_bits
-    assert (d_u, d_v) == (18, 6)
-    ct = 34 + (desk.m * d_u + 7) // 8 + (desk.ell * d_v + 7) // 8
-    assert ciphertext_size(desk) == ct == 3106
-    share = 34 + len(desk.header_bytes()) + 32 + desk.n * desk.ell * desk.k // 8
-    assert eph_public_size(desk) == share == 20599
+    """Ciphertexts carry c0's trapdoor half at d_r = 18, its gadget half at
+    d_z = 12 and c1 at d_v = 4 bits per coefficient, each part padded to a
+    byte; ephemeral shares carry k = 20 bits per Z_q coefficient after the
+    prefix and the matrix seed."""
+    d_r, d_z, d_v = desk.ciphertext_bits
+    assert (d_r, d_z, d_v) == (18, 12, 4)
+    ct = (34 + (desk.m_bar * d_r + 7) // 8 + (desk.m_bar * d_z + 7) // 8
+          + (desk.ell * d_v + 7) // 8)
+    assert ciphertext_size(desk) == ct == 2562
+    share = 34 + 32 + desk.n * desk.ell * desk.k // 8
+    assert eph_public_size(desk) == share == 20546
     assert len(encode_eph_public(eph_generate(desk, seed_of(1)).public)) == share
 
     assert main(["bench-report", "--format", "json"]) == 0
     ibe = json.loads(capsys.readouterr().out)["ibeTls"]
     # Framing and the random take 41 B of each hello, the client's identity
     # extension 29 B more; each auth extension is 8 B of header + |ct|.
-    assert ibe["messages"]["ClientHello"] == 41 + 29 + share + 8 + ct == 23783
-    assert ibe["messages"]["ServerHello"] == 41 + ct + 8 + ct == 6261
+    assert ibe["messages"]["ClientHello"] == 41 + 29 + share + 8 + ct == 23186
+    assert ibe["messages"]["ServerHello"] == 41 + ct + 8 + ct == 5173
     assert (ibe["ephemeralShareBytes"], ibe["coefficientBits"]) == (share, desk.k)
 
     # Measured authentication data is below the certificate model's range.
     low, high = CertCostModel().total_range()
-    assert ibe["kemCiphertextBytes"] == 3 * ct == 9318
+    assert ibe["kemCiphertextBytes"] == 3 * ct == 7686
     assert 3 * ct < low
 
 

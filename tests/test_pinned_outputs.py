@@ -21,10 +21,10 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("script, seed, digest", [
-    (DEMO_K8S_SCRIPT, 0, "372b7659fe483fbbaaddf62f474a4f664f62bd1a5db0c63b148cb3c457300e95"),
-    (DEMO_5G_SCRIPT, 0, "ac2f9cd0f6b39fc205dca82dea4ad89a3ae99da1bb749d34f3dadea7a1d81375"),
-    (DEMO_K8S_SCRIPT, 7, "374fb0b49a02e8cdd1996bc1f3f31a9ed27d0c3efad18748dc876c4d0ba2d96b"),
-    (DEMO_5G_SCRIPT, 7, "f352ee23111ddcfea266466686ca60bc2ef32c4a6e404ede632f8e53df030af5"),
+    (DEMO_K8S_SCRIPT, 0, "4eae09c7a4515fb4c2c20a76347704180ec8c5e6557901fe616a3c818e7d8d56"),
+    (DEMO_5G_SCRIPT, 0, "e7fe8ae584c65181f8d69e8d2ba41e8dc34f76c841a19ea610a292b5edabc76d"),
+    (DEMO_K8S_SCRIPT, 7, "84eaba61ba504252e80597ddc56aac663138f0a820ef009c4c0bd5dfc677736b"),
+    (DEMO_5G_SCRIPT, 7, "422bb97a6ac62b793e59222021ad3439bfc2d98b3b4e0f7f0d8f6c6f83bb9f33"),
 ], ids=["k8s-0", "5g-0", "k8s-7", "5g-7"])
 def test_demo_log_digest(script, seed, digest):
     # the bytes demo-k8s / demo-5g --format json print
@@ -34,7 +34,7 @@ def test_demo_log_digest(script, seed, digest):
 def test_bench_report_digest(capsys):
     assert main(["bench-report", "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out) == (
-        "753f7020f7d84af2ae26e444213c31bf4ffcbae71c6a758d90581cb1ef9cdefd")
+        "9756986f1b4e661d7ce27ce0419f9fb43efe7930101646f21377401e9609129e")
 
 
 KEY_DIGESTS = {
