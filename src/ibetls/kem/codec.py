@@ -5,16 +5,17 @@ little-endian bit stream, padded with zero bits to the next byte (the shape
 of FIPS 203's ByteEncode_d). A ciphertext is three such segments: c0's
 trapdoor half (its first m_bar coefficients) at d_r bits, its gadget half
 at d_z bits and c1 at d_v bits per coefficient, params.ciphertext_bits.
-They hold the grid indices of Compress_d, which _encrypt_bits already
-rounded every ciphertext onto, so the encoding is exact. An ephemeral public
-share keeps its Z_q coefficients at params.k bits each, lossless, and
-carries no parameter header: its params_hash already hashes the header.
-Master public keys and identity private keys keep 4 little-endian bytes per
-Z_q element. Every blob is prefixed with the 32-byte params_hash it is
-bound to and a 2-byte scheme id. Each decoder refuses any id but the one it
-expects, and the handshake decoders any hash but the one of the receiver's
-own parameters, so no peer byte is parsed as parameters. Scheme id 0x0001
-is reserved for the standard-track construction and cannot be
+An ephemeral public share is one segment: its n*ell syndromes at
+params.share_bits (7 at desk). Both hold the grid indices of Compress_d,
+which _encrypt_bits and eph_generate already rounded every ciphertext and
+share onto, so the encoding is exact, and both decode through _decode_grid.
+A share carries no parameter header: its params_hash already hashes the
+header. Master public keys and identity private keys keep 4 little-endian
+bytes per Z_q element. Every blob is prefixed with the 32-byte params_hash
+it is bound to and a 2-byte scheme id. Each decoder refuses any id but the
+one it expects, and the handshake decoders any hash but the one of the
+receiver's own parameters, so no peer byte is parsed as parameters. Scheme
+id 0x0001 is reserved for the standard-track construction and cannot be
 instantiated; the reference instantiation registers in the experimental
 range as 0x7001.
 """
@@ -36,6 +37,7 @@ from .scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
     MasterPublicKey,
+    ciphertext_widths,
     compress,
     decompress,
     params_hash_of,
@@ -187,26 +189,41 @@ def _split_prefix(data: bytes, what: str, scheme_id: int) -> tuple[bytes, bytes]
     return data[:32], data[34:]
 
 
-@functools.lru_cache(maxsize=8)
-def _ciphertext_layout(params: KemParams) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
-    """The segments of a ciphertext, (coefficients, bits per coefficient) of
-    c0's trapdoor half, its gadget half and c1 in wire order, and the bits
-    of each coefficient of c0 then c1."""
+def _ciphertext_segments(params: KemParams) -> tuple[tuple[int, int], ...]:
+    """(coefficients, bits per coefficient) of c0's trapdoor half, its gadget
+    half and c1, in wire order."""
     d_r, d_z, d_v = params.ciphertext_bits
-    segments = ((params.m_bar, d_r), (params.m_bar, d_z), (params.ell, d_v))
-    widths = np.repeat([d for _, d in segments], [count for count, _ in segments])
-    widths.setflags(write=False)
-    return segments, widths
+    return (params.m_bar, d_r), (params.m_bar, d_z), (params.ell, d_v)
+
+
+def _share_segments(params: KemParams) -> tuple[tuple[int, int], ...]:
+    """The one segment of an ephemeral share: its n*ell syndromes at share_bits."""
+    return ((params.n * params.ell, params.share_bits),)
+
+
+def _decode_grid(data: bytes, segments: tuple[tuple[int, int], ...],
+                 widths: int | np.ndarray, q: int, what: str) -> np.ndarray:
+    """The Z_q values whose Compress_d grid indices _pack wrote into data as
+    segments, widths[i] bits for value i; data must have exactly the packed
+    length and zero pad bits. Below 2^d = q every d-bit index is the
+    compression of its own decompression. Above it (d = k) some are not,
+    and those are refused, so each vector has one encoding."""
+    indices = _unpack(data, segments, what).view(np.int64)
+    values = decompress(indices, widths, q)
+    if (1 << max(d for _, d in segments)) > q \
+            and not np.array_equal(compress(values, widths, q), indices):
+        raise DecodeError(f"{what}: grid index with another encoding")
+    return values
 
 
 def ciphertext_size(params: KemParams) -> int:
     """Serialized length is a constant of the parameter set."""
-    return 34 + _segment_ends(_ciphertext_layout(params)[0])[-1]
+    return 34 + _segment_ends(_ciphertext_segments(params))[-1]
 
 
 def eph_public_size(params: KemParams) -> int:
     """Serialized length of an ephemeral public share at params."""
-    return 34 + 32 + packed_size(params.n * params.ell, params.q)
+    return 34 + 32 + packed_size(params.n * params.ell, 1 << params.share_bits)
 
 
 def encode_ciphertext(ct: IdKemCiphertext, params_hash: bytes,
@@ -214,27 +231,19 @@ def encode_ciphertext(ct: IdKemCiphertext, params_hash: bytes,
     """c0's trapdoor half, its gadget half and c1 as their Compress_d grid
     indices, each padded to a byte; a coefficient off the grid is rounded
     onto it."""
-    segments, widths = _ciphertext_layout(ct.params)
+    widths = ciphertext_widths(ct.params)
     indices = compress(np.concatenate([ct.c0, ct.c1]), widths, ct.params.q)
-    return _prefix(params_hash, scheme_id) + _pack(indices, segments)
+    return _prefix(params_hash, scheme_id) + _pack(indices, _ciphertext_segments(ct.params))
 
 
 def decode_ciphertext(data: bytes, params: KemParams, params_hash: bytes,
                       scheme_id: int) -> IdKemCiphertext:
-    """The ciphertext in data, which must be bound to params_hash under scheme_id.
-
-    Below 2^d = q every d-bit index is the compression of its own
-    decompression. Above it (d = k) some are not, and those are refused, so
-    each ciphertext has one encoding."""
+    """The ciphertext in data, which must be bound to params_hash under scheme_id."""
     bound, body = _split_prefix(data, "ciphertext", scheme_id)
     if bound != params_hash:
         raise DecodeError("ciphertext: bound to another params_hash")
-    segments, widths = _ciphertext_layout(params)
-    indices = _unpack(body, segments, "ciphertext").view(np.int64)
-    values = decompress(indices, widths, params.q)
-    if (1 << max(d for _, d in segments)) > params.q \
-            and not np.array_equal(compress(values, widths, params.q), indices):
-        raise DecodeError("ciphertext: grid index with another encoding")
+    values = _decode_grid(body, _ciphertext_segments(params), ciphertext_widths(params),
+                          params.q, "ciphertext")
     return IdKemCiphertext(params=params, c0=values[: params.m], c1=values[params.m :])
 
 
@@ -300,11 +309,13 @@ def eph_params_hash(params: KemParams) -> bytes:
 
 
 def encode_eph_public(pub: EphemeralPublicKey) -> bytes:
+    """The share's syndromes as their grid indices at share_bits; a syndrome
+    off the grid is rounded onto it."""
     params = pub.params
     return (
         _prefix(eph_params_hash(params), SCHEME_EPHEMERAL)
         + pub.seed_a
-        + pack_coeffs(pub.U, params.q)
+        + _pack(compress(pub.U, params.share_bits, params.q), _share_segments(params))
     )
 
 
@@ -317,5 +328,6 @@ def decode_eph_public(data: bytes, params: KemParams) -> EphemeralPublicKey:
     if len(body) < 32:
         raise DecodeError("ephemeral public key: truncated matrix seed")
     seed_a = body[:32]
-    flat = unpack_coeffs(body[32:], params.n * params.ell, params.q, "ephemeral syndromes")
+    flat = _decode_grid(body[32:], _share_segments(params), params.share_bits, params.q,
+                        "ephemeral syndromes")
     return EphemeralPublicKey(params=params, seed_a=seed_a, U=flat.reshape(params.n, params.ell))

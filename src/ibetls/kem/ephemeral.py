@@ -3,7 +3,14 @@
 Identity-free dual-Regev through the identity KEM's core: keygen samples a
 fresh public matrix (as a 32-byte seed) and publishes the syndromes of a
 short secret, one column per secret bit. Ciphertexts have exactly the same
-(c0, c1) shape as identity-KEM ciphertexts.
+(c0, c1) shape and wire layout as identity-KEM ciphertexts.
+
+The syndromes U are uniform in Z_q, so they do not compress on their own.
+Keygen rounds them onto the Compress_d grid of params.share_bits (7 bits at
+desk, not k = 20), and the public key holds exactly what the wire carries.
+The rounding error meets the encryptor's secret s, which _encrypt_bits
+draws within eta, so it adds at most n*eta*B(share_bits) to the noise
+(Lindner-Peikert 2011); KemParams.ephemeral_noise keeps the sum below q/4.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from .params import KemParams
 from .sampling import HashStream, matmul_mod
-from .scheme import IdKemCiphertext, _decrypt_bits, _encrypt_bits, _kem_kdf
+from .scheme import IdKemCiphertext, _decrypt_bits, _encrypt_bits, _kem_kdf, compress, decompress
 
 
 def _expand_matrix(seed_a: bytes, p: KemParams) -> np.ndarray:
@@ -28,7 +35,7 @@ def _expand_matrix(seed_a: bytes, p: KemParams) -> np.ndarray:
 class EphemeralPublicKey:
     params: KemParams
     seed_a: bytes          # expands to the fresh public matrix
-    U: np.ndarray          # (n, ell) syndromes of the short secret
+    U: np.ndarray          # (n, ell) syndromes of the short secret, on the share_bits grid
 
     def __post_init__(self) -> None:
         self.U.setflags(write=False)
@@ -58,7 +65,8 @@ def eph_generate(params: KemParams, rng_seed: bytes) -> EphemeralKeyPair:
     seed_a = stream.read(32)
     A = _expand_matrix(seed_a, params)
     x = stream.signed_uniform(params.m * params.ell, 1).reshape(params.m, params.ell)
-    U = matmul_mod(A, x, params.q, bound=1)
+    d = params.share_bits
+    U = decompress(compress(matmul_mod(A, x, params.q, bound=1), d, params.q), d, params.q)
     return EphemeralKeyPair(public=EphemeralPublicKey(params=params, seed_a=seed_a, U=U), _x=x)
 
 

@@ -60,7 +60,8 @@ class KemParams:
     ell      shared-secret bit length
     beta     infinity-norm bound on extracted preimages; their trapdoor half
              stays within beta-1 and their gadget half is binary
-    eta      infinity-norm bound on encryption noise
+    eta      infinity-norm bound on encryption noise and on the encryption
+             secret s
     domain_sep   byte string mixed into hash-to-syndrome
     """
 
@@ -143,6 +144,29 @@ class KemParams:
         return min(((d_r, d_z, d_v) for d_r in widths for d_z in widths for d_v in widths
                     if self.decryption_noise(d_r, d_z, d_v) < self.q // 4),
                    key=lambda bits: self.m_bar * (bits[0] + bits[1]) + self.ell * bits[2])
+
+    def ephemeral_noise(self, d: int) -> int:
+        """Worst-case noise ephemeral decryption sees when the share's
+        syndromes travel at d bits and ciphertexts at ciphertext_bits:
+        eta + m*eta + m_bar*(B(d_r) + B(d_z)) + B(d_v) + n*eta*B(d). The
+        secret x is ternary, so e0 and c0's rounding error each count once
+        per entry, and the encryption secret s is within eta, so the share's
+        rounding error counts eta times in each of its n rows."""
+        B = self.rounding_error
+        d_r, d_z, d_v = self.ciphertext_bits
+        return (self.eta + self.m * self.eta + self.m_bar * (B(d_r) + B(d_z)) + B(d_v)
+                + self.n * self.eta * B(d))
+
+    @property
+    @functools.lru_cache(maxsize=8)
+    def share_bits(self) -> int:
+        """Bits per syndrome of an ephemeral share on the wire: the least d in
+        [1, k] whose ephemeral_noise stays below q/4. Cached per parameter
+        set, as ciphertext_bits is."""
+        for d in range(1, self.k + 1):
+            if self.ephemeral_noise(d) < self.q // 4:
+                return d
+        raise InvalidParams("ephemeral decryption noise reaches q/4 even with a lossless share")
 
     @property
     def trapdoor_row_weight(self) -> int:

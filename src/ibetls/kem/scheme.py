@@ -10,10 +10,17 @@ extracted or decoded has that shape (trapdoor_shaped). R and X are held in
 the narrowest signed dtype that holds beta (int8 at desk parameters).
 Products against them pass their bound to sampling.matmul_mod, the one place
 that derives when such a product is exact.
+
+Encryption (_encrypt_bits, shared with the ephemeral KEM) draws its secret
+s short, within eta, from the noise distribution: normal-form LWE, as hard
+as a uniform secret (Applebaum-Cash-Peikert-Sahai 2009). It rounds c0 and
+c1 onto FIPS 203 Compress_d grids whose widths, ciphertext_widths, have
+their one owner here beside compress.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 
@@ -276,25 +283,40 @@ def decompress(y: np.ndarray, d: int | np.ndarray, q: int) -> np.ndarray:
     return (y * q + (1 << (d - 1))) >> d
 
 
+@functools.lru_cache(maxsize=8)
+def ciphertext_widths(params: KemParams) -> np.ndarray:
+    """The bits on the wire of each coefficient of c0 then c1: d_r for c0's
+    trapdoor half, d_z for its gadget half and d_v for c1, from
+    params.ciphertext_bits. Read-only, cached per parameter set."""
+    d_r, d_z, d_v = params.ciphertext_bits
+    widths = np.repeat([d_r, d_z, d_v], [params.m_bar, params.m_bar, params.ell])
+    widths.setflags(write=False)
+    return widths
+
+
 def _encrypt_bits(p: KemParams, A: np.ndarray, U: np.ndarray,
                   stream: HashStream) -> tuple[IdKemCiphertext, np.ndarray]:
     """Dual-Regev encryption of ell fresh bits to syndromes U under A (both KEMs).
 
-    c0's trapdoor half, its gadget half and c1 are each rounded in place onto
-    their grid of p.ciphertext_bits, so the ciphertext is exactly what its
-    encoding carries. The rounding error is inside the noise that
-    p.decryption_noise allows an extracted key; the ternary ephemeral secret,
-    whose columns sum to at most m, sees less (117,249 < q/4 at desk)."""
-    s = stream.uniform_mod(p.n, p.q)
+    The secret s is short, within eta, as its noise is (normal-form LWE,
+    Applebaum-Cash-Peikert-Sahai 2009). With an identity key s cancels,
+    since A*X = U exactly; with an ephemeral share it meets the share's
+    rounding error, which p.share_bits keeps inside the margin. c0 and c1
+    are rounded in one call onto the grids of ciphertext_widths, so the
+    ciphertext is exactly what its encoding carries. The rounding error is
+    inside the noise that p.decryption_noise allows an extracted key; the
+    ternary ephemeral secret sees p.ephemeral_noise(p.share_bits) (248,321
+    < q/4 at desk)."""
+    s = stream.signed_uniform(p.n, p.eta).reshape(-1, 1)
     e0 = stream.signed_uniform(p.m, p.eta)
     e1 = stream.signed_uniform(p.ell, p.eta)
     k_bits = stream.bits(p.ell)
-    c0 = (matmul_mod(A.T, s.reshape(-1, 1), p.q).ravel() + e0) % p.q
-    c1 = (matmul_mod(U.T, s.reshape(-1, 1), p.q).ravel() + e1 + (p.q // 2) * k_bits) % p.q
-    d_r, d_z, d_v = p.ciphertext_bits
-    for part, d in ((c0[: p.m_bar], d_r), (c0[p.m_bar :], d_z), (c1, d_v)):
-        part[:] = decompress(compress(part, d, p.q), d, p.q)
-    return IdKemCiphertext(params=p, c0=c0, c1=c1), k_bits
+    c = np.empty(p.m + p.ell, dtype=np.int64)
+    c[: p.m] = matmul_mod(A.T, s, p.q).ravel() + e0
+    c[p.m :] = matmul_mod(U.T, s, p.q).ravel() + e1 + (p.q // 2) * k_bits
+    widths = ciphertext_widths(p)
+    c = decompress(compress(c % p.q, widths, p.q), widths, p.q)
+    return IdKemCiphertext(params=p, c0=c[: p.m], c1=c[p.m :]), k_bits
 
 
 def _decrypt_bits(p: KemParams, X: np.ndarray, ct: IdKemCiphertext, bound: int) -> np.ndarray:

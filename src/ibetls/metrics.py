@@ -45,7 +45,7 @@ class HandshakeMetrics:
     ciphertext_bytes: int           # serialized |ct| at these parameters
     wire_bytes: int
     eph_share_bytes: int            # serialized ephemeral public share in the ClientHello
-    coefficient_bits: int           # bits per Z_q coefficient in the ephemeral share
+    coefficient_bits: int           # bits per syndrome in the ephemeral share, params.share_bits
 
     @property
     def kem_ciphertext_count(self) -> int:
@@ -84,7 +84,7 @@ def instrument(conn: Connection) -> HandshakeMetrics:
         ciphertext_bytes=ciphertext_size(client.params),
         wire_bytes=conn.capture.total_bytes(),
         eph_share_bytes=eph_public_size(client.params),
-        coefficient_bits=client.params.k,
+        coefficient_bits=client.params.share_bits,
     )
 
 

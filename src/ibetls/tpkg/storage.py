@@ -12,8 +12,9 @@ Identity private keys are never written here; delivery is wire-only.
 
 A new domain is written whole into a temporary directory next to
 domain-dir, which is renamed to domain-dir last: a crash during setup
-leaves no domain, never part of one. A domain-dir without policy.json or
-either journal is RegistryCorrupt.
+leaves no domain, never part of one. The next setup removes the temporary
+directory a crash left. A domain-dir without policy.json or either journal
+is RegistryCorrupt.
 
 Files that change afterwards are written in one of two ways. The two .jsonl
 files are appended one line at a time, and each append is fsynced before the
@@ -38,6 +39,7 @@ RegistryCorrupt.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import shutil
@@ -75,28 +77,40 @@ def save_domain(directory: Path, service: TpkgService, share_set: ShareSet) -> N
     Every file is written into a temp directory next to directory, which is
     renamed into place as the last step: a crash or a failed write leaves
     no domain at directory, never part of one, and setup can run again.
-    directory must not exist yet, or be empty.
+    directory must not exist yet, or be empty. The whole write holds an
+    exclusive flock on the domains directory, so any temp directory of this
+    domain found under it was left by a setup that died, with the shares of
+    a master; it is removed first.
     """
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(dir=directory.parent, prefix=f".{directory.name}."))
+    lock = os.open(directory.parent, os.O_RDONLY)
     try:
-        replace_file(staging / "mpk.bin", encode_master_public(service.mpk))
-        save_state(staging, service)
-        (staging / "shares").mkdir()
-        for share in share_set.shares:
-            replace_file(staging / "shares" / f"node-{share.index}.json",
-                         (json.dumps(share.to_dict(), indent=2) + "\n").encode())
-        journals = {}
-        for name, items in (("registry.jsonl", service.registry.records),
-                            ("requests.jsonl", service.list_requests())):
-            data = "".join(json_line(item.to_dict()) for item in items).encode()
-            replace_file(staging / name, data)
-            journals[name] = Journal(directory / name, len(data))
-        os.rename(staging, directory)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        for stale in directory.parent.iterdir():
+            if stale.name.startswith(f".{directory.name}.") and not stale.is_symlink() \
+                    and stale.is_dir():
+                shutil.rmtree(stale)
+        staging = Path(tempfile.mkdtemp(dir=directory.parent, prefix=f".{directory.name}."))
+        try:
+            replace_file(staging / "mpk.bin", encode_master_public(service.mpk))
+            save_state(staging, service)
+            (staging / "shares").mkdir()
+            for share in share_set.shares:
+                replace_file(staging / "shares" / f"node-{share.index}.json",
+                             (json.dumps(share.to_dict(), indent=2) + "\n").encode())
+            journals = {}
+            for name, items in (("registry.jsonl", service.registry.records),
+                                ("requests.jsonl", service.list_requests())):
+                data = "".join(json_line(item.to_dict()) for item in items).encode()
+                replace_file(staging / name, data)
+                journals[name] = Journal(directory / name, len(data))
+            os.rename(staging, directory)
+        except BaseException:
+            shutil.rmtree(staging, ignore_errors=True)
+            raise
+    finally:
+        os.close(lock)  # releases the flock
     service.registry.journal = journals["registry.jsonl"]
     service.requests_journal = journals["requests.jsonl"]
 

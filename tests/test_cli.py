@@ -123,6 +123,45 @@ def test_setup_failing_at_any_write_leaves_no_domain(tmp_path, capsys, monkeypat
                        capsys)[0] == 0
 
 
+KILLED_AT_WRITE = """
+import os, sys
+import ibetls.tpkg.storage as storage
+from ibetls.cli import main
+
+n, calls, replace_file = int(sys.argv[1]), [], storage.replace_file
+
+def killed(path, data):
+    calls.append(path)
+    if len(calls) == n:
+        os._exit(9)
+    replace_file(path, data)
+
+storage.replace_file = killed
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_setup_killed_at_any_write_is_cleaned_up_by_the_next(tmp_path, capsys):
+    """Kill a tpkg-setup process at its N-th file write, for each of the 7:
+    the hidden staging directory it leaves holds the master's shares once
+    past the third write. A second setup succeeds and removes it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ibetls.cli.__file__).parents[1])}
+    for n in range(1, 8):
+        home = tmp_path / f"home-{n}"
+        done = subprocess.run(
+            [sys.executable, "-c", KILLED_AT_WRITE, str(n), "--home", str(home),
+             "tpkg-setup", "--domain", "control-plane"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 9, done.stderr
+        domains = home / "domains"
+        assert [path.name.startswith(".control-plane.") for path in domains.iterdir()] \
+            == [True], n
+        setup_domain(home, capsys)
+        assert [path.name for path in domains.iterdir()] == ["control-plane"], n
+        assert run_cli(["--home", str(home), "id-list", "--domain", "control-plane"],
+                       capsys)[0] == 0
+
+
 @pytest.mark.parametrize("name", ["policy.json", "registry.jsonl", "requests.jsonl"])
 def test_domain_missing_a_state_file_is_corrupt(home, capsys, name):
     directory = setup_domain(home, capsys)

@@ -1,9 +1,9 @@
 """Properties of the kem/codec.py decoders: every blob round-trips, and a
 truncated, extended or bit-flipped blob raises only the KemError family. The
 k-bit coefficient packing equals a plain-integer reference and has one
-encoding per vector. Ciphertexts travel as grid indices, so one off the
-grid encodes as its rounding. Private keys decode only in the shape extract
-issues them."""
+encoding per vector. Ciphertexts and ephemeral shares travel as grid
+indices, so one off the grid encodes as its rounding. Private keys decode
+only in the shape extract issues them."""
 
 import itertools
 
@@ -84,7 +84,8 @@ def segments(params: KemParams, ct: IdKemCiphertext) -> tuple[np.ndarray, ...]:
 
 def build(kind: str, params: KemParams, fill: str, seed: int, identity: IdentityString,
           grid: bool = True):
-    """One object of kind at params; a ciphertext on its grid unless grid is False."""
+    """One object of kind at params; a ciphertext or a share on its grid, as
+    encaps and eph_generate leave them, unless grid is False."""
     rng = np.random.default_rng(seed)
     if kind == "ciphertext":
         c0 = _coefficients(params, params.m, fill, rng)
@@ -102,6 +103,8 @@ def build(kind: str, params: KemParams, fill: str, seed: int, identity: Identity
         return IdentityPrivateKey(identity=identity, X=_preimage(params, fill, rng),
                                   params_hash=rng.bytes(32), params=params)
     U = _coefficients(params, params.n * params.ell, fill, rng).reshape(params.n, params.ell)
+    if grid:
+        U = on_grid(params, U, params.share_bits)
     return EphemeralPublicKey(params=params, seed_a=rng.bytes(32), U=U)
 
 
@@ -170,6 +173,21 @@ def test_ciphertext_off_the_grid_encodes_as_its_rounding(param_sets, which, fill
                                 params.ciphertext_bits):
         distance = np.minimum((after - before) % params.q, (before - after) % params.q)
         assert int(distance.max()) <= params.rounding_error(d)
+
+
+@PROPERTY
+@given(which=st.sampled_from(["small", "desk"]), fill=st.sampled_from(FILLS),
+       seed=st.integers(0, 2**32))
+def test_share_off_the_grid_encodes_as_its_rounding(param_sets, which, fill, seed):
+    """Any U in [0, q) encodes; decoding moves each syndrome by at most
+    B(share_bits), and the decoded share encodes to the same bytes."""
+    params = param_sets[which]
+    share = build("eph_public", params, fill, seed, None, grid=False)
+    blob = encode("eph_public", share)
+    back = decode("eph_public", blob, params)
+    assert encode("eph_public", back) == blob
+    distance = np.minimum((back.U - share.U) % params.q, (share.U - back.U) % params.q)
+    assert int(distance.max()) <= params.rounding_error(params.share_bits)
 
 
 def test_grid_index_with_another_encoding_is_refused():

@@ -426,6 +426,23 @@ def test_foreign_ephemeral_parameters_rejected(desk, mpk, server_identity, serve
     assert out == [alert_record(AlertCode.DECODE_ERROR)]
 
 
+def test_client_hello_share_in_the_k_bit_layout_gets_decode_error(mpk, server_identity,
+                                                                   server_key):
+    """A share as the previous codec wrote it, every syndrome at k = 20 bits
+    (20,546 B), is refused by its length before the server encapsulates."""
+    client, server = make_pair(mpk, server_identity, server_key, seed=458)
+    _, payload = split_record(client.client_start()[0])
+    hello = decode_client_hello(unframe(payload)[1])
+    p = mpk.params
+    old = hello.eph_share[:34 + 32] + bytes((p.n * p.ell * p.k + 7) // 8)
+    assert len(old) == 20546 and len(hello.eph_share) == 7234
+    out = server.receive_record(record(ContentType.HANDSHAKE,
+                                       encode_client_hello(replace(hello, eph_share=old))))
+    assert out == [alert_record(AlertCode.DECODE_ERROR)]
+    assert server.abort_reason.startswith("DecodeError: ephemeral syndromes")
+    assert (server.ops["decaps"], server.ops["encaps"]) == (0, 0)
+
+
 def test_eph_secret_erased_after_completion(mpk, server_identity, server_key):
     client, server = make_pair(mpk, server_identity, server_key, seed=460)
     conn = establish(client, server)

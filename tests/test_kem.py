@@ -35,6 +35,7 @@ from ibetls.kem.scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
     MasterSecretKey,
+    _decrypt_bits,
     _shuffle_picks,
     _syndrome_matrix,
     _trapdoor_public,
@@ -173,6 +174,78 @@ def test_ciphertext_widths_are_the_fewest_bits_that_decrypt_exactly(desk, which,
             for d_r in full for d_z in full for d_v in full if decrypts(d_r, d_z, d_v)}
     assert (p.k, p.k, p.k) in bits
     assert bits[widths] == min(bits.values()) < bits[(p.k, p.k, p.k)]
+
+
+def ephemeral_noise(p: KemParams, d: int) -> int:
+    """The ephemeral KEM's worst case with its share at d bits: e1, e0 against
+    the ternary x, c0's and c1's rounding error, and the share's rounding
+    error against the encryption secret s, within eta in each of n rows."""
+    B = p.rounding_error
+    d_r, d_z, d_v = p.ciphertext_bits
+    return (p.eta + p.m * p.eta + p.m_bar * (B(d_r) + B(d_z)) + B(d_v)
+            + p.n * p.eta * B(d))
+
+
+@pytest.mark.parametrize("which, share_bits", [("small", 4), ("desk", 7)])
+def test_share_width_is_the_fewest_bits_that_decrypt_exactly(desk, which, share_bits):
+    """The worst case stays below q/4 at share_bits and not one bit lower,
+    and share_bits is the least width in [1, k] where it does."""
+    p = desk if which == "desk" else KemParams(**SMALL)
+    assert p.share_bits == share_bits
+    assert ephemeral_noise(p, share_bits) < p.q // 4 <= ephemeral_noise(p, share_bits - 1)
+    assert p.share_bits == min(d for d in range(1, p.k + 1)
+                               if ephemeral_noise(p, d) < p.q // 4)
+    assert [p.ephemeral_noise(d) for d in range(1, p.k + 1)] == \
+        [ephemeral_noise(p, d) for d in range(1, p.k + 1)]
+    if which == "desk":
+        assert (ephemeral_noise(p, 7), ephemeral_noise(p, 6)) == (248321, 379393)
+
+
+def test_share_width_refuses_parameters_whose_ephemeral_kem_cannot_decrypt():
+    """With beta = 1 the identity KEM's margin leaves c0's trapdoor half at
+    one bit, whose rounding alone outweighs q/4 against a ternary x: no share
+    width decrypts, and share_bits says so rather than pick one."""
+    p = KemParams(n=32, q=1048573, ell=256, beta=1, eta=1, domain_sep=b"x")
+    assert p.ciphertext_bits[0] == 1 and ephemeral_noise(p, p.k) >= p.q // 4
+    with pytest.raises(InvalidParams):
+        p.share_bits
+
+
+@pytest.mark.parametrize("which", ["small", "desk"])
+def test_share_rounding_at_its_worst_decrypts_only_at_share_bits(desk, which):
+    """A hand-built worst case: every syndrome of the share is rounded by
+    B(d) in the direction of the encryption secret s, e0 = -eta*x, e1 = eta,
+    and c0 and c1 carry their largest rounding errors against x. Decryption
+    then sees exactly ephemeral_noise(d): every bit survives at share_bits,
+    and every bit flips one width lower."""
+    p = desk if which == "desk" else KemParams(**SMALL)
+    rng = np.random.default_rng(23)
+    x = np.ones((p.m, p.ell), dtype=np.int8)
+    wide_x = x.astype(np.int64)
+    s = p.eta * rng.choice([-1, 1], size=p.n)
+    k_bits = rng.integers(0, 2, size=p.ell)
+    B = p.rounding_error
+    values = np.arange(p.q, dtype=np.int64)
+    for d, flipped in ((p.share_bits, False), (p.share_bits - 1, True)):
+        error = (decompress(compress(values, d, p.q), d, p.q) - values) % p.q
+        # A value rounded up by B(d) and one rounded down by B(d), per row's sign of s.
+        worst = {sign: int(values[error == sign * B(d) % p.q][0]) for sign in (-1, 1)}
+        A = rng.integers(0, p.q, size=(p.n, p.m))
+        A[:, 0] = [worst[int(np.sign(si))] for si in s] - A[:, 1:].sum(axis=1)
+        A %= p.q
+        syndromes = A @ wide_x % p.q
+        U = decompress(compress(syndromes, d, p.q), d, p.q)
+        assert np.array_equal((U - syndromes) % p.q,
+                              np.outer(np.sign(s) * B(d), np.ones(p.ell, dtype=np.int64)) % p.q)
+        widths = np.repeat(p.ciphertext_bits, [p.m_bar, p.m_bar, p.ell])
+        rounding = np.array([B(int(w)) for w in widths])
+        c0 = (A.T @ s - p.eta * x[:, 0] - rounding[: p.m]) % p.q
+        c1 = (U.T @ s + p.eta + rounding[p.m :] + (p.q // 2) * k_bits) % p.q
+        ct = IdKemCiphertext(params=p, c0=c0, c1=c1)
+        mask = (c1 - c0 @ wide_x - (p.q // 2) * k_bits) % p.q
+        assert set(mask.tolist()) == {ephemeral_noise(p, d)}
+        recovered = _decrypt_bits(p, x, ct, 1)
+        assert np.array_equal(recovered != k_bits, np.full(p.ell, flipped)), d
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -76,29 +78,62 @@ def test_ciphertext_size_constant_across_handshakes(mpk, server_identity, server
 def test_desk_wire_sizes_follow_the_packing_formula(desk, capsys):
     """Ciphertexts carry c0's trapdoor half at d_r = 18, its gadget half at
     d_z = 12 and c1 at d_v = 4 bits per coefficient, each part padded to a
-    byte; ephemeral shares carry k = 20 bits per Z_q coefficient after the
+    byte; ephemeral shares carry share_bits = 7 bits per syndrome after the
     prefix and the matrix seed."""
     d_r, d_z, d_v = desk.ciphertext_bits
     assert (d_r, d_z, d_v) == (18, 12, 4)
     ct = (34 + (desk.m_bar * d_r + 7) // 8 + (desk.m_bar * d_z + 7) // 8
           + (desk.ell * d_v + 7) // 8)
     assert ciphertext_size(desk) == ct == 2562
-    share = 34 + 32 + desk.n * desk.ell * desk.k // 8
-    assert eph_public_size(desk) == share == 20546
+    assert desk.share_bits == 7
+    share = 34 + 32 + (desk.n * desk.ell * desk.share_bits + 7) // 8
+    assert eph_public_size(desk) == share == 7234
     assert len(encode_eph_public(eph_generate(desk, seed_of(1)).public)) == share
 
     assert main(["bench-report", "--format", "json"]) == 0
     ibe = json.loads(capsys.readouterr().out)["ibeTls"]
     # Framing and the random take 41 B of each hello, the client's identity
     # extension 29 B more; each auth extension is 8 B of header + |ct|.
-    assert ibe["messages"]["ClientHello"] == 41 + 29 + share + 8 + ct == 23186
+    assert ibe["messages"]["ClientHello"] == 41 + 29 + share + 8 + ct == 9874
     assert ibe["messages"]["ServerHello"] == 41 + ct + 8 + ct == 5173
-    assert (ibe["ephemeralShareBytes"], ibe["coefficientBits"]) == (share, desk.k)
+    assert (ibe["ephemeralShareBytes"], ibe["coefficientBits"]) == (share, desk.share_bits)
 
     # Measured authentication data is below the certificate model's range.
     low, high = CertCostModel().total_range()
     assert ibe["kemCiphertextBytes"] == 3 * ct == 7686
     assert 3 * ct < low
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_wire_format_figures_match_bench_report(desk, capsys):
+    """Every size and width that README's wire-format paragraph quotes for the
+    share, the ciphertext and the two hellos is the one bench-report measures
+    and KemParams derives, so a change to the wire cannot leave it stale."""
+    text = " ".join(README.read_text().split())  # a figure may wrap across lines
+    assert main(["bench-report", "--format", "json"]) == 0
+    ibe = json.loads(capsys.readouterr().out)["ibeTls"]
+    d_r, d_z, d_v = desk.ciphertext_bits
+    quoted = {
+        r"A ciphertext is ([\d,]+) B": ibe["ciphertextBytes"],
+        r"an ephemeral share ([\d,]+) B": ibe["ephemeralShareBytes"],
+        r"a mutual handshake ([\d,]+) B": ibe["wireBytes"],
+        r"ClientHello ([\d,]+) B": ibe["messages"]["ClientHello"],
+        r"ServerHello ([\d,]+) B": ibe["messages"]["ServerHello"],
+        r"`share_bits = (\d+)` bits": ibe["coefficientBits"],
+        r"not `k = (\d+)`": desk.k,
+        r"`d_r = (\d+)` bits": d_r,
+        r"`d_z = (\d+)` bits": d_z,
+        r"`d_v = (\d+)` bits": d_v,
+        r"= ([\d,]+) < [\d,]+ at desk parameters, where": desk.ephemeral_noise(desk.share_bits),
+        r"where (\d+) bits would reach": desk.share_bits - 1,
+        r"bits would reach ([\d,]+)": desk.ephemeral_noise(desk.share_bits - 1),
+    }
+    for pattern, expected in quoted.items():
+        found = {int(figure.replace(",", "")) for figure in re.findall(pattern, text)}
+        assert found == {expected}, (pattern, found)
+    assert ibe["coefficientBits"] == desk.share_bits
 
 
 def test_cert_model_totals():

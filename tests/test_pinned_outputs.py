@@ -21,10 +21,10 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("script, seed, digest", [
-    (DEMO_K8S_SCRIPT, 0, "4eae09c7a4515fb4c2c20a76347704180ec8c5e6557901fe616a3c818e7d8d56"),
-    (DEMO_5G_SCRIPT, 0, "e7fe8ae584c65181f8d69e8d2ba41e8dc34f76c841a19ea610a292b5edabc76d"),
-    (DEMO_K8S_SCRIPT, 7, "84eaba61ba504252e80597ddc56aac663138f0a820ef009c4c0bd5dfc677736b"),
-    (DEMO_5G_SCRIPT, 7, "422bb97a6ac62b793e59222021ad3439bfc2d98b3b4e0f7f0d8f6c6f83bb9f33"),
+    (DEMO_K8S_SCRIPT, 0, "3d3e22e7bb77a83cb69d356eca32de1e0dd97ebad948ccc89ede64ca22e6378b"),
+    (DEMO_5G_SCRIPT, 0, "629c3c213861f4b29ff18768bfc80cb25be1653bb645220e68dbe16b59206384"),
+    (DEMO_K8S_SCRIPT, 7, "6d3e21db347e63794a62782a5c50b9ed100da2cf66f6603a01a22109a04036c1"),
+    (DEMO_5G_SCRIPT, 7, "41fded50cdf4fc362ef840ec7e212a64e9d97a2b17582cf104451cc7d1a35407"),
 ], ids=["k8s-0", "5g-0", "k8s-7", "5g-7"])
 def test_demo_log_digest(script, seed, digest):
     # the bytes demo-k8s / demo-5g --format json print
@@ -34,7 +34,7 @@ def test_demo_log_digest(script, seed, digest):
 def test_bench_report_digest(capsys):
     assert main(["bench-report", "--format", "json"]) == 0
     assert sha256(capsys.readouterr().out) == (
-        "9756986f1b4e661d7ce27ce0419f9fb43efe7930101646f21377401e9609129e")
+        "aafcd0c1ff1feb3880f4f4c4e968ab1d682c4d815feced759dab019509cffad9")
 
 
 KEY_DIGESTS = {
