@@ -77,11 +77,6 @@ def unpack_vec(data: bytes, count: int, q: int, what: str) -> np.ndarray:
     return _words(data, count, q, what).astype(np.int64)
 
 
-def packed_size(count: int, q: int) -> int:
-    """Bytes that pack_coeffs takes for count coefficients of Z_q."""
-    return (count * (q - 1).bit_length() + 7) // 8
-
-
 @functools.lru_cache(maxsize=8)
 def _bit_layout(segments: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, ...]:
     """Where each coefficient of segments sits in a stream of u64 words.
@@ -158,23 +153,6 @@ def _unpack(data: bytes, segments: tuple[tuple[int, int], ...], what: str) -> np
     return values
 
 
-def pack_coeffs(values: np.ndarray, q: int) -> bytes:
-    """values (each in [0, q)) at (q-1).bit_length() bits each, little-endian."""
-    return _pack(values, ((np.size(values), (q - 1).bit_length()),))
-
-
-def unpack_coeffs(data: bytes, count: int, q: int, what: str) -> np.ndarray:
-    """The count coefficients pack_coeffs wrote into data, as int64.
-
-    data must have exactly packed_size(count, q) bytes, zero pad bits and
-    every coefficient below q, so each vector has one encoding.
-    """
-    values = _unpack(data, ((count, (q - 1).bit_length()),), what)
-    if values.size and int(values.max()) >= q:
-        raise DecodeError(f"{what}: coefficient out of range")
-    return values.view(np.int64)
-
-
 def _prefix(params_hash: bytes, scheme_id: int) -> bytes:
     return params_hash + struct.pack("!H", scheme_id)
 
@@ -223,7 +201,7 @@ def ciphertext_size(params: KemParams) -> int:
 
 def eph_public_size(params: KemParams) -> int:
     """Serialized length of an ephemeral public share at params."""
-    return 34 + 32 + packed_size(params.n * params.ell, 1 << params.share_bits)
+    return 34 + 32 + _segment_ends(_share_segments(params))[-1]
 
 
 def encode_ciphertext(ct: IdKemCiphertext, params_hash: bytes,

@@ -10,12 +10,14 @@ from .errors import MalformedIdentity
 
 def is_epoch(epoch: str) -> bool:
     """Whether epoch is an unsigned integer ("20250101", "7") or an ISO-8601
-    date ("2025-01-01"), the two forms an identity's last segment may take."""
+    date written YYYY-MM-DD ("2025-01-01"), the two forms an identity's last
+    segment may take. The date must be what isoformat writes for it, so the
+    week dates that fromisoformat reads from Python 3.11 on are refused on
+    every version."""
     if epoch.isdigit():
         return True
     try:
-        datetime.date.fromisoformat(epoch)
-        return True
+        return datetime.date.fromisoformat(epoch).isoformat() == epoch
     except ValueError:
         return False
 

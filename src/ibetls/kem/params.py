@@ -87,6 +87,7 @@ class KemParams:
             raise InvalidParams(
                 "correctness margin violated: m*beta*eta + eta must be < q/4"
             )
+        self.share_bits  # raises InvalidParams when the ephemeral KEM cannot decrypt
         # 3 skips this method and the generated __init__ (file "<string>"),
         # so the warning names the line that built the parameters.
         warnings.warn(NOT_SECURE_BANNER, ToyParametersWarning, stacklevel=3)

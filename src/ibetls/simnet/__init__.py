@@ -5,6 +5,7 @@ from .core import (
     SimClock,
     SimNode,
     TrustDomainSim,
+    first_client_app_record_index,
     run_handshake,
 )
 from .fiveg import (
@@ -65,6 +66,7 @@ __all__ = [
     "app_send",
     "app_recv_chunk",
     "run_handshake",
+    "first_client_app_record_index",
     "client_handshake_over_stream",
     "server_handshake_over_stream",
     "stream_send_message",

@@ -27,7 +27,7 @@ TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"  # issuanceTime, and a delivery's expiration
 
 
 class RegistryCorrupt(Exception):
-    """Issuer state on disk is torn, malformed, or breaks the hash chain."""
+    """Issuer state on disk is malformed or breaks the hash chain."""
 
 
 class JournalConflict(Exception):
@@ -192,16 +192,17 @@ class Journal:
         self.path = Path(path)
         self.size = size
 
-    def read(self) -> tuple[list[dict], bytes]:
-        """The documents on the complete lines of the file, and its torn tail.
+    def read(self) -> list[dict]:
+        """The documents on the complete lines of the file.
 
-        A line is complete once its newline is written; the bytes after the
-        last newline are returned as they are. A complete line that is not one
-        JSON object raises RegistryCorrupt.
+        A line is complete once its newline is written. Bytes after the last
+        newline are an append whose writer died: they are not read, and size
+        ends before them, so the next append_line cuts them. A complete line
+        that is not one JSON object raises RegistryCorrupt.
         """
         data = self.path.read_bytes()
-        self.size = len(data)
-        body, _, tail = data.rpartition(b"\n")
+        body, newline, _ = data.rpartition(b"\n")
+        self.size = len(body) + len(newline)
         docs = []
         for number, line in enumerate(body.split(b"\n"), 1):
             if not line.strip():
@@ -213,35 +214,40 @@ class Journal:
             if not isinstance(doc, dict):
                 raise RegistryCorrupt(f"{self.path}: line {number} is not a JSON record")
             docs.append(doc)
-        return docs, tail
+        return docs
 
 
 def append_line(journal: Journal, doc: dict) -> None:
     """Append one JSON document as one line, durable once this returns.
 
     Under an exclusive lock on the file, the line is written only if the file
-    still has the length this writer last read or wrote; otherwise another
-    writer has appended since, and JournalConflict is raised.
+    still has the length this writer last read or wrote. Every writer holds
+    that lock, so bytes past that length with no newline in them are an
+    append whose writer died holding it: they are cut first. Anything else,
+    a complete line from another writer or a shorter file, raises
+    JournalConflict, and nothing is written.
     """
     line = json_line(doc).encode("utf-8")
     with open(journal.path, "ab") as sink:
         fcntl.flock(sink, fcntl.LOCK_EX)  # released when the file closes
         size = os.fstat(sink.fileno()).st_size
         if size != journal.size:
-            raise JournalConflict(f"{journal.path} is {size} bytes, not the {journal.size} "
-                                  "this writer last saw: another writer has changed it")
+            with open(journal.path, "rb") as source:
+                source.seek(journal.size)
+                if size < journal.size or b"\n" in source.read():
+                    raise JournalConflict(
+                        f"{journal.path} is {size} bytes, not the {journal.size} "
+                        "this writer last saw: another writer has changed it")
+            os.ftruncate(sink.fileno(), journal.size)
         sink.write(line)
         sink.flush()
         os.fsync(sink.fileno())
-    journal.size = size + len(line)
+    journal.size += len(line)
 
 
 def read_chain(journal: Journal) -> list[RegistryRecord]:
-    docs, tail = journal.read()
-    if tail.strip():
-        raise RegistryCorrupt(f"{journal.path}: last record is torn (no newline)")
     try:
-        return [RegistryRecord.from_dict(doc) for doc in docs]
+        return [RegistryRecord.from_dict(doc) for doc in journal.read()]
     except BadRequest as exc:
         raise RegistryCorrupt(f"{journal.path}: bad record: {exc}") from None
 

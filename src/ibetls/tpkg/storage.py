@@ -17,24 +17,24 @@ directory a crash left. A domain-dir without policy.json or either journal
 is RegistryCorrupt.
 
 Files that change afterwards are written in one of two ways. The two .jsonl
-files are appended one line at a time, and each append is fsynced before the
-call that made it returns. An append holds an exclusive flock on its file and
-is refused with JournalConflict unless the file still has the length this
-service last read or wrote: two services on one home, in one process or two, cannot both
-append from their own view and fork the chain or reuse a request name.
-mpk.bin, policy.json and the shares are replaced whole: a temp file in the
-same directory is written and fsynced, then renamed over the old one, so a
-crash leaves the old file or the new one.
+files are appended one line at a time by registry.append_line, and each
+append is fsynced before the call that made it returns. An append holds an
+exclusive flock on its file and is refused with JournalConflict unless the
+file still has the length this service last read or wrote: two services on
+one home, in one process or two, cannot both append from their own view and
+fork the chain or reuse a request name. A crash inside an append leaves a
+torn last line; reading skips it, so the domain loads as it was before that
+append, and the next append cuts it under the lock. Nothing that only reads
+writes a journal. mpk.bin, policy.json and the shares are replaced whole: a
+temp file in the same directory is written and fsynced, then renamed over
+the old one, so a crash leaves the old file or the new one.
 
 Write order. A request transition that has a registry record (auto-approval,
 approve, deny, issue) appends that record first and the request line second.
 A crash between the two leaves the request in its old state next to a record
 of the new one, and retrying the call succeeds; the other order would leave an
 Issued request with no Active record, and a retry would be refused as already
-issued. A crash inside an append leaves a torn last line. In requests.jsonl,
-load_domain truncates it, so the request keeps its old state. In
-registry.jsonl it is corruption, as is any break in the chain: loading raises
-RegistryCorrupt.
+issued.
 """
 
 from __future__ import annotations
@@ -156,12 +156,8 @@ def load_domain(directory: Path, authenticator=None, clock=None) -> TpkgService:
         raise RegistryCorrupt(f"{directory / 'registry.jsonl'}: bad revoked identity: "
                               f"{exc!r}") from None
     journal = Journal(directory / "requests.jsonl")
-    docs, tail = journal.read()
-    if tail:  # a torn last append
-        journal.size -= len(tail)
-        os.truncate(journal.path, journal.size)
     try:
-        for doc in docs:
+        for doc in journal.read():
             request = IdentityRequest.from_dict(doc)
             service.requests[request.name] = request
     except (ValueError, MalformedIdentity) as exc:  # a wrong type is a BadRequest

@@ -1,6 +1,6 @@
 """Properties of the kem/codec.py decoders: every blob round-trips, and a
 truncated, extended or bit-flipped blob raises only the KemError family. The
-k-bit coefficient packing equals a plain-integer reference and has one
+segmented bit packing equals a plain-integer reference and has one
 encoding per vector. Ciphertexts and ephemeral shares travel as grid
 indices, so one off the grid encodes as its rounding. Private keys decode
 only in the shape extract issues them."""
@@ -26,9 +26,8 @@ from ibetls.kem import (
     encode_master_public,
     encode_private_key,
 )
-from ibetls.kem.codec import _pack, _unpack, pack_coeffs, pack_vec, packed_size, unpack_coeffs
+from ibetls.kem.codec import _pack, _segment_ends, _unpack, pack_vec
 from ibetls.kem.ephemeral import EphemeralPublicKey
-from ibetls.kem.params import is_prime
 from ibetls.kem.scheme import (
     IdentityPrivateKey,
     IdKemCiphertext,
@@ -204,12 +203,13 @@ def test_grid_index_with_another_encoding_is_refused():
     zero = IdKemCiphertext(params=tight, c0=np.zeros(tight.m, dtype=np.int64),
                            c1=np.zeros(tight.ell, dtype=np.int64))
     blob = encode_ciphertext(zero, CT_PARAMS_HASH)
-    rest = blob[34 + packed_size(tight.m_bar, 1 << d_r):]
+    trapdoor_half = ((tight.m_bar, d_r),)
+    rest = blob[34 + _segment_ends(trapdoor_half)[-1]:]
     for index in others[:: others.size // 16]:
         top = np.zeros(tight.m_bar, dtype=np.int64)
         top[5] = index
         with pytest.raises(DecodeError):
-            decode("ciphertext", blob[:34] + pack_coeffs(top, 1 << d_r) + rest, tight)
+            decode("ciphertext", blob[:34] + _pack(top, trapdoor_half) + rest, tight)
 
 
 mutations = st.one_of(
@@ -245,17 +245,8 @@ def test_mangled_blob_raises_only_kem_errors(param_sets, kind, which, fill, muta
             pass
 
 
-# -- pack_coeffs / unpack_coeffs: k-bit coefficients in one little-endian bit stream
-
-def prime_of_width(k: int, start: int) -> int:
-    """A prime q with (q-1).bit_length() == k: the first one at or after start
-    in (2^(k-1), 2^k], else the last one before it."""
-    low, high = 2 ** (k - 1) + 1, 2 ** k
-    start = min(max(start, low), high)
-    for q in itertools.chain(range(start, high + 1), range(start - 1, low - 1, -1)):
-        if is_prime(q):
-            return q
-    raise AssertionError(f"no prime of width {k}")
+# -- _pack / _unpack: segments of k-bit coefficients, each its own
+# little-endian bit stream padded to a byte
 
 
 def reference_pack(values: list[int], k: int) -> bytes:
@@ -264,51 +255,24 @@ def reference_pack(values: list[int], k: int) -> bytes:
         (len(values) * k + 7) // 8, "little")
 
 
-@st.composite
-def coefficient_vectors(draw):
-    """(q, k, values) for a prime q of every width k in 2..26."""
-    k = draw(st.integers(2, 26))
-    q = prime_of_width(k, draw(st.integers(2 ** (k - 1), 2 ** k)))
-    count = draw(st.integers(1, 70))
-    fill = draw(st.sampled_from(["random", "zero", "max"]))
-    if fill == "random":
-        values = draw(st.lists(st.integers(0, q - 1), min_size=count, max_size=count))
-    else:
-        values = [0 if fill == "zero" else q - 1] * count
-    return q, k, values
-
-
-@PROPERTY
-@given(vector=coefficient_vectors())
-@example(vector=(3, 2, [2, 1, 0]))
-@example(vector=(prime_of_width(26, 2 ** 26), 26, [prime_of_width(26, 2 ** 26) - 1] * 5))
-def test_pack_coeffs_is_the_bit_stream_and_round_trips(vector):
-    q, k, values = vector
-    assert (q - 1).bit_length() == k
-    blob = pack_coeffs(np.array(values, dtype=np.int64), q)
-    assert blob == reference_pack(values, k)
-    assert len(blob) == packed_size(len(values), q)
-    back = unpack_coeffs(blob, len(values), q, "vector")
-    assert back.dtype == np.int64 and back.tolist() == values
-
-
-@pytest.mark.parametrize("k", range(2, 27))
+@pytest.mark.parametrize("k", range(1, 33))
 def test_every_width_packs_the_extreme_vectors(k):
     rng = np.random.default_rng(k)
-    for q in (prime_of_width(k, 0), prime_of_width(k, 2 ** k)):
-        for count in (1, 7, 8, 33):
-            for values in ([0] * count, [q - 1] * count, rng.integers(0, q, count).tolist()):
-                blob = pack_coeffs(np.array(values), q)
-                assert blob == reference_pack(values, k), (q, count)
-                assert unpack_coeffs(blob, count, q, "vector").tolist() == values
+    for count in (1, 7, 8, 33):
+        segments = ((count, k),)
+        for values in ([0] * count, [2 ** k - 1] * count,
+                       rng.integers(0, 2 ** k, count).tolist()):
+            blob = _pack(np.array(values, dtype=np.uint64), segments)
+            assert blob == reference_pack(values, k), count
+            assert _unpack(blob, segments, "vector").tolist() == values
 
 
 @st.composite
 def segmented_vectors(draw):
-    """((count, k), ...) for two to four segments of widths 1..32, and the
+    """((count, k), ...) for one to four segments of widths 1..32, and the
     values of each segment."""
     segments, values = [], []
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.integers(1, 4))):
         count, k = draw(st.integers(1, 40)), draw(st.integers(1, 32))
         segments.append((count, k))
         values.append(draw(st.lists(st.integers(0, 2 ** k - 1), min_size=count,
@@ -319,6 +283,8 @@ def segmented_vectors(draw):
 @PROPERTY
 @given(vector=segmented_vectors(), where=st.integers(0, 2**31))
 @example(vector=(((3, 5), (2, 3), (1, 32)), [[31, 0, 17], [7, 1], [2 ** 32 - 1]]), where=0)
+@example(vector=(((3, 2),), [[2, 1, 0]]), where=0)
+@example(vector=(((5, 26),), [[2 ** 26 - 1] * 5]), where=0)
 def test_segments_pack_as_byte_padded_bit_streams(vector, where):
     """Each segment is its own bit stream padded to a byte, as the parts of a
     ciphertext are, and a set pad bit in any segment is refused."""
@@ -326,8 +292,10 @@ def test_segments_pack_as_byte_padded_bit_streams(vector, where):
     flat = [value for segment in values for value in segment]
     blob = _pack(np.array(flat, dtype=np.uint64), segments)
     assert blob == b"".join(reference_pack(v, k) for v, (_, k) in zip(values, segments))
-    assert _unpack(blob, segments, "vector").tolist() == flat
     ends = list(itertools.accumulate((count * k + 7) // 8 for count, k in segments))
+    assert len(blob) == _segment_ends(segments)[-1] == ends[-1]
+    back = _unpack(blob, segments, "vector")
+    assert back.dtype == np.uint64 and back.tolist() == flat
     padded = [(end, count * k % 8) for (count, k), end in zip(segments, ends) if count * k % 8]
     if padded:
         end, used = padded[where % len(padded)]
@@ -338,24 +306,14 @@ def test_segments_pack_as_byte_padded_bit_streams(vector, where):
 
 
 @PROPERTY
-@given(vector=coefficient_vectors(), where=st.integers(0, 2**31), bit=st.integers(0, 7))
-def test_noncanonical_packing_raises_decode_error(vector, where, bit):
-    q, k, values = vector
-    count = len(values)
-    blob = reference_pack(values, k)
+@given(vector=segmented_vectors(), bit=st.integers(0, 7))
+def test_noncanonical_packing_raises_decode_error(vector, bit):
+    """A stream a byte short or a byte long is refused, whatever that byte holds."""
+    segments, values = vector
+    blob = b"".join(reference_pack(v, k) for v, (_, k) in zip(values, segments))
     for wrong in (blob[:-1], blob + b"\x00", blob + bytes([1 << bit])):
         with pytest.raises(DecodeError):
-            unpack_coeffs(wrong, count, q, "vector")
-    used = count * k % 8
-    if used:  # any nonzero pad bit
-        pad_bit = used + bit % (8 - used)
-        with pytest.raises(DecodeError):
-            unpack_coeffs(blob[:-1] + bytes([blob[-1] | 1 << pad_bit]), count, q, "vector")
-    # a coefficient in [q, 2^k), which fits the width but is not in Z_q
-    big = list(values)
-    big[where % count] = q + where % (2 ** k - q)
-    with pytest.raises(DecodeError):
-        unpack_coeffs(reference_pack(big, k), count, q, "vector")
+            _unpack(wrong, segments, "vector")
 
 
 @PROPERTY

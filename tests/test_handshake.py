@@ -355,11 +355,11 @@ def test_server_hello_ciphertext_in_the_k_bit_layout_gets_decode_error(mpk, serv
     every coefficient at k bits, or all of c0 at d_u = 18 and c1 at d_v = 6
     bits."""
     from ibetls.handshake.wire import decode_server_hello, encode_server_hello, unframe
-    from ibetls.kem.codec import packed_size
+    from ibetls.kem.codec import _segment_ends
 
     p = mpk.params
-    layouts = {3874: packed_size(p.m + p.ell, p.q),
-               3106: packed_size(p.m, 1 << 18) + packed_size(p.ell, 1 << 6)}
+    layouts = {3874: _segment_ends(((p.m + p.ell, p.k),))[-1],
+               3106: _segment_ends(((p.m, 18), (p.ell, 6)))[-1]}
     for size, body in layouts.items():
         client, server = make_pair(mpk, server_identity, server_key, seed=436)
         server_hello, *rest = server.receive_record(client.client_start()[0])

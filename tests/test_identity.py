@@ -31,6 +31,8 @@ def test_iso_date_epoch():
         "a.b.not-an-epoch",          # epoch neither integer nor ISO date
         ".b.20250101",               # leading empty segment
         "a.b.",                      # empty epoch
+        "svc.2025-W01-1",            # ISO week dates, which Python 3.11's
+        "svc.2025W011",              # fromisoformat reads and 3.10's refuses
     ],
 )
 def test_malformed_identities_rejected(text):

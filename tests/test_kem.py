@@ -204,11 +204,10 @@ def test_share_width_is_the_fewest_bits_that_decrypt_exactly(desk, which, share_
 def test_share_width_refuses_parameters_whose_ephemeral_kem_cannot_decrypt():
     """With beta = 1 the identity KEM's margin leaves c0's trapdoor half at
     one bit, whose rounding alone outweighs q/4 against a ternary x: no share
-    width decrypts, and share_bits says so rather than pick one."""
-    p = KemParams(n=32, q=1048573, ell=256, beta=1, eta=1, domain_sep=b"x")
-    assert p.ciphertext_bits[0] == 1 and ephemeral_noise(p, p.k) >= p.q // 4
-    with pytest.raises(InvalidParams):
-        p.share_bits
+    width decrypts, and the set is refused where it is built rather than at
+    its first eph_generate."""
+    with pytest.raises(InvalidParams, match="ephemeral decryption noise"):
+        KemParams(n=32, q=1048573, ell=256, beta=1, eta=1, domain_sep=b"x")
 
 
 @pytest.mark.parametrize("which", ["small", "desk"])

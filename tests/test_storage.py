@@ -27,7 +27,7 @@ from ibetls.tpkg import (
     save_domain,
     save_state,
 )
-from ibetls.tpkg.registry import GENESIS_PREV
+from ibetls.tpkg.registry import GENESIS_PREV, Journal, append_line
 
 from test_tpkg import authenticator, fixed_clock, make_policy
 
@@ -228,29 +228,75 @@ def _validity(service: TpkgService):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("last", ["submit", "approve"])
-def test_torn_journal_tail_loads_old_state_at_every_offset(tmp_path, desk, last):
+def snapshot(service: TpkgService) -> tuple:
+    return states(service), service.registry.records
+
+
+# (torn journal, last call). A call appends its registry record before its
+# request line, so a torn request line follows a complete record, and a torn
+# record (registry-approve) comes before a request line never written.
+@pytest.mark.parametrize("torn, last", [
+    pytest.param("requests.jsonl", "submit", id="submit"),
+    pytest.param("requests.jsonl", "approve", id="approve"),
+    pytest.param("registry.jsonl", "approve", id="registry-approve"),
+    pytest.param("registry.jsonl", "revoke", id="registry-revoke"),
+])
+def test_torn_journal_tail_loads_old_state_at_every_offset(tmp_path, desk, torn, last):
+    """A crash inside an append leaves any prefix of its line. At every cut
+    the domain loads as it was before that append, loading writes neither
+    journal, and the next append cuts the torn line."""
     service, _ = new_domain(desk, tmp_path)
     pending = service.submit_request("scheduler.20250101", ("client",), 3600, b"admin")
-    journal = tmp_path / "requests.jsonl"
-    old_bytes, old_state = journal.read_bytes(), states(service)
+    journal = tmp_path / torn
+    other = tmp_path / ("registry.jsonl" if torn == "requests.jsonl" else "requests.jsonl")
+    old_bytes, other_before = journal.read_bytes(), other.read_bytes()
     if last == "submit":
         service.submit_request(NODE, ("client",), 3600, b"bootstrap-node-01")
-    else:
+    elif last == "approve":
         service.approve_request(pending.name, "admin")
-    new_bytes, new_state = journal.read_bytes(), states(service)
+    else:
+        service.revoke_identity(NODE)
+    new_bytes = journal.read_bytes()
+    other_bytes = other.read_bytes() if torn == "requests.jsonl" else other_before
+    other.write_bytes(other_bytes)
+    journal.write_bytes(old_bytes)
+    old_state = snapshot(reload(tmp_path))
+    journal.write_bytes(new_bytes)
+    new_state = snapshot(reload(tmp_path))
     assert old_state != new_state
 
     for cut in range(len(old_bytes), len(new_bytes) + 1):
         journal.write_bytes(new_bytes[:cut])
+        other.write_bytes(other_bytes)
         reloaded = reload(tmp_path)
-        assert states(reloaded) == (new_state if cut == len(new_bytes) else old_state), cut
-        # Recovery truncated the torn tail, so the next append reloads cleanly.
-        extra = reloaded.submit_request("controller-manager.20250101", ("client",), 3600,
+        assert snapshot(reloaded) == (new_state if cut == len(new_bytes) else old_state), cut
+        assert (journal.read_bytes(), other.read_bytes()) == (new_bytes[:cut], other_bytes)
+        # The next append to each journal cuts a torn line before its own.
+        reloaded.revoke_identity("controller-manager.20250101")
+        extra = reloaded.submit_request("kube-apiserver.20250101", ("client",), 3600,
                                         b"admin")
         again = reload(tmp_path)
-        assert states(again) == states(reloaded), cut
+        assert again.registry.verify() is None, cut
+        assert snapshot(again) == snapshot(reloaded), cut
         assert again.requests[extra.name].status is RequestStatus.PENDING
+
+
+def test_append_cuts_only_a_torn_line(tmp_path):
+    """Past the length this writer saw, bytes with no newline are an append
+    whose writer died holding the lock, and are cut; a complete line or a
+    shorter file is another writer's, and nothing is written."""
+    path = tmp_path / "journal.jsonl"
+    path.write_bytes(b'{"a": 1}\n{"b": 2')
+    journal = Journal(path)
+    assert journal.read() == [{"a": 1}] and journal.size == 9
+    assert path.read_bytes() == b'{"a": 1}\n{"b": 2'
+    append_line(journal, {"c": 3})
+    assert path.read_bytes() == b'{"a": 1}\n{"c": 3}\n' and journal.size == 18
+    for changed in (b'{"a": 1}\n{"c": 3}\n{"d": 4}\n{"e"', b'{"a": 1}\n{"c": 3}'):
+        path.write_bytes(changed)
+        with pytest.raises(JournalConflict):
+            append_line(journal, {"f": 6})
+        assert path.read_bytes() == changed and journal.size == 18
 
 
 @pytest.mark.parametrize("call", ["approve", "issue"])
