@@ -1,13 +1,13 @@
 """Operator command surface.
 
-Exit codes: 0 success, 2 usage/config error, 3 policy denial,
-4 handshake or scenario failure, or a --remote endpoint that is unreachable,
-sends a message longer than the transport accepts or replies with something
-other than a JSON object, 5 corrupt state on disk (a journal, mpk.bin,
-policy.json, a share set), or a journal that another writer
-changed since this command read it (nothing was written; retry). A command
-that fails says why in one stderr line; FAILURES maps each exception to its
-code.
+Exit codes: 0 success, 2 usage/config error, 3 policy denial, 4 handshake or
+scenario failure, or a --remote endpoint that is unreachable, sends a message
+longer than the transport accepts or a record that fails to open (an alert
+among them), or replies with something other than a JSON object, 5 corrupt
+state on disk (a journal, mpk.bin, policy.json, a share set), or a journal
+that another writer changed since this command read it (nothing was written;
+retry). A command that fails says why in one stderr line; FAILURES maps each
+exception to its code.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 import warnings
 from pathlib import Path
 
-from .handshake import ClientSession, ServerSession
+from .handshake import ClientSession, RecordAuthError, ServerSession
 from .kem import (
     NOT_SECURE_BANNER,
     IdentityString,
@@ -90,7 +90,7 @@ FAILURES = (
     (ThresholdNotMet, EXIT_USAGE, "refusing to serve: {}"),
     (TpkgError, EXIT_POLICY, "denied: {}"),
     (RemoteUnreachable, EXIT_HANDSHAKE, "unreachable: {}"),
-    (MessageTooLarge, EXIT_HANDSHAKE, "refused: {}"),
+    ((MessageTooLarge, RecordAuthError), EXIT_HANDSHAKE, "refused: {}"),
     (LegacyLayout, EXIT_USAGE, "{}"),
     ((MalformedIdentity, ValueError, OSError), EXIT_USAGE, "error: {}"),
 )
@@ -149,13 +149,7 @@ def _json_doc(raw: bytes):
 
 
 def _print(payload, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        if isinstance(payload, str):
-            print(payload)
-        else:
-            print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, indent=2 if fmt == "json" else None, sort_keys=True))
 
 
 def cmd_tpkg_setup(args, config: CliConfig) -> int:
@@ -363,7 +357,7 @@ def cmd_demo(script: dict, args, config: CliConfig) -> int:
 
 
 def cmd_bench_report(args, config: CliConfig) -> int:
-    sim = KubernetesSim(seed=seed_bytes(args.seed))
+    sim = KubernetesSim(seed=seed_bytes(0))  # the report depends on no key
     report_conn = sim.connect("kube-scheduler", "kube-apiserver")
     if not report_conn.ok:
         print("benchmark handshake failed", file=sys.stderr)
@@ -459,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench-report", help="comparison against the cert-based model")
     bench_p.set_defaults(run=cmd_bench_report)
-    bench_p.add_argument("--seed", type=int, default=0)
     bench_p.add_argument("--out", default=None)
     bench_p.add_argument("--format", choices=["json", "table"], default="table")
 

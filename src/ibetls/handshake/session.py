@@ -128,10 +128,12 @@ class _SessionBase:
         self.ops = {"encaps": 0, "decaps": 0, "sign": 0, "verify": 0, "pubkey_derive": 0}
         self.message_log: list[tuple[str, str, int]] = []  # (direction, name, wire length)
         self.auth_bytes = 0
-        self._hs_send: DirectionKeys | None = None
-        self._hs_recv: DirectionKeys | None = None
-        self._app_send: DirectionKeys | None = None
-        self._app_recv: DirectionKeys | None = None
+        # Handshake traffic keys from ServerHello on, application traffic keys
+        # from Complete (RFC 8446 §7); app_buffer holds opened bytes that do
+        # not yet make a whole application message.
+        self._send: DirectionKeys | None = None
+        self._recv: DirectionKeys | None = None
+        self.app_buffer = bytearray()
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -140,9 +142,6 @@ class _SessionBase:
         sender = self.role if direction == "send" else ("server" if self.role == "client" else "client")
         self.transcript.update(framed)
         self.message_log.append((direction, message_name(msg_type, sender), len(framed)))
-
-    def _count_auth_extension(self, ext_data_len: int) -> None:
-        self.auth_bytes += 4 + ext_data_len
 
     def transcript_hash(self) -> bytes:
         return self.transcript.copy().digest()
@@ -154,13 +153,10 @@ class _SessionBase:
         self.abort_reason = reason
         return [alert_record(code)]
 
-    def _directions(self, client_secret: bytes,
-                    server_secret: bytes) -> tuple[DirectionKeys, DirectionKeys]:
-        """This side's (send, receive) keys from a (client, server) secret pair."""
-        client_keys, server_keys = DirectionKeys(client_secret), DirectionKeys(server_secret)
-        if self.role == "client":
-            return client_keys, server_keys
-        return server_keys, client_keys
+    def _use_keys(self, client_secret: bytes, server_secret: bytes) -> None:
+        """Protect every record from here on under a (client, server) secret pair."""
+        keys = DirectionKeys(client_secret), DirectionKeys(server_secret)
+        self._send, self._recv = keys if self.role == "client" else keys[::-1]
 
     def _install_handshake_keys(self) -> None:
         """Derive the handshake traffic keys over the transcript through ServerHello."""
@@ -168,13 +164,11 @@ class _SessionBase:
         s.derive_early()
         s.derive_handshake(self.secrets["eph"], self.secrets["ss_s"], self.secrets["ss_c"])
         s.derive_handshake_traffic(self.transcript_hash())
-        self._hs_send, self._hs_recv = self._directions(s.client_hs_traffic_secret,
-                                                        s.server_hs_traffic_secret)
+        self._use_keys(s.client_hs_traffic_secret, s.server_hs_traffic_secret)
 
     def _complete(self) -> None:
         self.state = State.COMPLETE
-        self._app_send, self._app_recv = self._directions(
-            self.schedule.client_app_traffic_secret_0, self.schedule.server_app_traffic_secret_0)
+        self._use_keys(*self.application_traffic_secrets)
 
     @property
     def application_traffic_secrets(self) -> tuple[bytes, bytes]:
@@ -214,7 +208,7 @@ class _SessionBase:
         if content_type != protection:
             raise DecodeError(f"record content type {content_type} in state {self.state.name}")
         if content_type == ContentType.APPLICATION_DATA:
-            payload, inner_type = self._hs_recv.open(rec)
+            payload, inner_type = self._recv.open(rec)
             if inner_type != ContentType.HANDSHAKE:
                 raise DecodeError("unexpected inner content type during handshake")
         msg_type, body = unframe(payload)
@@ -227,18 +221,19 @@ class _SessionBase:
     def seal_app(self, plaintext: bytes) -> bytes:
         if self.state is not State.COMPLETE:
             raise InvalidState("cannot send application data before Complete")
-        return self._app_send.seal(plaintext, ContentType.APPLICATION_DATA)
+        return self._send.seal(plaintext, ContentType.APPLICATION_DATA)
 
     def open_app(self, rec: bytes) -> bytes:
         if self.state is not State.COMPLETE:
             raise InvalidState("cannot receive application data before Complete")
         try:
-            content, content_type = self._app_recv.open(rec)
+            content, content_type = self._recv.open(rec)
+            if content_type != ContentType.APPLICATION_DATA:
+                raise RecordAuthError("unexpected inner content type")
         except RecordAuthError as exc:
+            # The caller owes the peer alert_record(alert_sent) (RFC 8446 §5.2).
             self._abort(AlertCode.IBE_AUTH_FAILURE, _reason(exc))
             raise
-        if content_type != ContentType.APPLICATION_DATA:
-            raise RecordAuthError("unexpected inner content type")
         return content
 
     # -- shared parsing helpers ---------------------------------------------
@@ -260,7 +255,7 @@ class _SessionBase:
     def _auth_extension_for(self, ct) -> bytes:
         blob = encode_ciphertext(ct, self.mpk.params_hash)
         ext = IbeIdentityAuth(SCHEME_REFERENCE, blob).to_extension()
-        self._count_auth_extension(len(ext.extension_data))
+        self.auth_bytes += 4 + len(ext.extension_data)
         return ext
 
 
@@ -387,7 +382,7 @@ class ClientSession(_SessionBase):
         client_finished = Finished(compute_finished(self.schedule.client_finished_key, th2))
         framed_cf = encode_finished(client_finished)
         self._absorb(framed_cf, "send")
-        out = self._hs_send.seal(framed_cf, ContentType.HANDSHAKE)
+        out = self._send.seal(framed_cf, ContentType.HANDSHAKE)
         self._complete()
         return [out]
 
@@ -477,14 +472,14 @@ class ServerSession(_SessionBase):
 
         framed_ee = encode_encrypted_extensions(EncryptedExtensions())
         self._absorb(framed_ee, "send")
-        sealed_ee = self._hs_send.seal(framed_ee, ContentType.HANDSHAKE)
+        sealed_ee = self._send.seal(framed_ee, ContentType.HANDSHAKE)
 
         server_finished = Finished(
             compute_finished(self.schedule.server_finished_key, self.transcript_hash())
         )
         framed_sf = encode_finished(server_finished)
         self._absorb(framed_sf, "send")
-        sealed_sf = self._hs_send.seal(framed_sf, ContentType.HANDSHAKE)
+        sealed_sf = self._send.seal(framed_sf, ContentType.HANDSHAKE)
 
         self.schedule.derive_application(self.transcript_hash())
         self.state = State.WAIT_CLIENT_FINISHED

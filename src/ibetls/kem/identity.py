@@ -8,13 +8,18 @@ from dataclasses import dataclass
 from .errors import MalformedIdentity
 
 
+def is_integer_epoch(epoch: str) -> bool:
+    """Whether epoch is in ASCII digits; str.isdigit alone also takes "²"."""
+    return epoch.isascii() and epoch.isdigit()
+
+
 def is_epoch(epoch: str) -> bool:
     """Whether epoch is an unsigned integer ("20250101", "7") or an ISO-8601
     date written YYYY-MM-DD ("2025-01-01"), the two forms an identity's last
     segment may take. The date must be what isoformat writes for it, so the
     week dates that fromisoformat reads from Python 3.11 on are refused on
     every version."""
-    if epoch.isdigit():
+    if is_integer_epoch(epoch):
         return True
     try:
         return datetime.date.fromisoformat(epoch).isoformat() == epoch

@@ -8,6 +8,7 @@ once it has completed or aborted.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import struct
@@ -15,7 +16,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..handshake.session import ClientSession, ServerSession, State
-from ..handshake.wire import ContentType, split_record
+from ..handshake.record import RecordAuthError
+from ..handshake.wire import ContentType, alert_record, split_record
 
 MAX_APP_CHUNK = 60_000  # keep sealed records under the 16-bit record length
 # The longest application message a receiver buffers. The longest the program
@@ -90,11 +92,10 @@ class Connection:
 
     def _carry(self, sender: str, source, sink, payload: bytes) -> bytes:
         """Deliver every record of payload to sink; returns sink's next message."""
-        reassembler = _reassembler(sink)
         for rec in app_send(source, payload):
             self.capture.add(sender, rec)
-            reassembler.buffer += sink.open_app(rec)
-        message = reassembler.pop()
+            sink.app_buffer.extend(sink.open_app(rec))
+        message = _take_message(sink.app_buffer)
         if message is None:
             raise RuntimeError(f"{sender} message not assembled")
         return message
@@ -133,42 +134,27 @@ def app_send(session, payload: bytes) -> list[bytes]:
     ]
 
 
-class _Reassembler:
-    """Length-prefixed messages from record payloads. One record can complete
-    more than one message, so what push does not return waits for pop."""
-
-    def __init__(self) -> None:
-        self.buffer = bytearray()
-
-    def push(self, chunk: bytes) -> bytes | None:
-        self.buffer += chunk
-        return self.pop()
-
-    def pop(self) -> bytes | None:
-        """The first complete message buffered, taken out; None if there is none."""
-        if len(self.buffer) < 4:
-            return None
-        (length,) = struct.unpack_from("!I", self.buffer)
-        if length > MAX_APP_MESSAGE:
-            raise MessageTooLarge(f"peer declared a {length}-byte message; "
-                                  f"at most {MAX_APP_MESSAGE} bytes are accepted")
-        if len(self.buffer) < 4 + length:
-            return None
-        message = bytes(self.buffer[4 : 4 + length])
-        del self.buffer[: 4 + length]
-        return message
-
-
-def _reassembler(session) -> _Reassembler:
-    if not hasattr(session, "_reassembler"):
-        session._reassembler = _Reassembler()
-    return session._reassembler
+def _take_message(buffer: bytearray) -> bytes | None:
+    """The first whole length-prefixed message in buffer, taken out; None if
+    there is none. A length over MAX_APP_MESSAGE is refused from the header."""
+    if len(buffer) < 4:
+        return None
+    (length,) = struct.unpack_from("!I", buffer)
+    if length > MAX_APP_MESSAGE:
+        raise MessageTooLarge(f"peer declared a {length}-byte message; "
+                              f"at most {MAX_APP_MESSAGE} bytes are accepted")
+    if len(buffer) < 4 + length:
+        return None
+    message = bytes(buffer[4 : 4 + length])
+    del buffer[: 4 + length]
+    return message
 
 
 def app_recv_chunk(session, rec: bytes) -> bytes | None:
     """Feed one application record; returns the first message it completes.
-    Any later message it completes stays buffered for the next receive."""
-    return _reassembler(session).push(session.open_app(rec))
+    Any later message it completes stays in app_buffer for the next receive."""
+    session.app_buffer.extend(session.open_app(rec))
+    return _take_message(session.app_buffer)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +244,17 @@ def stream_send_message(session, stream: RecordStream, payload: bytes) -> None:
 
 
 def stream_recv_message(session, stream: RecordStream) -> bytes | None:
-    message = _reassembler(session).pop()  # completed by an earlier record
+    """The next application message; None if the peer closes first. A record
+    that fails to open aborts the session, and its alert goes to the peer."""
+    message = _take_message(session.app_buffer)  # completed by an earlier record
     while message is None:
         rec = stream.recv()
         if rec is None:
             return None
-        message = app_recv_chunk(session, rec)
+        try:
+            message = app_recv_chunk(session, rec)
+        except RecordAuthError:
+            with contextlib.suppress(OSError):  # a peer that has gone cannot be told
+                stream.send(alert_record(session.alert_sent))
+            raise
     return message

@@ -30,7 +30,7 @@ from ..kem import (
     rebuild_master,
     setup,
 )
-from ..kem.identity import is_epoch
+from ..kem.identity import is_epoch, is_integer_epoch
 from ..kem.sampling import HashStream
 from . import shamir
 from .registry import (
@@ -473,15 +473,25 @@ class TpkgService:
             self.revoked.add(identity.base)
 
     def epoch_increment(self, new_epoch: str | None = None) -> str:
+        """Move to new_epoch, or to the integer after the current one. A new
+        epoch must be later than the current one and of its form, integers by
+        value and dates by date (a YYYY-MM-DD date orders as its text does):
+        going back would return expired epochs to the window."""
         with self._write_lock:
+            current = self.policy.current_epoch
+            integers = is_integer_epoch(current)
             if new_epoch is None:
-                if not self.policy.current_epoch.isdigit():
+                if not integers:
                     raise ValueError(
                         "current epoch is not an integer; supply the next epoch explicitly"
                     )
-                new_epoch = str(int(self.policy.current_epoch) + 1)
+                new_epoch = str(int(current) + 1)
             _check_epoch(new_epoch)
-            self.policy.epoch_history.insert(0, self.policy.current_epoch)
+            if is_integer_epoch(new_epoch) != integers or not (
+                    int(new_epoch) > int(current) if integers else new_epoch > current):
+                raise ValueError(f"epoch {new_epoch!r} is not later than the current "
+                                 f"epoch {current!r} in the same form")
+            self.policy.epoch_history.insert(0, current)
             self.policy.current_epoch = new_epoch
         return new_epoch
 

@@ -230,6 +230,94 @@ def test_command_killed_inside_any_append_is_retried(tmp_path, capsys, command):
     assert n - 1 == appends
 
 
+def test_epoch_bump_killed_at_its_write_is_retried(tmp_path, capsys):
+    """Kill epoch-bump at its one file write, policy.json's: the domain still
+    reads at the old epoch, and running the command again bumps it once."""
+    for n in itertools.count(1):
+        home = tmp_path / f"home-{n}"
+        policy = setup_domain(home, capsys) / "policy.json"
+        before = policy.read_bytes()
+        argv = ["--home", str(home), "epoch-bump", "--domain", "control-plane"]
+        done = run_killed_at_write("replace", n, argv)
+        if done.returncode == 0:
+            break
+        assert done.returncode == 9, done.stderr
+        for reader in ("id-list", "registry-verify"):
+            code, _, err = run_cli(["--home", str(home), reader, "--domain", "control-plane"],
+                                   capsys)
+            assert code == 0, (n, reader, err)
+        assert policy.read_bytes() == before, n
+        assert json.loads(before)["currentEpoch"] == "20250101"
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and out.startswith("epoch now 20250102 "), (n, err)
+        assert json.loads(policy.read_text())["epochHistory"] == ["20250101"], n
+    assert n - 1 == 1
+
+
+def serve_killed_at_append(n: int, argv: list[str], result: dict) -> threading.Thread:
+    """tpkg-serve on argv, killed inside its N-th journal append, in a thread
+    whose CompletedProcess lands in result["done"]."""
+    def serve():
+        result["done"] = run_killed_at_write("append", n, argv)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
+
+
+def test_serve_killed_inside_any_append_is_retried(tmp_path, capsys):
+    """Kill tpkg-serve halfway through each journal append it makes: the one
+    for its endpoint key at startup, and the two of an auto-approved request
+    it serves. Reading the domain then neither fails nor writes a journal, a
+    restarted tpkg-serve serves the retried request, and the chain holds."""
+    for n in itertools.count(1):
+        home = tmp_path / f"home-{n}"
+        directory = setup_domain(home, capsys)
+        port, result = free_port(), {}
+        serve_argv = ["--home", str(home), "tpkg-serve", "--domain", "control-plane",
+                      "--listen", f"127.0.0.1:{port}", "--max-requests", "1"]
+        thread = serve_killed_at_append(n, serve_argv, result)
+        if n > 1:  # the endpoint key's append comes before it listens
+            deadline = time.time() + 30
+            while True:
+                code, _, err = run_cli([
+                    "--home", str(home), "id-request", "--domain", "control-plane",
+                    "--identity", "kubelet:node-05.20250101", "--subject", "node-05",
+                    "--groups", "system:bootstrappers", "--remote", f"127.0.0.1:{port}",
+                ], capsys)
+                if "unreachable: " not in err:
+                    break
+                assert time.time() < deadline, err
+                time.sleep(0.3)
+        thread.join(timeout=150)
+        done = result["done"]
+        if done.returncode == 0:
+            assert code == 0, err
+            break
+        assert done.returncode == 9, done.stderr
+        if n > 1:
+            assert code == 4 and reasons(err) == ["no response from endpoint"], err
+        journals = [(directory / name).read_bytes()
+                    for name in ("registry.jsonl", "requests.jsonl")]
+        assert not all(data.endswith(b"\n") for data in journals), n
+        for reader in ("id-list", "registry-verify"):
+            code, _, err = run_cli(["--home", str(home), reader, "--domain", "control-plane"],
+                                   capsys)
+            assert code == 0, (n, reader, err)
+        assert [(directory / name).read_bytes()
+                for name in ("registry.jsonl", "requests.jsonl")] == journals, n
+        port = free_port()
+        thread, server_result = serve_in_thread(home, port, 1)
+        assert remote_request(home, port, capsys) == 0, n
+        assert json.loads(capsys.readouterr().out)["status"] == 201, n
+        thread.join(timeout=30)
+        assert not thread.is_alive() and server_result.get("code") == 0, n
+        code, out, _ = run_cli(["--home", str(home), "registry-verify", "--domain",
+                                "control-plane"], capsys)
+        assert code == 0 and "intact" in out, n
+    assert n - 1 == 3
+
+
 @pytest.mark.parametrize("name", ["policy.json", "registry.jsonl", "requests.jsonl"])
 def test_domain_missing_a_state_file_is_corrupt(home, capsys, name):
     directory = setup_domain(home, capsys)
@@ -304,6 +392,31 @@ def test_epoch_bump_and_registry_verify(home, capsys):
         "--home", str(home), "registry-verify", "--domain", "control-plane",
     ], capsys)
     assert code == 5 and "CORRUPT" in err
+
+
+def test_epoch_bump_never_moves_back(home, capsys):
+    """An expired epoch cannot return to the window: a bump to an epoch that
+    is not later than the current one exits 2 and leaves policy.json as it
+    was."""
+    code, _, _ = run_cli(["--home", str(home), "tpkg-setup", "--domain", "svc",
+                          "--patterns", "svc", "--epoch", "1"], capsys)
+    assert code == 0
+    bump = ["--home", str(home), "epoch-bump", "--domain", "svc"]
+    for _ in range(2):
+        assert run_cli(bump, capsys)[0] == 0
+    request = ["--home", str(home), "id-request", "--domain", "svc", "--identity", "svc.1"]
+    code, _, err = run_cli(request, capsys)
+    assert code == 3 and reasons(err) == ["denied: epoch 1 not within the rotation window"]
+    policy = home / "domains" / "svc" / "policy.json"
+    before = policy.read_bytes()
+    for epoch in ("1", "3", "2025-01-01"):
+        code, out, err = run_cli([*bump, "--epoch", epoch], capsys)
+        assert code == 2 and out == "", epoch
+        assert reasons(err) == [f"error: epoch '{epoch}' is not later than the current "
+                                f"epoch '3' in the same form"]
+        assert policy.read_bytes() == before, epoch
+    code, _, err = run_cli(request, capsys)
+    assert code == 3 and reasons(err) == ["denied: epoch 1 not within the rotation window"]
 
 
 def test_concurrent_writer_exits_5_and_leaves_the_home_intact(home, capsys, monkeypatch):
@@ -503,6 +616,15 @@ def test_bench_report_cert_totals_in_range(capsys, tmp_path):
     assert 11 * 1024 <= low and high <= 21 * 1024
     ibe = report["ibeTls"]
     assert ibe["kemCiphertextBytes"] == 3 * ibe["ciphertextBytes"]
+
+
+def test_bench_report_takes_no_seed(capsys):
+    # The report holds sizes, counts and the certificate model, which no key
+    # changes, so there is no seed to choose.
+    with pytest.raises(SystemExit) as exited:
+        main(["bench-report", "--seed", "5"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_serve_refuses_without_share_quorum(home, capsys):
@@ -906,6 +1028,16 @@ def test_remote_request_refuses_an_over_cap_reply(home, capsys):
     assert code == 4 and "Traceback" not in err
     assert reasons(err) == [f"refused: peer declared a {MAX_APP_MESSAGE + 1}-byte message; "
                             f"at most {MAX_APP_MESSAGE} bytes are accepted"]
+
+
+def test_remote_reply_that_is_an_alert_exits_4(home, capsys):
+    from ibetls.handshake.wire import AlertCode, alert_record
+
+    code, err = remote_request_to_fake_endpoint(
+        home, capsys,
+        lambda session, stream: stream.send(alert_record(AlertCode.IBE_AUTH_FAILURE)))
+    assert code == 4 and "Traceback" not in err
+    assert reasons(err) == ["refused: not an encrypted record"]
 
 
 @pytest.mark.parametrize("body", [b"[1, 2]", b"\xff\xfe{}", b"{not json"],

@@ -643,7 +643,7 @@ def peer_sealed(session, framed):
     secret = (schedule.server_hs_traffic_secret if session.role == "client"
               else schedule.client_hs_traffic_secret)
     keys = DirectionKeys(secret)
-    keys._seq = session._hs_recv._seq
+    keys._seq = session._recv._seq
     return keys.seal(framed, ContentType.HANDSHAKE)
 
 

@@ -33,6 +33,8 @@ def test_iso_date_epoch():
         "a.b.",                      # empty epoch
         "svc.2025-W01-1",            # ISO week dates, which Python 3.11's
         "svc.2025W011",              # fromisoformat reads and 3.10's refuses
+        "svc.\u00b2",                # superscript two, which str.isdigit takes
+        "svc.\u0662\u0660\u0662\u0665",  # 2025 in Arabic-Indic digits
     ],
 )
 def test_malformed_identities_rejected(text):

@@ -374,19 +374,20 @@ def test_over_cap_message_refused_before_its_body_is_read(mpk, server_identity, 
 def test_reassembly_returns_each_message_however_its_records_split(messages, cuts):
     import struct
 
-    from ibetls.simnet.transport import _Reassembler
+    from ibetls.simnet.transport import _take_message
 
     stream = b"".join(struct.pack("!I", len(message)) + message for message in messages)
     bounds = sorted({0, len(stream), *(cut for cut in cuts if cut < len(stream))})
     ends = list(itertools.accumulate(4 + len(message) for message in messages))
-    reassembler = _Reassembler()
+    buffer = bytearray()
     got = []
     for a, b in zip(bounds, bounds[1:]):
-        message = reassembler.push(stream[a:b])
+        buffer += stream[a:b]
+        message = _take_message(buffer)
         while message is not None:
             got.append(message)
-            message = reassembler.pop()
-        # every message whose last byte has arrived is out, with no further push
+            message = _take_message(buffer)
+        # every message whose last byte has arrived is out, with no further chunk
         assert got == messages[:sum(end <= b for end in ends)]
     assert got == messages
 
@@ -410,18 +411,58 @@ def test_two_messages_sealed_in_one_record_both_arrive(mpk, server_identity, ser
         assert stream_recv_message(conn.server, stream) == b"second"
 
 
+def forged_app_record(conn, case):
+    """A record the client sends its server that fails to open there: one
+    whose tag does not verify, or one sealed under the right keys with an
+    inner type other than application data."""
+    from ibetls.handshake import DirectionKeys
+    from ibetls.handshake.wire import ContentType
+
+    if case == "bad-tag":
+        rec = bytearray(conn.client.seal_app(b"\x00\x00\x00\x02hi"))
+        rec[-1] ^= 1
+        return bytes(rec)
+    client_keys = DirectionKeys(conn.client.application_traffic_secrets[0])
+    return client_keys.seal(b"\x00\x00\x00\x02hi", ContentType.HANDSHAKE)
+
+
+@pytest.mark.parametrize("case", ["bad-tag", "inner-type"])
+def test_a_record_that_fails_to_open_aborts_and_alerts_the_peer(
+        case, mpk, server_identity, server_key):
+    import socket
+
+    from ibetls.handshake import RecordAuthError
+    from ibetls.handshake.wire import AlertCode, alert_record
+    from ibetls.simnet import RecordStream, stream_recv_message
+
+    conn = establish(ClientSession(mpk, server_identity, seed_of(830)),
+                     ServerSession(mpk, server_identity, server_key, seed_of(831)))
+    assert conn.ok
+    left, right = socket.socketpair()
+    with left, right:
+        left.settimeout(10)
+        right.settimeout(10)
+        left.sendall(forged_app_record(conn, case))
+        with pytest.raises(RecordAuthError):
+            stream_recv_message(conn.server, RecordStream(right))
+        assert conn.server.state is State.ABORTED
+        assert conn.server.alert_sent == AlertCode.IBE_AUTH_FAILURE
+        assert RecordStream(left).recv() == alert_record(AlertCode.IBE_AUTH_FAILURE)
+
+
 def test_reassembly_cap_is_checked_on_the_length_alone():
     import struct
 
     from ibetls.simnet import MessageTooLarge
-    from ibetls.simnet.transport import MAX_APP_MESSAGE, _Reassembler
+    from ibetls.simnet.transport import MAX_APP_MESSAGE, _take_message
 
-    assert _Reassembler().push(struct.pack("!I", MAX_APP_MESSAGE)) is None
+    assert _take_message(bytearray(struct.pack("!I", MAX_APP_MESSAGE))) is None
     too_long = struct.pack("!I", MAX_APP_MESSAGE + 1)
-    reassembler = _Reassembler()
-    assert reassembler.push(too_long[:3]) is None
+    buffer = bytearray(too_long[:3])
+    assert _take_message(buffer) is None
+    buffer += too_long[3:]
     with pytest.raises(MessageTooLarge):
-        reassembler.push(too_long[3:])
+        _take_message(buffer)
 
 
 def test_scenario_from_json_file(tmp_path):

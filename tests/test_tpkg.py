@@ -293,6 +293,37 @@ def test_epoch_expiry_between_approval_and_delivery(domain):
         service.extract_and_deliver(request.name, list(shares.shares[:2]))
 
 
+@pytest.fixture(scope="module")
+def epoch_service(desk):
+    return make_domain(desk)[0]
+
+
+# An epoch as (form, value) and as written: integers with or without leading
+# zeros, and dates.
+tagged_epochs = (
+    st.tuples(st.integers(0, 40), st.integers(0, 2)).map(
+        lambda nw: (("int", nw[0]), str(nw[0]).zfill(nw[1])))
+    | st.dates(datetime.date(2024, 12, 25), datetime.date(2025, 1, 8)).map(
+        lambda day: (("date", day), day.isoformat()))
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(current=tagged_epochs, new=tagged_epochs)
+def test_epoch_bump_accepted_exactly_when_the_new_epoch_is_later(epoch_service, current, new):
+    (current_key, current_text), (new_key, new_text) = current, new
+    epoch_service.policy = make_policy(current_epoch=current_text, epoch_history=["3"])
+    before = epoch_service.policy.to_dict()
+    later = current_key[0] == new_key[0] and new_key[1] > current_key[1]
+    if later:
+        assert epoch_service.epoch_increment(new_text) == new_text
+        assert epoch_service.policy.valid_epochs() == [new_text, current_text]
+    else:
+        with pytest.raises(ValueError):
+            epoch_service.epoch_increment(new_text)
+        assert epoch_service.policy.to_dict() == before
+
+
 def test_revocation_blocks_issuance_regardless_of_epoch(domain):
     service, shares = domain
     service.revoke_identity("kubelet:node-01.20250101")
